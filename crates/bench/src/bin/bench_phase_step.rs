@@ -10,12 +10,19 @@
 //! - `fx_eval`: one RHS evaluation via the fixed-point kernel
 //!   ([`FxBatchKernel`] at one replica): i32 binary-turn phases,
 //!   Q-format weights, table-driven sine (the acceptance metric is
-//!   `fx_speedup = kernel/fx` ≥ 1.3 on the 2116-node board);
+//!   `fx_speedup = kernel/fx` ≥ 1.15 on the 2116-node board);
 //! - `batch_eval`: one 40-replica SoA RHS sweep ([`BatchKernel`]),
 //!   reported per replica;
 //! - `sweep_eval`: the same 40-replica RHS with **heterogeneous**
 //!   per-lane (K, σ) control tables (`BatchKernel::from_lanes`) — the
 //!   per-lane sweep must run at homogeneous-batch speed;
+//! - `batch_stage2_eval`: the SoA RHS of a 4-lane shard (the shard a
+//!   `paper_2116` job runs on each of two cores) gated by **real**
+//!   stage-1 cuts — each lane's couplings across its own stage-1
+//!   partition cut, as the solver does at the stage transition —
+//!   reported per replica. Edges cut in every lane leave the sweep, so
+//!   this is the stage-2 cost the live-edge sweep targets
+//!   (`stage2_live_frac` is the share of edges still swept);
 //! - `anneal_naive` / `anneal_kernel` / `anneal_batch`: a 1 ns
 //!   Euler–Maruyama annealing window (100 steps) through the same three
 //!   paths (batch reported per replica).
@@ -26,7 +33,8 @@
 //!
 //! Run with: `cargo run --release -p msropm-bench --bin bench_phase_step`
 
-use msropm_graph::generators;
+use msropm_core::{LaneConfig, Msropm, MsropmConfig, SolveOptions};
+use msropm_graph::{generators, Cut, Graph};
 use msropm_ode::system::OdeSystem;
 use msropm_osc::batch::{BatchIntegrator, BatchKernel};
 use msropm_osc::fxkernel::{phase_to_turns, FxBatchKernel};
@@ -38,6 +46,25 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 const BATCH_REPLICAS: usize = 40; // the paper's iteration count
+/// Lanes per shard of a `paper_2116` job (8 lanes on 2 cores).
+const STAGE2_LANES: usize = 4;
+
+/// Real stage-1 cuts of `g`: the partitions of `STAGE2_LANES` lanes of
+/// a single-stage (2-colour) solve at the paper's physics.
+fn stage1_cuts(g: &Graph) -> Vec<Cut> {
+    let config = MsropmConfig {
+        num_colors: 2,
+        ..MsropmConfig::paper_default()
+    };
+    let seeds: Vec<u64> = (0..STAGE2_LANES as u64).collect();
+    let lanes = vec![LaneConfig::default(); STAGE2_LANES];
+    Msropm::new(g, config)
+        .solve_lanes(&lanes, &seeds, SolveOptions::new())
+        .expect("no cancel token")
+        .into_iter()
+        .map(|s| s.stages[0].partition.clone())
+        .collect()
+}
 
 /// Times `f` (already warmed up by `warmup` calls) and returns seconds
 /// per call, sampling until ~`budget_s` of wall clock is spent.
@@ -73,15 +100,18 @@ struct Row {
     /// Heterogeneous 40-lane (K, σ) sweep RHS, per replica — the
     /// per-lane control tables must not slow the SoA sweep.
     sweep_eval_ns_per_replica: f64,
+    /// 4-lane SoA RHS under real stage-1 cuts, per replica.
+    batch_stage2_eval_ns: f64,
+    /// Share of the edges the stage-2 sweep still visits.
+    stage2_live_frac: f64,
     anneal_naive_us: f64,
     anneal_kernel_us: f64,
     anneal_batch_us_per_replica: f64,
 }
 
-fn bench_side(side: usize, eval_budget: f64, anneal_budget: f64) -> Row {
-    let g = generators::kings_graph_square(side);
+fn bench_side(g: &Graph, side: usize, cuts: &[Cut], eval_budget: f64, anneal_budget: f64) -> Row {
     let n = g.num_nodes();
-    let net = PhaseNetwork::builder(&g)
+    let net = PhaseNetwork::builder(g)
         .coupling_strength(1.0)
         .noise(0.18)
         .build();
@@ -166,6 +196,29 @@ fn bench_side(side: usize, eval_budget: f64, anneal_budget: f64) -> Row {
             eval_budget,
         ) / BATCH_REPLICAS as f64;
 
+    // --- Stage-2 SoA sweep: each lane cut along its stage-1 partition. ---
+    let mut stage2 = BatchKernel::new(&net, STAGE2_LANES);
+    for (e, u, v) in g.edges() {
+        for (r, cut) in cuts.iter().enumerate() {
+            if cut.side(u) != cut.side(v) {
+                stage2.set_edge_enabled(e.index(), r, false);
+            }
+        }
+    }
+    let stage2_live_frac = stage2.num_live_edges() as f64 / g.num_edges() as f64;
+    let phases_2 = &phases_b[..n * STAGE2_LANES];
+    let mut dydt_2 = vec![0.0; n * STAGE2_LANES];
+    let mut scratch_2 = Vec::new();
+    let batch_stage2_eval_ns =
+        1e9 * time_per_call(
+            || {
+                stage2.drift_into(std::hint::black_box(phases_2), &mut dydt_2, &mut scratch_2);
+                std::hint::black_box(&dydt_2);
+            },
+            3,
+            eval_budget,
+        ) / STAGE2_LANES as f64;
+
     // --- 1 ns anneal window (100 Euler–Maruyama steps). ---
     let mut rng_a = StdRng::seed_from_u64(3);
     let mut ph_a = net.random_phases(&mut rng_a);
@@ -220,6 +273,8 @@ fn bench_side(side: usize, eval_budget: f64, anneal_budget: f64) -> Row {
         batch_eval_ns_per_replica,
         batch_speedup: naive_eval_ns / batch_eval_ns_per_replica,
         sweep_eval_ns_per_replica,
+        batch_stage2_eval_ns,
+        stage2_live_frac,
         anneal_naive_us,
         anneal_kernel_us,
         anneal_batch_us_per_replica,
@@ -237,6 +292,7 @@ fn best_of(a: Row, b: Row) -> Row {
         fx_eval_ns: a.fx_eval_ns.min(b.fx_eval_ns),
         batch_eval_ns_per_replica: a.batch_eval_ns_per_replica.min(b.batch_eval_ns_per_replica),
         sweep_eval_ns_per_replica: a.sweep_eval_ns_per_replica.min(b.sweep_eval_ns_per_replica),
+        batch_stage2_eval_ns: a.batch_stage2_eval_ns.min(b.batch_stage2_eval_ns),
         anneal_naive_us: a.anneal_naive_us.min(b.anneal_naive_us),
         anneal_kernel_us: a.anneal_kernel_us.min(b.anneal_kernel_us),
         anneal_batch_us_per_replica: a
@@ -253,18 +309,19 @@ fn best_of(a: Row, b: Row) -> Row {
 /// Tracked ns/op columns for the `--baseline` CI perf gate: the compiled
 /// hot paths. `naive_eval_ns` is the uncompiled reference (tracked too —
 /// it regressing usually means the whole build got slower).
-const TRACKED: [&str; 7] = [
+const TRACKED: [&str; 8] = [
     "naive_eval_ns",
     "kernel_eval_ns",
     "fx_eval_ns",
     "batch_eval_ns_per_replica",
     "sweep_eval_ns_per_replica",
+    "batch_stage2_eval_ns",
     "anneal_1ns_kernel_us",
     "anneal_1ns_batch_us_per_replica",
 ];
 
 /// Every timing a row carries, for output validation.
-fn row_timings(r: &Row) -> [(&'static str, f64); 10] {
+fn row_timings(r: &Row) -> [(&'static str, f64); 11] {
     [
         ("naive_eval_ns", r.naive_eval_ns),
         ("kernel_eval_ns", r.kernel_eval_ns),
@@ -272,6 +329,7 @@ fn row_timings(r: &Row) -> [(&'static str, f64); 10] {
         ("fx_speedup", r.fx_speedup),
         ("batch_eval_ns_per_replica", r.batch_eval_ns_per_replica),
         ("sweep_eval_ns_per_replica", r.sweep_eval_ns_per_replica),
+        ("batch_stage2_eval_ns", r.batch_stage2_eval_ns),
         ("anneal_1ns_naive_us", r.anneal_naive_us),
         ("anneal_1ns_kernel_us", r.anneal_kernel_us),
         (
@@ -307,17 +365,20 @@ fn main() {
 
     let mut rows = Vec::new();
     for &side in sides {
+        let g = generators::kings_graph_square(side);
+        let cuts = stage1_cuts(&g);
         let row = best_of(
-            bench_side(side, eval_budget, anneal_budget),
-            bench_side(side, eval_budget, anneal_budget),
+            bench_side(&g, side, &cuts, eval_budget, anneal_budget),
+            bench_side(&g, side, &cuts, eval_budget, anneal_budget),
         );
         println!(
-            "kings {:>2}x{:<2} n={:<5} m={:<6} eval naive {:>9.1} ns | kernel {:>9.1} ns ({:>4.2}x) | fx {:>9.1} ns ({:>4.2}x) | batch/rep {:>9.1} ns ({:>4.2}x) | sweep/rep {:>9.1} ns | anneal1ns naive {:>8.1} us | kernel {:>8.1} us | batch/rep {:>8.1} us",
+            "kings {:>2}x{:<2} n={:<5} m={:<6} eval naive {:>9.1} ns | kernel {:>9.1} ns ({:>4.2}x) | fx {:>9.1} ns ({:>4.2}x) | batch/rep {:>9.1} ns ({:>4.2}x) | sweep/rep {:>9.1} ns | stage2/rep {:>9.1} ns ({:>4.1}% live) | anneal1ns naive {:>8.1} us | kernel {:>8.1} us | batch/rep {:>8.1} us",
             row.side, row.side, row.nodes, row.edges,
             row.naive_eval_ns, row.kernel_eval_ns, row.kernel_speedup,
             row.fx_eval_ns, row.fx_speedup,
             row.batch_eval_ns_per_replica, row.batch_speedup,
             row.sweep_eval_ns_per_replica,
+            row.batch_stage2_eval_ns, 100.0 * row.stage2_live_frac,
             row.anneal_naive_us, row.anneal_kernel_us, row.anneal_batch_us_per_replica,
         );
         rows.push(row);
@@ -362,6 +423,7 @@ fn main() {
              \"fx_eval_ns\": {fx:.2}, \"fx_speedup\": {fxs:.3}, \
              \"batch_eval_ns_per_replica\": {batch:.2}, \"batch_speedup\": {bspeed:.3}, \
              \"sweep_eval_ns_per_replica\": {sweep:.2}, \
+             \"batch_stage2_eval_ns\": {stage2:.2}, \"stage2_live_frac\": {live:.3}, \
              \"anneal_1ns_naive_us\": {an:.2}, \"anneal_1ns_kernel_us\": {ak:.2}, \
              \"anneal_1ns_batch_us_per_replica\": {ab:.2}}}",
             side = r.side,
@@ -375,6 +437,8 @@ fn main() {
             batch = r.batch_eval_ns_per_replica,
             bspeed = r.batch_speedup,
             sweep = r.sweep_eval_ns_per_replica,
+            stage2 = r.batch_stage2_eval_ns,
+            live = r.stage2_live_frac,
             an = r.anneal_naive_us,
             ak = r.anneal_kernel_us,
             ab = r.anneal_batch_us_per_replica,
@@ -386,10 +450,14 @@ fn main() {
     println!("wrote {out_path}");
 
     // Acceptance floor: the fixed-point RHS must beat the compiled f64
-    // kernel by >= 1.3x on the paper's largest board. Checked whenever
+    // kernel by >= 1.15x on the paper's largest board. Checked whenever
     // the 46x46 row was measured (i.e. every non-`--quick` run); the
     // ratio is taken within one process, so machine load cancels out.
-    const FX_SPEEDUP_FLOOR: f64 = 1.3;
+    // The floor was 1.3x against the f64 kernel whose sine still called
+    // libm `round`; that kernel is now ~1.2x faster while the fx kernel
+    // is unchanged, so the ratio sits near 1.25x. `fx_eval_ns` itself
+    // stays under the 15% regression gate below.
+    const FX_SPEEDUP_FLOOR: f64 = 1.15;
     if let Some(big) = rows.iter().find(|r| r.side == 46) {
         if big.fx_speedup < FX_SPEEDUP_FLOOR {
             eprintln!(

@@ -12,43 +12,21 @@ use rand::Rng;
 
 /// Draws a standard normal deviate.
 ///
-/// This is the single Gaussian choke point of the workspace: every noise
+/// This is the single Gaussian sampler of the workspace: every noise
 /// consumer (scalar steppers, the compiled kernels, the multi-replica
-/// batch fill, frequency-spread sampling) draws through it, so swapping
-/// the sampler can never desynchronize the solo and batch RNG streams
-/// that the bit-identity contracts compare.
+/// batch fill, frequency-spread sampling) draws through it or through
+/// [`fill_normal_batch`], which runs the same ziggurat code, so the solo
+/// and batch RNG streams that the bit-identity contracts compare can
+/// never desynchronize.
 ///
-/// By default this is the rejection-free-in-the-common-case ziggurat
-/// sampler ([`ziggurat_normal`]), which skips the `ln`/`cos` pair on
-/// ~98.8% of draws. The `boxmuller` compat feature restores the
-/// original Box–Muller transform ([`box_muller_normal`]). The two
-/// samplers consume *different* amounts of RNG state per deviate, so
-/// toggling the feature shifts every seeded trajectory (the
-/// distributions agree; the streams do not) — the committed golden
-/// baselines are recorded with the default (ziggurat) sampler.
+/// The sampler is the 256-layer ziggurat (Marsaglia & Tsang). One `u64`
+/// resolves the layer, the sign and a 53-bit uniform; ~98.8% of draws
+/// accept immediately with a single multiply and compare. Rejections
+/// fall through to the exact wedge test (`exp`), and the base layer
+/// samples the tail beyond `r ≈ 3.654` with Marsaglia's exponential
+/// method — the distribution is exact, not truncated.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    #[cfg(feature = "boxmuller")]
-    {
-        box_muller_normal(rng)
-    }
-    #[cfg(not(feature = "boxmuller"))]
-    {
-        ziggurat_normal(rng)
-    }
-}
-
-/// Draws a standard normal via the Box–Muller transform.
-///
-/// The approved offline dependency set includes `rand` but not `rand_distr`,
-/// so the Gaussian sampler lives here. Box–Muller is exact (not an
-/// approximation); it was the default sampler before the ziggurat flip
-/// and remains selectable via the `boxmuller` compat feature (always
-/// compiled so its statistics stay under test either way).
-pub fn box_muller_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Guard against ln(0): gen() yields [0, 1), so flip to (0, 1].
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    ziggurat(rng, ziggurat_tables())
 }
 
 /// The ziggurat tables for the standard normal (Marsaglia & Tsang
@@ -90,27 +68,35 @@ fn ziggurat_tables() -> &'static ZigguratTables {
     })
 }
 
-/// Draws a standard normal via the 256-layer ziggurat method (Marsaglia
-/// & Tsang). One `u64` resolves the layer, the sign and a 53-bit
-/// uniform; ~98.8% of draws accept immediately with a single multiply
-/// and compare. Rejections fall through to the exact wedge test
-/// (`exp`), and the base layer samples the tail beyond
-/// `r ≈ 3.654` with Marsaglia's exponential method — the distribution
-/// is exact, not truncated.
-///
-/// The default sampler behind [`standard_normal`] (see the ROADMAP's
-/// "Faster Gaussian noise" item); the `boxmuller` compat feature swaps
-/// it back out.
-pub fn ziggurat_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let tables = ziggurat_tables();
+/// One ziggurat draw against pre-fetched tables: the accept test of the
+/// common case inline, everything else in [`ziggurat_miss`].
+#[inline(always)]
+fn ziggurat<R: Rng + ?Sized>(rng: &mut R, t: &ZigguratTables) -> f64 {
+    let bits = rng.gen::<u64>();
+    let i = (bits & 0xFF) as usize;
+    let x = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * t.x[i];
+    if x < t.x[i + 1] {
+        // Inside the strictly-under-the-curve rectangle of layer i. Bit 8
+        // is the sign: moved onto the sign bit it negates `x` exactly,
+        // with no 50/50 branch to mispredict.
+        return f64::from_bits(x.to_bits() ^ ((bits & 0x100) << 55));
+    }
+    ziggurat_miss(rng, t, bits)
+}
+
+/// The rare (~1.2%) rest of a ziggurat draw whose first word `bits`
+/// missed its layer's rectangle: the tail or wedge test, then fresh
+/// words until one accepts. It consumes RNG words in exactly the order
+/// of the textbook loop (re-testing `bits`' rectangle first is a
+/// repeat of the miss, so it draws nothing).
+#[cold]
+#[inline(never)]
+fn ziggurat_miss<R: Rng + ?Sized>(rng: &mut R, t: &ZigguratTables, mut bits: u64) -> f64 {
     loop {
-        let bits = rng.gen::<u64>();
         let i = (bits & 0xFF) as usize;
         let sign = if bits & 0x100 != 0 { -1.0 } else { 1.0 };
-        let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let x = u * tables.x[i];
-        if x < tables.x[i + 1] {
-            // Inside the strictly-under-the-curve rectangle of layer i.
+        let x = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * t.x[i];
+        if x < t.x[i + 1] {
             return sign * x;
         }
         if i == 0 {
@@ -127,10 +113,11 @@ pub fn ziggurat_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         }
         // Wedge: uniform y between the layer's bounding ordinates,
         // accept under the true pdf.
-        let y = tables.f[i + 1] + (tables.f[i] - tables.f[i + 1]) * rng.gen::<f64>();
+        let y = t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.gen::<f64>();
         if y < (-0.5 * x * x).exp() {
             return sign * x;
         }
+        bits = rng.gen::<u64>();
     }
 }
 
@@ -157,9 +144,14 @@ pub fn fill_normal_batch<R: Rng>(out: &mut [f64], rngs: &mut [R]) {
         "buffer length {} not a multiple of replica count {replicas}",
         out.len()
     );
-    for node_chunk in out.chunks_mut(replicas) {
-        for (slot, rng) in node_chunk.iter_mut().zip(rngs.iter_mut()) {
-            *slot = standard_normal(rng);
+    // Fetch the tables once per fill rather than once per draw. Lanes
+    // are filled one at a time, each down its strided column: a lane's
+    // deviates still come in node order, and its generator state stays
+    // in registers instead of being reloaded for every draw.
+    let tables = ziggurat_tables();
+    for (r, rng) in rngs.iter_mut().enumerate() {
+        for slot in out.iter_mut().skip(r).step_by(replicas) {
+            *slot = ziggurat(rng, tables);
         }
     }
 }
@@ -432,6 +424,12 @@ mod tests {
     }
 
     #[test]
+    fn batch_normals_accept_an_empty_buffer() {
+        let mut rngs = vec![StdRng::seed_from_u64(0), StdRng::seed_from_u64(1)];
+        fill_normal_batch(&mut [], &mut rngs);
+    }
+
+    #[test]
     #[should_panic(expected = "not a multiple")]
     fn batch_normals_reject_ragged_buffer() {
         let mut rngs = vec![StdRng::seed_from_u64(0), StdRng::seed_from_u64(1)];
@@ -453,7 +451,7 @@ mod tests {
         0.5 * (1.0 + erf)
     }
 
-    /// Moment + Kolmogorov–Smirnov sanity check shared by both samplers.
+    /// Moment + Kolmogorov–Smirnov sanity check of a normal sampler.
     fn check_normal_sampler(mut draw: impl FnMut(&mut StdRng) -> f64, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = 100_000;
@@ -479,13 +477,8 @@ mod tests {
     }
 
     #[test]
-    fn box_muller_moments_and_ks() {
-        check_normal_sampler(box_muller_normal, 11);
-    }
-
-    #[test]
     fn ziggurat_moments_and_ks() {
-        check_normal_sampler(ziggurat_normal, 12);
+        check_normal_sampler(standard_normal, 12);
     }
 
     #[test]
@@ -495,24 +488,75 @@ mod tests {
         // truncation artifacts at r.
         let mut rng = StdRng::seed_from_u64(13);
         let tail = (0..100_000)
-            .filter(|_| ziggurat_normal(&mut rng).abs() > ZIGGURAT_R)
+            .filter(|_| standard_normal(&mut rng).abs() > ZIGGURAT_R)
             .count();
         assert!((5..200).contains(&tail), "tail draws {tail}");
     }
 
+    /// The textbook single-loop ziggurat: the reference the split
+    /// fast-path / cold-miss sampler must follow word for word.
+    fn reference_ziggurat(rng: &mut StdRng) -> f64 {
+        let t = ziggurat_tables();
+        loop {
+            let bits = rng.gen::<u64>();
+            let i = (bits & 0xFF) as usize;
+            let sign = if bits & 0x100 != 0 { -1.0 } else { 1.0 };
+            let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+            let x = u * t.x[i];
+            if x < t.x[i + 1] {
+                return sign * x;
+            }
+            if i == 0 {
+                loop {
+                    let u1: f64 = 1.0 - rng.gen::<f64>();
+                    let u2: f64 = 1.0 - rng.gen::<f64>();
+                    let xt = -u1.ln() / ZIGGURAT_R;
+                    let yt = -u2.ln();
+                    if 2.0 * yt > xt * xt {
+                        return sign * (xt + ZIGGURAT_R);
+                    }
+                }
+            }
+            let y = t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.gen::<f64>();
+            if y < (-0.5 * x * x).exp() {
+                return sign * x;
+            }
+        }
+    }
+
     #[test]
     fn standard_normal_matches_selected_sampler() {
-        // Whatever the feature selects, the choke point must agree with
-        // the sampler it claims to dispatch to, draw for draw.
+        // Enough draws to take the wedge (~1.2%) and tail (~0.03%)
+        // branches many times: both samplers must agree draw for draw
+        // and leave their generators in the same state.
         let mut a = StdRng::seed_from_u64(77);
         let mut b = StdRng::seed_from_u64(77);
-        for _ in 0..64 {
-            let via_choke = standard_normal(&mut a);
-            #[cfg(feature = "boxmuller")]
-            let direct = box_muller_normal(&mut b);
-            #[cfg(not(feature = "boxmuller"))]
-            let direct = ziggurat_normal(&mut b);
-            assert_eq!(via_choke.to_bits(), direct.to_bits());
+        for _ in 0..200_000 {
+            let fast = standard_normal(&mut a);
+            let reference = reference_ziggurat(&mut b);
+            assert_eq!(fast.to_bits(), reference.to_bits());
+        }
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "streams desynchronized");
+    }
+
+    #[test]
+    fn batch_fill_matches_reference_sampler_through_misses() {
+        // The inlined batch fill must follow the reference per lane over
+        // long runs, wedge and tail draws included.
+        let (n, replicas) = (4096, 3);
+        let mut rngs: Vec<StdRng> = (0..replicas)
+            .map(|r| StdRng::seed_from_u64(500 + r))
+            .collect();
+        let mut refs = rngs.clone();
+        let mut batch = vec![0.0; n * replicas as usize];
+        for _ in 0..8 {
+            fill_normal_batch(&mut batch, &mut rngs);
+            for i in 0..n {
+                for (r, rng) in refs.iter_mut().enumerate() {
+                    let expect = reference_ziggurat(rng);
+                    assert_eq!(batch[i * replicas as usize + r].to_bits(), expect.to_bits());
+                }
+            }
         }
     }
 

@@ -6,9 +6,21 @@
 //! <1 ulp but is an opaque call: the edge loop serializes on it and the
 //! auto-vectorizer gives up. [`sin_fast`] is a classical Cody–Waite
 //! two-step π/2 reduction plus minimax polynomials with the quadrant
-//! select done by bit blending — straight-line FP/integer code that LLVM
-//! unrolls and vectorizes when applied over a contiguous buffer (see
-//! [`sin_slice`]).
+//! select done by bit blending — straight-line FP/integer code with no
+//! calls, which LLVM vectorizes when applied over a contiguous buffer
+//! (see [`sin_slice`]).
+//!
+//! **No `f64::round` in the reduction.** The workspace builds for
+//! baseline x86-64, which is SSE2 only. SSE2 has no `roundsd`
+//! (that arrived with SSE4.1), so `y.round()` lowers to an out-of-line
+//! libm `round` call — one per element, and a call inside the loop stops
+//! it from vectorizing. The quadrant is instead found with the `1.5·2^52`
+//! shifter (see [`round_half_away`]), which rounds with two additions
+//! and yields the quadrant bits for free. Keep `.round()` (and
+//! saturating `as i64` casts) out of [`sin_core`]: on the default target
+//! either one puts scalar code back in the hottest loop of the solver.
+//! The shifter form is bit-for-bit equal to `y.round()`, so the choice
+//! never changes a result.
 //!
 //! Accuracy: max absolute error < 4e-15 for |x| ≤ 64 (phase differences
 //! in this workspace stay within a few tens of radians), growing slowly
@@ -23,6 +35,36 @@
 /// O(10) rad, so the branch is never taken in practice (and predicts
 /// perfectly when compiled scalar).
 const REDUCTION_LIMIT: f64 = 1_048_576.0; // 2^20
+
+/// `1.5·2^52`. For `|a| < 2^51`, `a + SHIFTER` lands in `[2^52, 2^53)`,
+/// where the f64 spacing is exactly 1, so the addition rounds `a` to an
+/// integer (ties to even) and leaves that integer's low bits in the low
+/// mantissa bits.
+const SHIFTER: f64 = 6_755_399_441_055_744.0;
+
+/// `y.round()` (nearest integer, ties away from zero) without a libm
+/// call, bit for bit — including the sign of zero results. Valid for
+/// `|y| < 2^51`; [`sin_core`] only sees `|y| ≤ 2^20 · 2/π`.
+#[inline(always)]
+fn round_half_away(y: f64) -> f64 {
+    let a = y.abs();
+    // Nearest integer, ties to even; exact because `a` is far below
+    // 2^52 and the shifted sum is an integer.
+    let t = (a + SHIFTER) - SHIFTER;
+    // `a - t` is exact. An exact tie rounded down to even goes up
+    // instead, which is the away-from-zero rule on `|y|`.
+    let t = if a - t == 0.5 { t + 1.0 } else { t };
+    t.copysign(y)
+}
+
+/// `q + SHIFTER` as bits, for an integer `q` with `|q| < 2^51`: the sum
+/// is exact and its low mantissa bits are `q` in two's complement, so
+/// bits 0 and 1 are the quadrant — what `q as i64` would give, without
+/// the saturating float-to-int conversion.
+#[inline(always)]
+fn quadrant_bits(q: f64) -> u64 {
+    (q + SHIFTER).to_bits()
+}
 
 /// `sin(x)` via branchless Cody–Waite reduction + minimax polynomials.
 ///
@@ -53,9 +95,9 @@ fn sin_core(x: f64) -> f64 {
     const INV_PIO2: f64 = 0.636_619_772_367_581_343_075_535_053_490_057_45; // 2/π
     const PIO2_HI: f64 = 1.570_796_326_794_896_557_998_981_734_272_092_58;
     const PIO2_LO: f64 = 6.123_233_995_736_766_035_868_820_147_292e-17;
-    let q = (x * INV_PIO2).round();
+    let q = round_half_away(x * INV_PIO2);
     let r = (x - q * PIO2_HI) - q * PIO2_LO;
-    let qi = q as i64;
+    let qbits = quadrant_bits(q);
     let r2 = r * r;
 
     // Minimax sin polynomial on [-π/4, π/4] (coefficients from the classic
@@ -78,9 +120,9 @@ fn sin_core(x: f64) -> f64 {
 
     // Quadrant select without branches: odd q takes the cos polynomial,
     // bit 1 of q flips the sign.
-    let sel = 0u64.wrapping_sub((qi & 1) as u64);
+    let sel = 0u64.wrapping_sub(qbits & 1);
     let v = f64::from_bits((s.to_bits() & !sel) | (c.to_bits() & sel));
-    f64::from_bits(v.to_bits() ^ (((qi as u64) & 2) << 62))
+    f64::from_bits(v.to_bits() ^ ((qbits & 2) << 62))
 }
 
 /// Applies [`sin_fast`] in place over a slice.
@@ -89,8 +131,9 @@ fn sin_core(x: f64) -> f64 {
 /// differences with no gather/scatter inside the loop. A cheap range
 /// scan first decides whether every element can take the branchless
 /// [`sin_core`] path — when it can (always, for phase dynamics), the
-/// main loop contains no branches at all and LLVM auto-vectorizes it
-/// (4 lanes of f64 with AVX2). Results are bitwise identical to calling
+/// main loop contains no branches and no calls, and LLVM auto-vectorizes
+/// it: 2 lanes of f64 on the default SSE2 target (wider only when the
+/// build enables AVX). Results are bitwise identical to calling
 /// [`sin_fast`] per element either way.
 #[inline]
 pub fn sin_slice(xs: &mut [f64]) {
@@ -188,6 +231,55 @@ mod tests {
             }
         }
         assert!((sin_fast(PI)).abs() < 1e-15);
+    }
+
+    /// Bitwise check of the shifter reduction against the `f64::round` /
+    /// `as i64` form it replaced, at one `y = x·2/π`.
+    fn assert_reduction_matches(y: f64) {
+        let q = round_half_away(y);
+        assert_eq!(q.to_bits(), y.round().to_bits(), "round({y:e})");
+        let qi = y.round() as i64;
+        assert_eq!(quadrant_bits(q) & 3, (qi as u64) & 3, "quadrant({y:e})");
+    }
+
+    #[test]
+    fn shifter_reduction_matches_f64_round_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const INV_PIO2: f64 = std::f64::consts::FRAC_2_PI;
+        // Random arguments over the whole reduction range.
+        let mut rng = StdRng::seed_from_u64(0x5e1f);
+        for _ in 0..200_000 {
+            let x = (rng.gen::<f64>() * 2.0 - 1.0) * REDUCTION_LIMIT;
+            assert_reduction_matches(x * INV_PIO2);
+            // Small arguments, where the kernels actually live.
+            assert_reduction_matches(x * 1e-4 * INV_PIO2);
+        }
+        // Every exact half-integer tie `x·2/π` can reach, both signs.
+        let max_k = (REDUCTION_LIMIT * INV_PIO2) as i64 + 1;
+        for k in 0..=max_k {
+            let tie = k as f64 + 0.5;
+            assert_reduction_matches(tie);
+            assert_reduction_matches(-tie);
+            // And the neighbours a product can round to.
+            assert_reduction_matches(f64::from_bits(tie.to_bits() - 1));
+            assert_reduction_matches(f64::from_bits(tie.to_bits() + 1));
+        }
+        // Signed zeros, subnormals and the largest value below one half.
+        for y in [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            0.499_999_999_999_999_94,
+            -0.499_999_999_999_999_94,
+        ] {
+            assert_reduction_matches(y);
+        }
+        assert_eq!(sin_fast(f64::from_bits(1)).to_bits(), 1);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 # CI gate for the MSROPM workspace, structured as named stages:
 #
 #   fmt    rustfmt check
-#   lint   clippy over all targets, deny warnings (incl. the boxmuller cfg)
-#   test   full test suite (+ the boxmuller compat feature's suite)
+#   lint   clippy over all targets, deny warnings
+#   test   full test suite
 #   build  release build incl. examples
 #   smoke  job-server determinism smoke + wire smoke (real TCP loopback:
 #          boot msropm_serve on an ephemeral port, run solve_remote
@@ -43,9 +43,6 @@ stage_fmt() {
 
 stage_lint() {
     cargo clippy --all-targets -- -D warnings
-    # The Box–Muller compat sampler is cfg'd out of default builds; lint
-    # that code too, with warnings denied just like the default surface.
-    cargo clippy -p msropm-ode --all-targets --features boxmuller -- -D warnings
     # The vendored epoll/poll shim carries the workspace's only unsafe
     # (FFI) code; hold it to the same deny-warnings bar explicitly.
     cargo clippy -p polling --all-targets -- -D warnings
@@ -53,7 +50,6 @@ stage_lint() {
 
 stage_test() {
     cargo test -q
-    cargo test -q -p msropm-ode --features boxmuller
 }
 
 stage_build() {
