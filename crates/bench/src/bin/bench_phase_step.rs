@@ -452,11 +452,9 @@ fn main() {
     // Acceptance floor: the fixed-point RHS must stay faster than the
     // compiled f64 kernel on the paper's largest board. Checked whenever
     // the 46x46 row was measured (i.e. every non-`--quick` run). The
-    // floor was 1.3x while the f64 sine still called libm `round`; that
-    // kernel has since become ~1.2x faster with the fx kernel unchanged,
-    // so the ratio now reads 1.14-1.25x on a shared 2-core box, too
-    // close to any margin above 1 to gate without flaking. `fx_eval_ns`
-    // itself stays under the 15% regression gate below.
+    // ratio reads 1.14-1.25x on a shared 2-core box, too close to any
+    // margin above 1 to gate without flaking; `fx_eval_ns` itself stays
+    // under the 15% regression gate below.
     const FX_SPEEDUP_FLOOR: f64 = 1.0;
     if let Some(big) = rows.iter().find(|r| r.side == 46) {
         if big.fx_speedup < FX_SPEEDUP_FLOOR {

@@ -784,9 +784,8 @@ mod tests {
         assert_ne!(y[kernel.idx(1, 0)], 1.0, "live ring must jitter");
     }
 
-    /// The drift as computed before the live-edge list: every edge, all
-    /// lanes, edge-id order (`sin_fast` per element is bitwise
-    /// `sin_slice`).
+    /// Reference drift: every edge, every lane, edge-id order
+    /// (`sin_fast` per element is bitwise `sin_slice`).
     fn full_sweep_drift(k: &BatchKernel, y: &[f64]) -> Vec<f64> {
         assert!(!k.shil_on, "reference covers the edge sweep only");
         let rr = k.replicas;

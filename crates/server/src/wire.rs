@@ -425,10 +425,25 @@ mod tests {
         BatchJob::uniform(fast_config(), replicas, seed)
     }
 
+    /// Paper timings at a step that keeps a job busy for hundreds of ms
+    /// in either build profile: release builds integrate ~30x faster
+    /// than debug ones, so they take a 16x finer step.
+    fn busy_config() -> MsropmConfig {
+        let dt = if cfg!(debug_assertions) {
+            0.02
+        } else {
+            0.02 / 16.0
+        };
+        MsropmConfig {
+            dt,
+            ..MsropmConfig::paper_default()
+        }
+    }
+
     /// A job big enough to hold a 1-worker server busy for a while
     /// (hundreds of ms), so queue-position assertions are robust.
     fn big_job(seed: u64) -> BatchJob {
-        BatchJob::uniform(fast_config(), 16, seed)
+        BatchJob::uniform(busy_config(), 16, seed)
     }
 
     #[test]
@@ -697,7 +712,9 @@ mod tests {
         // window below is wide open when the late submit lands.
         let g = generators::kings_graph(10, 10);
         let mut c = RawClient::connect(server.local_addr());
-        let Response::Submitted { job_id } = c.submit("t", &g, small_job(32, 3)) else {
+        let Response::Submitted { job_id } =
+            c.submit("t", &g, BatchJob::uniform(busy_config(), 32, 3))
+        else {
             panic!("submit");
         };
         // Drain in a background thread while the client is still

@@ -18,8 +18,9 @@
 //! recompute them only for a toolchain change, never to absorb a kernel
 //! edit.
 
-use msropm::core::SolveOptions;
-use msropm::core::{LaneConfig, Msropm, MsropmConfig, MsropmSolution, ShardPool, ShardedArena};
+use msropm::core::{
+    LaneConfig, Msropm, MsropmConfig, MsropmSolution, ShardPool, ShardedArena, SolveOptions,
+};
 use msropm::graph::generators;
 
 /// FNV-1a over the little-endian bytes of every lane's final phase
