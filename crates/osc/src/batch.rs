@@ -37,7 +37,7 @@
 //! edge, but an edge gated in **every** lane still costs a gather, a sine
 //! and a scatter per lane for nothing. After stage 1 each lane has cut
 //! roughly 70% of its couplings, and across a shard of a few lanes about
-//! 40–45% of the edges are dead in all of them. The drift therefore
+//! 40–47% of the edges are dead in all of them. The drift therefore
 //! sweeps only the *live* edges — those that conduct in at least one
 //! lane — in ascending edge id. Skipping an all-gated edge drops only
 //! exact `±0` terms, so each lane keeps its accumulation order and its
