@@ -46,6 +46,7 @@ pub mod json;
 
 use msropm_core::{JobReport, LaneConfig, MsropmConfig};
 use msropm_graph::{graph_hash, io as graph_io, Coloring, Graph, GraphBuilder, NodeId};
+use std::cell::OnceCell;
 use std::fmt;
 
 // Re-exported so downstream crates (the wire codec, clients) can build
@@ -852,11 +853,15 @@ impl Decoder {
     /// by domain objective (the machine ranks by encoding-graph conflicts,
     /// which is not always the domain metric).
     pub fn decode_report(&self, report: &JobReport) -> ProblemReport {
+        // Lane-independent decode state (the CNF clause table), built on
+        // the first lane that needs it and shared by the rest.
+        let clauses = OnceCell::new();
         let mut ranked: Vec<DecodedLane> = report
             .ranked
             .iter()
             .map(|lane| {
-                let (solution, objective, feasible) = self.decode_coloring(&lane.solution.coloring);
+                let (solution, objective, feasible) =
+                    self.decode_lane(&lane.solution.coloring, &clauses);
                 DecodedLane {
                     lane: lane.lane as u32,
                     seed: lane.seed,
@@ -891,6 +896,14 @@ impl Decoder {
     /// Panics if `coloring` covers fewer nodes than the encoding graph
     /// (i.e. it is not a readout of this compiled problem).
     pub fn decode_coloring(&self, coloring: &Coloring) -> (DecodedSolution, f64, bool) {
+        self.decode_lane(coloring, &OnceCell::new())
+    }
+
+    fn decode_lane(
+        &self,
+        coloring: &Coloring,
+        clauses: &OnceCell<ClauseTable>,
+    ) -> (DecodedSolution, f64, bool) {
         match &self.spec {
             ProblemSpec::Coloring { graph, .. } => {
                 let conflicts = coloring.conflicts(graph);
@@ -947,7 +960,8 @@ impl Decoder {
             }
             ProblemSpec::CnfSat { cnf } => {
                 let mut assignment = sides_of(coloring, cnf.num_vars());
-                let unsat = repair_assignment(cnf, &mut assignment);
+                let table = clauses.get_or_init(|| ClauseTable::new(cnf));
+                let unsat = repair_assignment(table, &mut assignment);
                 (
                     DecodedSolution::Assignment(assignment),
                     unsat as f64,
@@ -1170,47 +1184,217 @@ fn unsat_count(cnf: &Cnf, assignment: &[bool]) -> usize {
         .count()
 }
 
+/// One variable's literals in one clause: how many of them are
+/// positive and how many negative (a clause may repeat a literal or hold
+/// both polarities).
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    var: u32,
+    pos: u32,
+    neg: u32,
+}
+
+impl Term {
+    /// True literals this term contributes when its variable is `value`.
+    fn count(self, value: bool) -> u32 {
+        if value {
+            self.pos
+        } else {
+            self.neg
+        }
+    }
+
+    /// This term's share of `delta[var]` — the change in the clause's
+    /// unsatisfied status (−1, 0 or +1) if `var` flips from `value` —
+    /// for a clause currently holding `true_lits` true literals.
+    fn gain(self, value: bool, true_lits: u32) -> i32 {
+        let flipped = true_lits - self.count(value) + self.count(!value);
+        i32::from(flipped == 0) - i32::from(true_lits == 0)
+    }
+}
+
+/// A CNF formula laid out for incremental GSAT: every clause stores each
+/// of its variables once as a [`Term`], and every variable lists the
+/// clauses it occurs in. Built once per decode and shared by all lanes.
+/// Decoders only exist for validated specs, so every count fits in
+/// `u32` (at most [`MAX_CNF_LITERALS`] literals) and every `delta` in
+/// `i32` (at most [`MAX_CNF_CLAUSES`] clauses per variable).
+#[derive(Debug)]
+struct ClauseTable {
+    /// Clause `c` holds `terms[clause_start[c]..clause_start[c + 1]]`.
+    clause_start: Vec<u32>,
+    terms: Vec<Term>,
+    /// The largest `pos` or `neg` among clause `c`'s terms.
+    max_count: Vec<u32>,
+    /// Variable `v` occurs as `(clause, term)` pairs
+    /// `occurs[occ_start[v]..occ_start[v + 1]]`.
+    occ_start: Vec<u32>,
+    occurs: Vec<(u32, u32)>,
+}
+
+impl ClauseTable {
+    fn new(cnf: &Cnf) -> ClauseTable {
+        let n = cnf.num_vars();
+        let mut clause_start = Vec::with_capacity(cnf.num_clauses() + 1);
+        let mut terms: Vec<Term> = Vec::new();
+        let mut max_count = Vec::with_capacity(cnf.num_clauses());
+        // Index of each variable's term, valid when it lies in the
+        // current clause's range and names that variable.
+        let mut slot = vec![0usize; n];
+        clause_start.push(0);
+        for clause in cnf.clauses() {
+            let start = terms.len();
+            for &lit in clause {
+                let v = lit.var().index();
+                if slot[v] < start || terms.get(slot[v]).is_none_or(|t| t.var as usize != v) {
+                    slot[v] = terms.len();
+                    terms.push(Term {
+                        var: v as u32,
+                        pos: 0,
+                        neg: 0,
+                    });
+                }
+                let term = &mut terms[slot[v]];
+                if lit.is_positive() {
+                    term.pos += 1;
+                } else {
+                    term.neg += 1;
+                }
+            }
+            max_count.push(
+                terms[start..]
+                    .iter()
+                    .map(|t| t.pos.max(t.neg))
+                    .max()
+                    .unwrap_or(0),
+            );
+            clause_start.push(terms.len() as u32);
+        }
+        let mut occ_start = vec![0u32; n + 1];
+        for t in &terms {
+            occ_start[t.var as usize + 1] += 1;
+        }
+        for v in 0..n {
+            occ_start[v + 1] += occ_start[v];
+        }
+        let mut fill: Vec<u32> = occ_start[..n].to_vec();
+        let mut occurs = vec![(0u32, 0u32); terms.len()];
+        for c in 0..max_count.len() {
+            for t in clause_start[c]..clause_start[c + 1] {
+                let v = terms[t as usize].var as usize;
+                occurs[fill[v] as usize] = (c as u32, t);
+                fill[v] += 1;
+            }
+        }
+        ClauseTable {
+            clause_start,
+            terms,
+            max_count,
+            occ_start,
+            occurs,
+        }
+    }
+
+    fn clause(&self, c: usize) -> &[Term] {
+        &self.terms[self.clause_start[c] as usize..self.clause_start[c + 1] as usize]
+    }
+
+    fn num_clauses(&self) -> usize {
+        self.max_count.len()
+    }
+
+    /// Flips `v`, updating the true-literal count of every clause it
+    /// occurs in and the `delta` of every variable in those clauses.
+    fn flip(&self, v: usize, assignment: &mut [bool], true_lits: &mut [u32], delta: &mut [i32]) {
+        let old = assignment[v];
+        let occ = &self.occurs[self.occ_start[v] as usize..self.occ_start[v + 1] as usize];
+        for &(c, t) in occ {
+            let c = c as usize;
+            let term = self.terms[t as usize];
+            let before = true_lits[c];
+            let after = before - term.count(old) + term.count(!old);
+            true_lits[c] = after;
+            // A clause holding more true literals than any one of its
+            // variables supplies gives every term a zero gain.
+            if before.min(after) > self.max_count[c] {
+                continue;
+            }
+            for &w in self.clause(c) {
+                let value = assignment[w.var as usize];
+                let flipped = value != (w.var as usize == v);
+                delta[w.var as usize] += w.gain(flipped, after) - w.gain(value, before);
+            }
+        }
+        assignment[v] = !old;
+    }
+}
+
 /// Deterministic GSAT-style descent on the unsatisfied-clause count:
 /// best-improvement flips with sideways moves allowed (plateau escape), a
 /// 1-step tabu on the variable just flipped (so equal-score two-cycles
 /// cannot form), a `4·vars` flip budget, and the best assignment seen
 /// returned. Pure function of the starting assignment.
-fn repair_assignment(cnf: &Cnf, assignment: &mut [bool]) -> usize {
+///
+/// Incremental: each clause keeps its true-literal count and each
+/// variable its exact `delta`, the change in the unsatisfied count if it
+/// flips. A step scans the `n` deltas for the lowest `(delta, var)` —
+/// the lowest `(unsat after the flip, var)` — in O(n). A flip costs
+/// O(Σ distinct variables over the clauses containing the flipped
+/// variable), skipping clauses whose gains stay zero. Every quantity is
+/// an integer and each update is exact, so the choices, and hence the
+/// returned assignment and count, are those of recounting every clause
+/// for every candidate, which took O(n·literals) per step.
+fn repair_assignment(table: &ClauseTable, assignment: &mut [bool]) -> usize {
     let n = assignment.len();
-    let mut unsat = unsat_count(cnf, assignment);
-    let mut best_seen = assignment.to_vec();
+    let mut true_lits: Vec<u32> = (0..table.num_clauses())
+        .map(|c| {
+            table
+                .clause(c)
+                .iter()
+                .map(|t| t.count(assignment[t.var as usize]))
+                .sum()
+        })
+        .collect();
+    let mut delta = vec![0i32; n];
+    for (c, &k) in true_lits.iter().enumerate() {
+        for &t in table.clause(c) {
+            delta[t.var as usize] += t.gain(assignment[t.var as usize], k);
+        }
+    }
+    let mut unsat = true_lits.iter().filter(|&&k| k == 0).count();
     let mut best_unsat = unsat;
+    // Flips made since the best assignment; undone on return.
+    let mut since_best: Vec<usize> = Vec::new();
     let mut last_flip: Option<usize> = None;
     for _ in 0..n.saturating_mul(4) {
         if best_unsat == 0 {
             break;
         }
-        let mut cand: Option<(usize, usize)> = None; // (new unsat, var)
-        for v in 0..n {
-            if last_flip == Some(v) {
-                continue;
-            }
-            assignment[v] = !assignment[v];
-            let u = unsat_count(cnf, assignment);
-            assignment[v] = !assignment[v];
-            if cand.is_none_or(|(cu, cv)| (u, v) < (cu, cv)) {
-                cand = Some((u, v));
-            }
+        // The tabu variable sits out the scan at a delta no real one
+        // reaches (|delta| is at most its clause count).
+        let tabu = last_flip.map(|t| (t, std::mem::replace(&mut delta[t], i32::MAX)));
+        let d = delta.iter().copied().min().unwrap_or(i32::MAX);
+        let v = delta.iter().position(|&x| x == d).unwrap_or(0);
+        if let Some((t, saved)) = tabu {
+            delta[t] = saved;
         }
         // Downhill or sideways only; a forced uphill move means a strict
         // local minimum deeper than one flip — stop there.
-        let Some((u, v)) = cand.filter(|&(u, _)| u <= unsat) else {
+        if d > 0 {
             break;
-        };
-        assignment[v] = !assignment[v];
-        unsat = u;
+        }
+        table.flip(v, assignment, &mut true_lits, &mut delta);
+        unsat -= d.unsigned_abs() as usize;
         last_flip = Some(v);
+        since_best.push(v);
         if unsat < best_unsat {
             best_unsat = unsat;
-            best_seen.copy_from_slice(assignment);
+            since_best.clear();
         }
     }
-    assignment.copy_from_slice(&best_seen);
+    for &v in &since_best {
+        assignment[v] = !assignment[v];
+    }
     best_unsat
 }
 
@@ -1284,6 +1468,7 @@ fn descend_ising(ising: &Ising, s: &mut [bool]) -> f64 {
 mod tests {
     use super::*;
     use msropm_graph::generators;
+    use proptest::prelude::*;
 
     fn coloring(indices: &[usize]) -> Coloring {
         Coloring::from_indices(indices.iter().copied())
@@ -1451,9 +1636,120 @@ mod tests {
         cnf.add_clause(vec![Lit::from_dimacs(-1), Lit::from_dimacs(3)]);
         cnf.add_clause(vec![Lit::from_dimacs(-2)]);
         let mut a = vec![false, true, false]; // violates clause 3? (-2): x2 true -> unsat
-        let unsat = repair_assignment(&cnf, &mut a);
+        let unsat = repair_assignment(&ClauseTable::new(&cnf), &mut a);
         assert_eq!(unsat, 0);
         assert!(cnf.eval(&a));
+    }
+
+    /// The from-scratch GSAT the incremental [`repair_assignment`] must
+    /// reproduce: every candidate flip recounts every clause.
+    fn repair_assignment_reference(cnf: &Cnf, assignment: &mut [bool]) -> usize {
+        let n = assignment.len();
+        let mut unsat = unsat_count(cnf, assignment);
+        let mut best_seen = assignment.to_vec();
+        let mut best_unsat = unsat;
+        let mut last_flip: Option<usize> = None;
+        for _ in 0..n.saturating_mul(4) {
+            if best_unsat == 0 {
+                break;
+            }
+            let mut cand: Option<(usize, usize)> = None; // (new unsat, var)
+            for v in 0..n {
+                if last_flip == Some(v) {
+                    continue;
+                }
+                assignment[v] = !assignment[v];
+                let u = unsat_count(cnf, assignment);
+                assignment[v] = !assignment[v];
+                if cand.is_none_or(|(cu, cv)| (u, v) < (cu, cv)) {
+                    cand = Some((u, v));
+                }
+            }
+            let Some((u, v)) = cand.filter(|&(u, _)| u <= unsat) else {
+                break;
+            };
+            assignment[v] = !assignment[v];
+            unsat = u;
+            last_flip = Some(v);
+            if unsat < best_unsat {
+                best_unsat = unsat;
+                best_seen.copy_from_slice(assignment);
+            }
+        }
+        assignment.copy_from_slice(&best_seen);
+        best_unsat
+    }
+
+    /// Random CNFs over `1..40` variables with empty and unit clauses and,
+    /// because each clause draws its literals from a window of three
+    /// variables, frequent repeated and complementary literals; plus a
+    /// random starting assignment.
+    fn cnf_and_start() -> impl Strategy<Value = (Cnf, Vec<bool>)> {
+        (1usize..40).prop_flat_map(|n| {
+            let clause = (0..n, collection::vec((0usize..3, any::<bool>()), 0..6));
+            (
+                collection::vec(clause, 0..5 * n),
+                collection::vec(any::<bool>(), n),
+            )
+                .prop_map(move |(clauses, start)| {
+                    let mut cnf = Cnf::new(n);
+                    for (anchor, lits) in clauses {
+                        cnf.add_clause(
+                            lits.into_iter()
+                                .map(|(off, pos)| Lit::new(Var::new((anchor + off) % n), pos))
+                                .collect(),
+                        );
+                    }
+                    (cnf, start)
+                })
+        })
+    }
+
+    proptest! {
+        /// Incremental GSAT makes the reference's choices exactly: same
+        /// unsatisfied count, same assignment.
+        #[test]
+        fn cnf_repair_matches_reference(case in cnf_and_start()) {
+            let (cnf, start) = case;
+            let mut fast = start.clone();
+            let mut slow = start;
+            let unsat = repair_assignment(&ClauseTable::new(&cnf), &mut fast);
+            let expect = repair_assignment_reference(&cnf, &mut slow);
+            prop_assert_eq!((unsat, &fast), (expect, &slow));
+            prop_assert_eq!(unsat, unsat_count(&cnf, &fast));
+        }
+    }
+
+    /// An unsatisfiable instance — `(x1)`, `(¬x1)` and `5n` random
+    /// 3-clauses at n = 2000 — never reaches zero, so the descent runs
+    /// its whole `4n` budget unless it stops at a local minimum; the
+    /// from-scratch form needed O(n²·literals) for this.
+    #[test]
+    fn cnf_repair_worst_case_decodes_quickly() {
+        use rand::{Rng, SeedableRng};
+        let n = 2000;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2000);
+        let mut cnf = Cnf::new(n);
+        cnf.add_clause(vec![Lit::from_dimacs(1)]);
+        cnf.add_clause(vec![Lit::from_dimacs(-1)]);
+        for _ in 0..5 * n {
+            let clause = (0..3)
+                .map(|_| Lit::new(Var::new(rng.gen_range(0..n)), rng.gen()))
+                .collect();
+            cnf.add_clause(clause);
+        }
+        let decoder = ProblemSpec::CnfSat { cnf: cnf.clone() }
+            .compile(&MsropmConfig::paper_default(), 1)
+            .unwrap()
+            .decoder;
+        let readout = coloring(&(0..n).map(|v| v % 2).collect::<Vec<_>>());
+        let (sol, obj, feasible) = decoder.decode_coloring(&readout);
+        let DecodedSolution::Assignment(a) = &sol else {
+            panic!("wrong solution type")
+        };
+        assert!(!feasible);
+        assert!(obj >= 1.0);
+        assert_eq!(obj, unsat_count(&cnf, a) as f64);
     }
 
     #[test]

@@ -596,13 +596,18 @@ impl SessionCore {
                     // A problem submission decodes the ranked phase
                     // readout back into its typed domain solution; a
                     // plain graph submission streams the raw report.
+                    // The worker stamped the service time before the
+                    // decode, so the decode is timed here and added.
                     let frame = match &decoder {
                         Some(decoder) => {
+                            let decode_start = Instant::now();
+                            let report = decoder.decode_report(&outcome.report);
+                            let service = outcome.timing.service + decode_start.elapsed();
                             proto::encode_response(&Response::ProblemReport(WireProblemReport {
                                 job_id,
                                 queued_us: outcome.timing.queued.as_micros() as u64,
-                                service_us: outcome.timing.service.as_micros() as u64,
-                                report: decoder.decode_report(&outcome.report),
+                                service_us: service.as_micros() as u64,
+                                report,
                             }))
                         }
                         None => {

@@ -3,7 +3,7 @@
 #
 #   fmt    rustfmt check
 #   lint   clippy over all targets, deny warnings
-#   test   full test suite
+#   test   full test suite, plus the CNF-repair proptest in release
 #   build  release build incl. examples
 #   smoke  job-server determinism smoke + wire smoke (real TCP loopback:
 #          boot msropm_serve on an ephemeral port, run solve_remote
@@ -50,6 +50,9 @@ stage_lint() {
 
 stage_test() {
     cargo test -q
+    # The incremental CNF repair against its from-scratch reference, in
+    # release too: integer overflow goes unchecked there.
+    PROPTEST_CASES=2000 cargo test -q --release -p msropm-problems --lib cnf_repair
 }
 
 stage_build() {
