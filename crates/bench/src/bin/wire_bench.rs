@@ -2,25 +2,20 @@
 //! driven through a real loopback TCP connection (framing, tenant
 //! accounting and report streaming included).
 //!
-//! Boots an in-process front end ([`msropm_server::wire::WireServer`]
-//! or [`msropm_server::reactor::ReactorServer`]) on an ephemeral
-//! `127.0.0.1` port and hammers it with the library client:
+//! Boots an in-process [`msropm_server::Frontend`] (the one event
+//! loop, binary or HTTP codec) on an ephemeral `127.0.0.1` port and
+//! hammers it with the library client:
 //!
-//! - `wire_hot`: repeat-topology jobs on one board (problem-cache
-//!   steady state) — the socket-path throughput ceiling (threaded
-//!   front end);
-//! - `wire_mixed`: a rotating graph pool with interleaved sweep jobs —
-//!   the traffic shape the cache + arena design is for;
-//! - `wire_reactor_hot` / `wire_reactor_mixed`: the same workloads
-//!   through the epoll reactor front end — front-end parity on the
-//!   service columns;
+//! - `wire_reactor_hot`: repeat-topology jobs on one board
+//!   (problem-cache steady state) — the socket-path throughput ceiling;
+//! - `wire_reactor_mixed`: a rotating graph pool with interleaved sweep
+//!   jobs — the traffic shape the cache + arena design is for;
 //! - `wire_mux_hot`: the hot workload with every submit written
 //!   back-to-back on one socket before any reply is read (the
-//!   multiplexed client mode) against the reactor;
-//! - `wire_reactor_idle256`: the hot workload on the reactor while 256
-//!   completely idle connections stay attached — the
-//!   idle-connection-scaling row (the threaded front end would burn
-//!   512 threads here; the reactor serves them with none);
+//!   multiplexed client mode);
+//! - `wire_reactor_idle256`: the hot workload while 256 completely
+//!   idle connections stay attached — the idle-connection-scaling row
+//!   (the event loop serves them with no threads);
 //! - `http_hot` / `http_mixed`: the hot/mixed shapes through the
 //!   HTTP/1.1 + JSON gateway front end — submits pipelined on one
 //!   keep-alive connection, reports collected by polling
@@ -160,11 +155,6 @@ struct RunOpts {
 }
 
 impl RunOpts {
-    const THREADS: RunOpts = RunOpts {
-        frontend: FrontendKind::Threads,
-        mux: false,
-        idle_conns: 0,
-    };
     const REACTOR: RunOpts = RunOpts {
         frontend: FrontendKind::Reactor,
         mux: false,
@@ -554,13 +544,6 @@ fn main() {
         }
     };
     let mut rows = vec![
-        best(&|| wire_hot(hot_jobs), 1, "wire_hot", RunOpts::THREADS),
-        best(
-            &|| wire_mixed(mixed_jobs),
-            1,
-            "wire_mixed",
-            RunOpts::THREADS,
-        ),
         best(
             &|| wire_hot(hot_jobs),
             1,
@@ -595,18 +578,6 @@ fn main() {
     rows.push(best_http(&|| http_hot(hot_jobs), "http_hot"));
     rows.push(best_http(&|| http_mixed(mixed_jobs), "http_mixed"));
     if workers > 1 {
-        rows.push(best(
-            &|| wire_hot(hot_jobs),
-            workers,
-            &format!("wire_hot_w{workers}"),
-            RunOpts::THREADS,
-        ));
-        rows.push(best(
-            &|| wire_mixed(mixed_jobs),
-            workers,
-            &format!("wire_mixed_w{workers}"),
-            RunOpts::THREADS,
-        ));
         rows.push(best(
             &|| wire_hot(hot_jobs),
             workers,

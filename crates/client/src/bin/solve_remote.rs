@@ -30,17 +30,16 @@
 //! then submit one instance of every problem class through
 //! `SubmitProblem`, and prove an unsupported spec and an unknown verb
 //! each answer a typed error **without desyncing the connection**.
-//! Without `--addr` it boots an in-process
-//! [`msropm_server::wire::WireServer`] on an ephemeral loopback port
-//! first — the protocol still travels through a real TCP socket.
+//! Without `--addr` it boots an in-process binary-codec
+//! [`msropm_server::Frontend`] on an ephemeral loopback port first —
+//! the protocol still travels through a real TCP socket.
 
-use msropm_client::{Client, ClientError, RetryPolicy, SubmitOptions};
+use msropm_client::{Client, ClientError, ConnectOptions, RetryPolicy, SubmitOptions};
 use msropm_core::{BatchJob, KernelBackend, MsropmConfig, SweepParam, SweepSpec};
 use msropm_graph::{generators, graph_hash, io as graph_io, Graph};
 use msropm_problems::{DecodedSolution, ProblemClass, ProblemSpec};
 use msropm_server::proto::{self, verify_lane, ErrorCode, Request, Response, WireProblemReport};
 use msropm_server::stats::Registry;
-use msropm_server::wire::{WireConfig, WireServer};
 use msropm_server::{JobState, ServerConfig};
 use std::time::Duration;
 
@@ -276,7 +275,7 @@ fn main() {
                 .unwrap_or(defaults.base_delay),
             ..defaults
         };
-        Client::connect_with_retry(addr.as_str(), &tenant, policy)
+        Client::connect_with(addr.as_str(), &tenant, &ConnectOptions::new().retry(policy))
             .unwrap_or_else(|e| fail(format!("connect {addr} (after retries): {e}")))
     } else {
         Client::connect(&addr, &tenant).unwrap_or_else(|e| fail(format!("connect {addr}: {e}")))
@@ -463,28 +462,21 @@ fn main() {
 /// With `idle > 0`, that many extra connections are opened first and
 /// held open — completely idle — through the whole scenario, proving
 /// the server multiplexes them without degrading active traffic (the
-/// reactor front end serves them threadlessly; `stats` must count
-/// every one).
+/// event loop serves them threadlessly; `stats` must count every
+/// one).
 fn smoke(addr: Option<&str>, idle: usize) {
-    // Without --addr: boot a 1-worker wire server in-process on an
+    // Without --addr: boot a 1-worker server in-process on an
     // ephemeral loopback port (still a real TCP socket). With --addr:
     // the server was booted externally (ci.sh starts `msropm_serve
     // --workers 1`).
     let local = if addr.is_none() {
         Some(
-            WireServer::bind(
-                "127.0.0.1:0",
-                WireConfig {
-                    server: ServerConfig {
-                        workers: 1,
-                        queue_capacity: 16,
-                        cache_capacity: 8,
-                        ..ServerConfig::default()
-                    },
-                    ..WireConfig::default()
-                },
-            )
-            .unwrap_or_else(|e| fail(format!("bind: {e}"))),
+            ServerConfig::builder()
+                .workers(1)
+                .queue_capacity(16)
+                .cache_capacity(8)
+                .bind("127.0.0.1:0")
+                .unwrap_or_else(|e| fail(format!("bind: {e}"))),
         )
     } else {
         None

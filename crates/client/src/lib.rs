@@ -1,9 +1,10 @@
 //! # msropm-client — blocking TCP client for the MSROPM job protocol
 //!
 //! Speaks the framed protocol of [`msropm_server::proto`] against a
-//! [`msropm_server::wire::WireServer`]: submit batch jobs, poll status,
-//! request cooperative cancellation, fetch server stats, and receive
-//! the **streamed** report frames of completed jobs.
+//! [`msropm_server::Frontend`] serving the binary codec: submit batch
+//! jobs, poll status, request cooperative cancellation, fetch server
+//! stats, and receive the **streamed** report frames of completed
+//! jobs.
 //!
 //! The client is synchronous and single-connection. Each verb method
 //! sends one request and blocks for its reply; report frames (which the
@@ -149,7 +150,7 @@ pub fn is_retryable(err: &ClientError) -> bool {
     }
 }
 
-/// Reconnect policy for [`Client::connect_with_retry`]: exponential
+/// Reconnect policy for [`ConnectOptions::retry`]: exponential
 /// backoff (`base_delay * 2^attempt`, capped at `max_delay`) with
 /// uniform jitter in the upper half of each delay, so a fleet of
 /// clients retrying against a restarting server does not stampede it
@@ -204,10 +205,10 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// How a connect should behave, for [`Client::connect_with`]: an
 /// optional per-address connect timeout, Nagle control, a liveness
-/// probe, and a [`RetryPolicy`] for retryable failures. One builder
-/// unifies the former `connect` / `connect_with_retry` split the same
-/// way [`SubmitOptions`] unified the submit quartet (the old names
-/// remain as thin wrappers).
+/// probe, and a [`RetryPolicy`] for retryable failures — one builder
+/// behind every connect, the same way [`SubmitOptions`] unified the
+/// submit quartet ([`Client::connect`] is the default-options
+/// shorthand).
 ///
 /// ```no_run
 /// use msropm_client::{Client, ConnectOptions, RetryPolicy};
@@ -339,7 +340,8 @@ impl SubmitOptions {
     /// [`ErrorCode::Busy`] rejection (queue full). Transport errors are
     /// **not** retried — this client is single-connection, so a dead
     /// socket cannot be resubmitted on; reconnect via
-    /// [`Client::connect_with_retry`] instead. Ignored for `nowait`
+    /// [`Client::connect_with`] under [`ConnectOptions::retry`]
+    /// instead. Ignored for `nowait`
     /// submits (their replies are not observed here).
     pub fn retry(mut self, policy: RetryPolicy) -> SubmitOptions {
         self.retry = Some(policy);
@@ -417,20 +419,6 @@ impl Client {
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// [`Client::connect_with`] under a retry policy with the probe on
-    /// — the pre-[`ConnectOptions`] name, kept as a thin wrapper.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::connect_with`].
-    pub fn connect_with_retry<A: ToSocketAddrs + Clone>(
-        addr: A,
-        tenant: &str,
-        policy: RetryPolicy,
-    ) -> Result<Client, ClientError> {
-        Client::connect_with(addr, tenant, &ConnectOptions::new().retry(policy))
     }
 
     /// One connection attempt under `options` (everything but the

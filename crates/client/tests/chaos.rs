@@ -1,4 +1,5 @@
-//! Chaos suite: fault-injected serving against both front ends.
+//! Chaos suite: fault-injected serving against the binary codec of the
+//! serving event loop.
 //!
 //! Every test here arms one or more runtime fault points
 //! ([`msropm_server::faultinject`]) and asserts the serving contract
@@ -15,7 +16,7 @@
 //!   fresh batch completes normally after the burst;
 //! - **unaffected jobs stay byte-identical**: report frames for jobs
 //!   that survive the chaos match across
-//!   {threads, reactor} × {1, 4 workers} × {1, 4 shards}, bit for bit
+//!   {1, 4 workers} × {1, 4 shards}, bit for bit
 //!   (modulo the volatile id/timing fields) — failure handling must
 //!   not perturb the solver at any intra-job shard width;
 //! - **shard faults stay job-scoped**: a panic inside one shard of a
@@ -36,11 +37,7 @@ use msropm_core::{BatchJob, MsropmConfig, SweepParam, SweepSpec};
 use msropm_graph::{generators, Graph};
 use msropm_problems::ProblemSpec;
 use msropm_server::faultinject;
-use msropm_server::proto::{
-    self, encode_response, ErrorCode, FrontendKind, Request, Response, WireReport,
-};
-use msropm_server::reactor::{ReactorConfig, ReactorServer};
-use msropm_server::wire::{WireConfig, WireServer};
+use msropm_server::proto::{self, encode_response, ErrorCode, Request, Response, WireReport};
 use msropm_server::{Frontend, JobState, ServerConfig, ShardPolicy};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -65,53 +62,24 @@ fn fast_config() -> MsropmConfig {
     }
 }
 
-fn wire_config(workers: usize, shards: usize) -> WireConfig {
-    WireConfig {
-        server: ServerConfig {
-            workers,
-            queue_capacity: 32,
-            cache_capacity: 4,
-            shards: ShardPolicy::Fixed(shards),
-            ..ServerConfig::default()
-        },
-        max_inflight_jobs: 32,
-        max_queued_lanes: 4096,
-        max_connections: 8,
-    }
+/// Per-tenant in-flight cap of every chaos server.
+const MAX_INFLIGHT: usize = 32;
+
+fn bind_frontend(workers: usize, shards: usize) -> Frontend {
+    ServerConfig::builder()
+        .workers(workers)
+        .queue_capacity(32)
+        .cache_capacity(4)
+        .shards(ShardPolicy::Fixed(shards))
+        .max_inflight_jobs(MAX_INFLIGHT)
+        .max_queued_lanes(4096)
+        .max_connections(8)
+        .bind("127.0.0.1:0")
+        .expect("bind frontend")
 }
 
-fn bind_frontend(frontend: FrontendKind, workers: usize, shards: usize) -> Frontend {
-    match frontend {
-        FrontendKind::Threads => WireServer::bind("127.0.0.1:0", wire_config(workers, shards))
-            .expect("bind threads")
-            .into(),
-        FrontendKind::Reactor => ReactorServer::bind(
-            "127.0.0.1:0",
-            ReactorConfig {
-                wire: wire_config(workers, shards),
-                ..ReactorConfig::default()
-            },
-        )
-        .expect("bind reactor")
-        .into(),
-        // The chaos matrix drives the binary protocol through the
-        // library client; the HTTP gateway has its own fault coverage
-        // in the server crate.
-        FrontendKind::Http => unreachable!("chaos matrix only drives binary front ends"),
-    }
-}
-
-/// The full front-end × worker-count × shard-width matrix the
-/// acceptance criteria name (the sharded rows keep the suite's runtime
-/// bounded by reusing one front end per worker count).
-const MATRIX: [(FrontendKind, usize, usize); 6] = [
-    (FrontendKind::Threads, 1, 1),
-    (FrontendKind::Threads, 4, 1),
-    (FrontendKind::Reactor, 1, 1),
-    (FrontendKind::Reactor, 4, 1),
-    (FrontendKind::Threads, 1, 4),
-    (FrontendKind::Reactor, 4, 4),
-];
+/// The worker-count × shard-width matrix the acceptance criteria name.
+const MATRIX: [(usize, usize); 4] = [(1, 1), (4, 1), (1, 4), (4, 4)];
 
 /// A small mixed workload: repeat + cold topologies, every third job a
 /// heterogeneous sweep. Seeds are fixed so the same index always means
@@ -214,9 +182,9 @@ fn settle(client: &mut Client, id: u64, cancelled: bool, ctx: &str) -> Outcome {
 /// panic-in-solve fault armed mid-stream, delayed completions
 /// throughout. Returns the typed outcome of every submit, by job
 /// index.
-fn chaos_run(frontend: FrontendKind, workers: usize, shards: usize) -> BTreeMap<usize, Outcome> {
-    let ctx = format!("{frontend:?}/{workers}w/{shards}s");
-    let server = bind_frontend(frontend, workers, shards);
+fn chaos_run(workers: usize, shards: usize) -> BTreeMap<usize, Outcome> {
+    let ctx = format!("{workers}w/{shards}s");
+    let server = bind_frontend(workers, shards);
     let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
 
     // Slow every delivery a little and panic one solve mid-batch: the
@@ -246,7 +214,7 @@ fn chaos_run(frontend: FrontendKind, workers: usize, shards: usize) -> BTreeMap<
     // Quota release: every ticket above reached a terminal state, so
     // the tenant must be able to fill its entire in-flight quota again.
     faultinject::disarm_all();
-    let quota = wire_config(workers, shards).max_inflight_jobs;
+    let quota = MAX_INFLIGHT;
     let graph = Arc::new(generators::kings_graph(4, 4));
     for s in 0..quota {
         client
@@ -276,12 +244,7 @@ fn chaos_every_submit_terminates_and_survivors_stay_identical() {
 
     let runs: Vec<(String, BTreeMap<usize, Outcome>)> = MATRIX
         .into_iter()
-        .map(|(frontend, workers, shards)| {
-            (
-                format!("{frontend:?}/{workers}w/{shards}s"),
-                chaos_run(frontend, workers, shards),
-            )
-        })
+        .map(|(workers, shards)| (format!("{workers}w/{shards}s"), chaos_run(workers, shards)))
         .collect();
 
     for (name, outcomes) in &runs {
@@ -299,7 +262,7 @@ fn chaos_every_submit_terminates_and_survivors_stay_identical() {
     // Byte-identity for the jobs that survived *everywhere*: the panic
     // victim and the cancel races differ per run, but any job that
     // reported in every run must have produced identical bytes —
-    // across front ends, worker counts, and intra-job shard widths.
+    // across worker counts and intra-job shard widths.
     let common: Vec<usize> = (0..12)
         .filter(|i| {
             runs.iter()
@@ -330,37 +293,35 @@ fn chaos_every_submit_terminates_and_survivors_stay_identical() {
 fn panicking_solve_is_a_typed_failure_not_a_dead_server() {
     let _serial = chaos_lock();
     let _faults = faultinject::guard();
-    for (frontend, workers) in [(FrontendKind::Threads, 1), (FrontendKind::Reactor, 1)] {
-        let server = bind_frontend(frontend, workers, 1);
-        let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
-        let (graph, job) = &mixed_jobs(1)[0];
+    let server = bind_frontend(1, 1);
+    let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
+    let (graph, job) = &mixed_jobs(1)[0];
 
-        faultinject::arm_panic_in_solve(1);
-        let id = client.submit_ok(graph, job).expect("submit");
-        match client.wait_report_timeout(id, NO_HANG) {
-            Err(ClientError::Server { code, message }) => {
-                assert_eq!(code, ErrorCode::Internal, "{frontend:?}");
-                assert!(
-                    message.contains("panic"),
-                    "{frontend:?}: failure message should carry the panic text, got {message:?}"
-                );
-            }
-            other => panic!("{frontend:?}: expected typed failure, got {other:?}"),
+    faultinject::arm_panic_in_solve(1);
+    let id = client.submit_ok(graph, job).expect("submit");
+    match client.wait_report_timeout(id, NO_HANG) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::Internal);
+            assert!(
+                message.contains("panic"),
+                "failure message should carry the panic text, got {message:?}"
+            );
         }
-        assert_eq!(client.status(id).expect("status"), JobState::Failed);
-
-        // The worker caught the panic in place: the very next job
-        // solves normally and the failure is counted.
-        let id2 = client.submit_ok(graph, job).expect("submit after panic");
-        client.wait_report(id2).expect("report after panic");
-        let stats = client.stats().expect("stats");
-        assert!(stats.jobs_failed >= 1, "{frontend:?}: {stats:?}");
-        assert_eq!(
-            stats.worker_restarts, 0,
-            "{frontend:?}: caught panic must not cost a restart"
-        );
-        server.shutdown();
+        other => panic!("expected typed failure, got {other:?}"),
     }
+    assert_eq!(client.status(id).expect("status"), JobState::Failed);
+
+    // The worker caught the panic in place: the very next job
+    // solves normally and the failure is counted.
+    let id2 = client.submit_ok(graph, job).expect("submit after panic");
+    client.wait_report(id2).expect("report after panic");
+    let stats = client.stats().expect("stats");
+    assert!(stats.jobs_failed >= 1, "{stats:?}");
+    assert_eq!(
+        stats.worker_restarts, 0,
+        "caught panic must not cost a restart"
+    );
+    server.shutdown();
 }
 
 /// Disarms the *core* pool's shard-panic fault on drop — it is a
@@ -380,8 +341,8 @@ fn shard_panic_is_a_typed_failure_not_a_dead_server() {
     let _serial = chaos_lock();
     let _faults = faultinject::guard();
     let _shard_fault = ShardFaultGuard;
-    for (frontend, shards) in [(FrontendKind::Threads, 4), (FrontendKind::Reactor, 2)] {
-        let server = bind_frontend(frontend, 1, shards);
+    for shards in [4, 2] {
+        let server = bind_frontend(1, shards);
         let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
         // A job wide enough that every shard of the fixed width gets
         // lanes — the armed shard is guaranteed to run.
@@ -395,14 +356,14 @@ fn shard_panic_is_a_typed_failure_not_a_dead_server() {
         let id = client.submit_ok(&graph, &job).expect("submit");
         match client.wait_report_timeout(id, NO_HANG) {
             Err(ClientError::Server { code, message }) => {
-                assert_eq!(code, ErrorCode::Internal, "{frontend:?}/{shards}s");
+                assert_eq!(code, ErrorCode::Internal, "{shards}s");
                 assert!(
                     message.contains("injected shard panic"),
-                    "{frontend:?}/{shards}s: failure should carry the shard panic text, \
+                    "{shards}s: failure should carry the shard panic text, \
                      got {message:?}"
                 );
             }
-            other => panic!("{frontend:?}/{shards}s: expected typed failure, got {other:?}"),
+            other => panic!("{shards}s: expected typed failure, got {other:?}"),
         }
         assert_eq!(client.status(id).expect("status"), JobState::Failed);
 
@@ -414,14 +375,14 @@ fn shard_panic_is_a_typed_failure_not_a_dead_server() {
             .expect("submit after shard panic");
         client.wait_report(id2).expect("report after shard panic");
         let stats = client.stats().expect("stats");
-        assert!(stats.jobs_failed >= 1, "{frontend:?}/{shards}s: {stats:?}");
+        assert!(stats.jobs_failed >= 1, "{shards}s: {stats:?}");
         assert_eq!(
             stats.worker_restarts, 0,
-            "{frontend:?}/{shards}s: a caught shard panic must not cost a restart"
+            "{shards}s: a caught shard panic must not cost a restart"
         );
         assert!(
             stats.jobs_sharded >= 2 && stats.shard_width_max >= shards as u64,
-            "{frontend:?}/{shards}s: shard counters missed the sharded solves: {stats:?}"
+            "{shards}s: shard counters missed the sharded solves: {stats:?}"
         );
         server.shutdown();
     }
@@ -431,8 +392,8 @@ fn shard_panic_is_a_typed_failure_not_a_dead_server() {
 fn killed_workers_are_respawned_and_throughput_recovers() {
     let _serial = chaos_lock();
     let _faults = faultinject::guard();
-    for (frontend, workers) in [(FrontendKind::Threads, 1), (FrontendKind::Reactor, 4)] {
-        let server = bind_frontend(frontend, workers, 1);
+    for workers in [1, 4] {
+        let server = bind_frontend(workers, 1);
         let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
         let (graph, job) = &mixed_jobs(1)[0];
 
@@ -443,13 +404,13 @@ fn killed_workers_are_respawned_and_throughput_recovers() {
             let id = client.submit_ok(graph, job).expect("submit");
             match client.wait_report_timeout(id, NO_HANG) {
                 Err(ClientError::Server { code, message }) => {
-                    assert_eq!(code, ErrorCode::Internal, "{frontend:?} round {round}");
+                    assert_eq!(code, ErrorCode::Internal, "{workers}w round {round}");
                     assert!(
                         message.contains("worker died"),
-                        "{frontend:?} round {round}: got {message:?}"
+                        "{workers}w round {round}: got {message:?}"
                     );
                 }
-                other => panic!("{frontend:?} round {round}: got {other:?}"),
+                other => panic!("{workers}w round {round}: got {other:?}"),
             }
             assert_eq!(client.status(id).expect("status"), JobState::Failed);
         }
@@ -461,12 +422,12 @@ fn killed_workers_are_respawned_and_throughput_recovers() {
         loop {
             let stats = client.stats().expect("stats");
             if stats.worker_restarts >= 3 {
-                assert!(stats.jobs_failed >= 3, "{frontend:?}: {stats:?}");
+                assert!(stats.jobs_failed >= 3, "{workers}w: {stats:?}");
                 break;
             }
             assert!(
                 t0.elapsed() < NO_HANG,
-                "{frontend:?}: supervisor never logged 3 restarts: {stats:?}"
+                "{workers}w: supervisor never logged 3 restarts: {stats:?}"
             );
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -484,10 +445,8 @@ fn deadlines_expire_in_queue_and_mid_run_with_typed_errors() {
     let _faults = faultinject::guard();
     // The shard axis rides along: deadline semantics fire at stage
     // boundaries, which a sharded solve joins through identically.
-    for (frontend, workers, shards) in
-        [(FrontendKind::Threads, 1, 1), (FrontendKind::Reactor, 1, 4)]
-    {
-        let server = bind_frontend(frontend, workers, shards);
+    for shards in [1, 4] {
+        let server = bind_frontend(1, shards);
         let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
 
         // Queue-wait shedding: the single worker is busy, so a 1 ms
@@ -501,9 +460,9 @@ fn deadlines_expire_in_queue_and_mid_run_with_typed_errors() {
             .expect("deadline submit");
         match client.wait_report_timeout(doomed, NO_HANG) {
             Err(ClientError::Server { code, .. }) => {
-                assert_eq!(code, ErrorCode::DeadlineExceeded, "{frontend:?}")
+                assert_eq!(code, ErrorCode::DeadlineExceeded, "{shards}s")
             }
-            other => panic!("{frontend:?}: queued deadline yielded {other:?}"),
+            other => panic!("{shards}s: queued deadline yielded {other:?}"),
         }
         assert_eq!(client.status(doomed).expect("status"), JobState::Failed);
         client.wait_report(occupier).expect("occupier report");
@@ -517,9 +476,9 @@ fn deadlines_expire_in_queue_and_mid_run_with_typed_errors() {
             .expect("midrun submit");
         match client.wait_report_timeout(midrun, NO_HANG) {
             Err(ClientError::Server { code, .. }) => {
-                assert_eq!(code, ErrorCode::DeadlineExceeded, "{frontend:?} midrun")
+                assert_eq!(code, ErrorCode::DeadlineExceeded, "{shards}s midrun")
             }
-            other => panic!("{frontend:?}: midrun deadline yielded {other:?}"),
+            other => panic!("{shards}s: midrun deadline yielded {other:?}"),
         }
 
         // deadline_ms = 0 means no deadline — and expiries released
@@ -529,7 +488,7 @@ fn deadlines_expire_in_queue_and_mid_run_with_typed_errors() {
             .expect("no deadline");
         client.wait_report(clean).expect("report");
         let stats = client.stats().expect("stats");
-        assert!(stats.jobs_failed >= 2, "{frontend:?}: {stats:?}");
+        assert!(stats.jobs_failed >= 2, "{shards}s: {stats:?}");
         server.shutdown();
     }
 }
@@ -541,7 +500,7 @@ fn short_writes_dribble_frames_through_intact() {
 
     // Reference fingerprints with the wire healthy...
     let reference: Vec<Vec<u8>> = {
-        let server = bind_frontend(FrontendKind::Threads, 1, 1);
+        let server = bind_frontend(1, 1);
         let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
         let prints = mixed_jobs(4)
             .iter()
@@ -555,127 +514,118 @@ fn short_writes_dribble_frames_through_intact() {
     };
 
     // ...must survive every frame crossing the socket 7 bytes at a
-    // time, on both front ends' write paths.
-    for frontend in [FrontendKind::Threads, FrontendKind::Reactor] {
-        let server = bind_frontend(frontend, 1, 1);
-        let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
-        faultinject::arm_short_writes();
-        for (i, (g, j)) in mixed_jobs(4).iter().enumerate() {
-            let id = client.submit_ok(g, j).expect("submit");
-            let report = client.wait_report(id).expect("report");
-            assert_eq!(
-                report_fingerprint(&report),
-                reference[i],
-                "{frontend:?}: job {i} corrupted by short writes"
-            );
-        }
-        faultinject::disarm_all();
-        server.shutdown();
+    // time.
+    let server = bind_frontend(1, 1);
+    let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
+    faultinject::arm_short_writes();
+    for (i, (g, j)) in mixed_jobs(4).iter().enumerate() {
+        let id = client.submit_ok(g, j).expect("submit");
+        let report = client.wait_report(id).expect("report");
+        assert_eq!(
+            report_fingerprint(&report),
+            reference[i],
+            "job {i} corrupted by short writes"
+        );
     }
+    faultinject::disarm_all();
+    server.shutdown();
 }
 
 /// Request-scoped rejections are not connection faults: a problem the
 /// compiler refuses ([`ErrorCode::UnsupportedProblem`]) and a verb the
 /// decoder has never heard of ([`ErrorCode::UnsupportedVerb`]) must
 /// each answer one typed error frame and leave the connection serving
-/// the very next request — on both front ends.
+/// the very next request.
 #[test]
 fn unsupported_problem_and_unknown_verb_leave_the_connection_alive() {
     let _serial = chaos_lock();
     let _faults = faultinject::guard();
-    for frontend in [FrontendKind::Threads, FrontendKind::Reactor] {
-        let server = bind_frontend(frontend, 1, 1);
-        let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
-        let config = fast_config();
+    let server = bind_frontend(1, 1);
+    let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
+    let config = fast_config();
 
-        // A 3-color palette is not a power of two: the session's
-        // compile step must reject it request-scoped.
-        let bad = ProblemSpec::Coloring {
-            graph: generators::cycle_graph(5),
-            colors: 3,
-        };
-        match client.submit_problem(&bad, &config, 2, 1, &SubmitOptions::new()) {
-            Err(ClientError::Server { code, .. }) => {
-                assert_eq!(code, ErrorCode::UnsupportedProblem, "{frontend:?}")
-            }
-            other => panic!("{frontend:?}: unsupported spec yielded {other:?}"),
+    // A 3-color palette is not a power of two: the session's
+    // compile step must reject it request-scoped.
+    let bad = ProblemSpec::Coloring {
+        graph: generators::cycle_graph(5),
+        colors: 3,
+    };
+    match client.submit_problem(&bad, &config, 2, 1, &SubmitOptions::new()) {
+        Err(ClientError::Server { code, .. }) => {
+            assert_eq!(code, ErrorCode::UnsupportedProblem)
         }
-
-        // Same socket, next requests: a valid problem and a plain job
-        // both serve normally — no desync, no teardown.
-        let good = ProblemSpec::Mis {
-            graph: generators::cycle_graph(9),
-        };
-        let pid = client
-            .submit_problem(&good, &config, 2, 2, &SubmitOptions::new())
-            .unwrap_or_else(|e| panic!("{frontend:?}: problem after rejection: {e}"))
-            .expect("blocking submit yields an id");
-        client
-            .wait_problem_report(pid)
-            .unwrap_or_else(|e| panic!("{frontend:?}: problem report after rejection: {e}"));
-        let (graph, job) = &mixed_jobs(1)[0];
-        let id = client.submit_ok(graph, job).expect("plain submit");
-        client.wait_report(id).expect("plain report");
-
-        // An unknown verb on a raw socket: typed UnsupportedVerb, then
-        // a Stats request on the same socket still answers.
-        let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
-        proto::write_frame(&mut raw, &[0xAB, 0xCD, 0xEF]).expect("raw write");
-        let mut reader = std::io::BufReader::new(raw.try_clone().expect("raw clone"));
-        let reply = proto::read_frame(&mut reader).expect("raw read");
-        match proto::decode_response(&reply) {
-            Ok(Response::Error {
-                code: ErrorCode::UnsupportedVerb,
-                ..
-            }) => {}
-            other => panic!("{frontend:?}: unknown verb yielded {other:?}"),
-        }
-        proto::write_frame(&mut raw, &proto::encode_request(&Request::Stats))
-            .expect("stats after bad verb");
-        let reply = proto::read_frame(&mut reader).expect("stats read after bad verb");
-        match proto::decode_response(&reply) {
-            Ok(Response::StatsReply(_)) => {}
-            other => panic!("{frontend:?}: stats after bad verb yielded {other:?}"),
-        }
-        server.shutdown();
+        other => panic!("unsupported spec yielded {other:?}"),
     }
+
+    // Same socket, next requests: a valid problem and a plain job
+    // both serve normally — no desync, no teardown.
+    let good = ProblemSpec::Mis {
+        graph: generators::cycle_graph(9),
+    };
+    let pid = client
+        .submit_problem(&good, &config, 2, 2, &SubmitOptions::new())
+        .unwrap_or_else(|e| panic!("problem after rejection: {e}"))
+        .expect("blocking submit yields an id");
+    client
+        .wait_problem_report(pid)
+        .unwrap_or_else(|e| panic!("problem report after rejection: {e}"));
+    let (graph, job) = &mixed_jobs(1)[0];
+    let id = client.submit_ok(graph, job).expect("plain submit");
+    client.wait_report(id).expect("plain report");
+
+    // An unknown verb on a raw socket: typed UnsupportedVerb, then
+    // a Stats request on the same socket still answers.
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
+    proto::write_frame(&mut raw, &[0xAB, 0xCD, 0xEF]).expect("raw write");
+    let mut reader = std::io::BufReader::new(raw.try_clone().expect("raw clone"));
+    let reply = proto::read_frame(&mut reader).expect("raw read");
+    match proto::decode_response(&reply) {
+        Ok(Response::Error {
+            code: ErrorCode::UnsupportedVerb,
+            ..
+        }) => {}
+        other => panic!("unknown verb yielded {other:?}"),
+    }
+    proto::write_frame(&mut raw, &proto::encode_request(&Request::Stats))
+        .expect("stats after bad verb");
+    let reply = proto::read_frame(&mut reader).expect("stats read after bad verb");
+    match proto::decode_response(&reply) {
+        Ok(Response::StatsReply(_)) => {}
+        other => panic!("stats after bad verb yielded {other:?}"),
+    }
+    server.shutdown();
 }
 
 #[test]
 fn severed_write_surfaces_as_transport_error_not_a_hang() {
     let _serial = chaos_lock();
     let _faults = faultinject::guard();
-    for frontend in [FrontendKind::Threads, FrontendKind::Reactor] {
-        let server = bind_frontend(frontend, 1, 1);
-        let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
-        let (graph, job) = &mixed_jobs(1)[0];
+    let server = bind_frontend(1, 1);
+    let mut client = Client::connect(server.local_addr(), "chaos").expect("connect");
+    let (graph, job) = &mixed_jobs(1)[0];
 
-        // The next server-side write (this submit's reply) severs the
-        // connection. The client must get a typed, retryable transport
-        // error — not block forever on a half-open socket.
-        faultinject::arm_sever_write(1);
-        let t0 = Instant::now();
-        let err = client
-            .submit_ok(graph, job)
-            .err()
-            .or_else(|| {
-                // The submit reply may have raced the arming; the
-                // report write then takes the sever.
-                client.wait_report(1).err()
-            })
-            .expect("severed connection must error");
-        assert!(
-            t0.elapsed() < NO_HANG,
-            "{frontend:?}: sever hung the client"
-        );
-        assert!(
-            matches!(err, ClientError::Io(_)),
-            "{frontend:?}: expected transport error, got {err:?}"
-        );
-        assert!(
-            msropm_client::is_retryable(&err),
-            "{frontend:?}: a severed connection should be retryable: {err:?}"
-        );
-        server.shutdown();
-    }
+    // The next server-side write (this submit's reply) severs the
+    // connection. The client must get a typed, retryable transport
+    // error — not block forever on a half-open socket.
+    faultinject::arm_sever_write(1);
+    let t0 = Instant::now();
+    let err = client
+        .submit_ok(graph, job)
+        .err()
+        .or_else(|| {
+            // The submit reply may have raced the arming; the
+            // report write then takes the sever.
+            client.wait_report(1).err()
+        })
+        .expect("severed connection must error");
+    assert!(t0.elapsed() < NO_HANG, "sever hung the client");
+    assert!(
+        matches!(err, ClientError::Io(_)),
+        "expected transport error, got {err:?}"
+    );
+    assert!(
+        msropm_client::is_retryable(&err),
+        "a severed connection should be retryable: {err:?}"
+    );
+    server.shutdown();
 }

@@ -11,7 +11,7 @@
 mod common;
 use common::SubmitShorthand;
 
-use msropm_client::{is_retryable, Client, ClientError, RetryPolicy};
+use msropm_client::{is_retryable, Client, ClientError, ConnectOptions, RetryPolicy};
 use msropm_core::{BatchJob, MsropmConfig};
 use msropm_graph::generators;
 use msropm_server::proto::{
@@ -193,8 +193,8 @@ fn silent_server_trips_the_timeout_not_a_hang() {
     server.join().expect("server thread");
 }
 
-/// `connect_with_retry` keeps retrying `ConnectionRefused` until a
-/// server appears, and gives up with the underlying error once the
+/// A connect under a [`RetryPolicy`] keeps retrying
+/// `ConnectionRefused` until a server appears, and gives up with the underlying error once the
 /// budget is exhausted.
 #[test]
 fn connect_with_retry_rides_out_a_restart() {
@@ -229,7 +229,7 @@ fn connect_with_retry_rides_out_a_restart() {
     // here means: refused connects were retried until the listener
     // appeared, then the probe round-tripped. A Busy probe reply after
     // that still counts as "server is back".
-    let got = Client::connect_with_retry(addr, "t", policy);
+    let got = Client::connect_with(addr, "t", &ConnectOptions::new().retry(policy));
     match got {
         Ok(_) => {}
         // The single-shot script above answers exactly one probe; if a
@@ -250,7 +250,7 @@ fn connect_with_retry_rides_out_a_restart() {
         max_delay: Duration::from_millis(10),
     };
     let t0 = Instant::now();
-    let err = match Client::connect_with_retry(dead_addr, "t", tight) {
+    let err = match Client::connect_with(dead_addr, "t", &ConnectOptions::new().retry(tight)) {
         Err(e) => e,
         Ok(_) => panic!("nothing is listening; connect cannot succeed"),
     };

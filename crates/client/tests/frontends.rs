@@ -1,23 +1,22 @@
-//! Cross-front-end equivalence: the gate that makes swapping the
-//! transport safe.
+//! Cross-codec equivalence: the gate that makes swapping the transport
+//! safe.
 //!
-//! The reactor front end reuses the threaded front end's entire session
-//! layer, so the observable wire contract must be *identical*. This
-//! file pins the strongest form of that claim on a mixed
-//! submit/cancel workload driven through the real library client over
+//! Both codecs of the serving event loop — binary frames and HTTP/JSON
+//! — share one session layer, so the observable contract must be
+//! *identical*. This file pins the strongest form of that claim over
 //! real loopback sockets:
 //!
-//! 1. **byte-identical report frames** across
-//!    {threaded, reactor} × {1, 4 workers} — framing included, modulo
-//!    the volatile job-id/timing fields;
+//! 1. **byte-identical report frames** across {1, 4 workers} on a
+//!    mixed submit/cancel workload driven through the library client —
+//!    framing included, modulo the volatile job-id/timing fields;
 //! 2. **cancellation parity**: the cancelled subset never streams a
-//!    report and settles `cancelled` on every front end;
+//!    report and settles `cancelled` at every worker count;
 //! 3. the multiplexed client mode (many in-flight submits on one
-//!    socket) behaves identically on both front ends — it is how the
-//!    workload is driven;
+//!    socket) is how that workload is driven;
 //! 4. **transport-codec parity**: a problem report served over the
 //!    HTTP/JSON gateway reconstructs byte-identically to the binary
-//!    wire's frame for the same job — the JSON codec is lossless.
+//!    wire's frame for the same job at every worker count and shard
+//!    width — the JSON codec is lossless.
 
 mod common;
 use common::SubmitShorthand;
@@ -42,9 +41,8 @@ fn fast_config() -> MsropmConfig {
     }
 }
 
-/// Binds the requested front end on an ephemeral loopback port through
-/// the one server-boot API, so the workload driver is
-/// front-end-agnostic.
+/// Binds the requested codec on an ephemeral loopback port through the
+/// one server-boot API.
 fn bind_frontend(frontend: FrontendKind, workers: usize, shards: ShardPolicy) -> Frontend {
     ServerConfig::builder()
         .frontend(frontend)
@@ -100,11 +98,14 @@ type RunFingerprints = Vec<(usize, Vec<u8>)>;
 /// with a long job, multiplex-submit the batch, cancel `cancel_idx`
 /// while they are still queued, then collect fingerprints of the
 /// surviving reports and verify the cancelled subset never reports.
-fn run_workload(frontend: FrontendKind, workers: usize, cancel_idx: &[usize]) -> RunFingerprints {
-    let server = bind_frontend(frontend, workers, ShardPolicy::Auto);
-    assert_eq!(server.kind(), frontend);
+fn run_workload(workers: usize, cancel_idx: &[usize]) -> RunFingerprints {
+    let server = bind_frontend(FrontendKind::Reactor, workers, ShardPolicy::Auto);
+    assert_eq!(server.kind(), FrontendKind::Reactor);
     let mut client = Client::connect(server.local_addr(), "parity").expect("connect");
-    assert_eq!(client.stats().expect("stats").frontend, frontend);
+    assert_eq!(
+        client.stats().expect("stats").frontend,
+        FrontendKind::Reactor
+    );
 
     // One long job per worker so every later cancel provably lands
     // before pickup (cooperative cancellation then means: no report).
@@ -159,14 +160,14 @@ fn run_workload(frontend: FrontendKind, workers: usize, cancel_idx: &[usize]) ->
         assert_eq!(
             state,
             JobState::Cancelled,
-            "{frontend:?}/{workers}w: cancelled job {c} never settled"
+            "{workers}w: cancelled job {c} never settled"
         );
         assert!(
             client
                 .wait_report_timeout(ids[c], Duration::from_millis(300))
                 .expect("drain")
                 .is_none(),
-            "{frontend:?}/{workers}w: cancelled job {c} streamed a report"
+            "{workers}w: cancelled job {c} streamed a report"
         );
     }
     server.shutdown();
@@ -210,14 +211,10 @@ fn problem_fingerprint(report: &WireProblemReport) -> Vec<u8> {
     encode_response(&Response::ProblemReport(stripped))
 }
 
-/// Submits every problem spec through one server cell of the matrix
+/// Submits every problem spec through one binary cell of the matrix
 /// and returns the stripped report frames in submission order.
-fn run_problem_workload(
-    frontend: FrontendKind,
-    workers: usize,
-    shards: ShardPolicy,
-) -> Vec<Vec<u8>> {
-    let server = bind_frontend(frontend, workers, shards);
+fn run_problem_workload(workers: usize, shards: ShardPolicy) -> Vec<Vec<u8>> {
+    let server = bind_frontend(FrontendKind::Reactor, workers, shards);
     let mut client = Client::connect(server.local_addr(), "problem-parity").expect("connect");
     let config = fast_config();
     let ids: Vec<u64> = problem_specs()
@@ -310,7 +307,7 @@ fn poll_http_report(client: &mut HttpClient, job_id: u64) -> Json {
 /// The HTTP cell of the parity matrix: every spec rendered to its text
 /// format, submitted as JSON over the gateway, the JSON report mapped
 /// back onto the wire struct, and fingerprinted with the *same*
-/// binary encoder as the other front ends.
+/// binary encoder as the binary cells.
 fn run_problem_workload_http(workers: usize, shards: ShardPolicy) -> Vec<Vec<u8>> {
     let server = bind_frontend(FrontendKind::Http, workers, shards);
     let mut client = HttpClient::connect(server.local_addr()).expect("connect http");
@@ -354,23 +351,19 @@ fn run_problem_workload_http(workers: usize, shards: ShardPolicy) -> Vec<Vec<u8>
     frames
 }
 
-/// The ISSUE acceptance matrix: typed problem reports are
-/// byte-identical across {threads, reactor, http} × {1, 4 workers} ×
-/// {1, 4 shards} for every problem class — including across the
-/// binary-vs-JSON codec boundary.
+/// The acceptance matrix: typed problem reports are byte-identical
+/// across {binary, http} × {1, 4 workers} × {1, 4 shards} for every
+/// problem class — including across the binary-vs-JSON codec
+/// boundary.
 #[test]
 fn problem_reports_are_bit_identical_across_frontends_workers_and_shards() {
     let mut runs = Vec::new();
-    for frontend in [
-        FrontendKind::Threads,
-        FrontendKind::Reactor,
-        FrontendKind::Http,
-    ] {
+    for frontend in [FrontendKind::Reactor, FrontendKind::Http] {
         for workers in [1usize, 4] {
             for shards in [ShardPolicy::Fixed(1), ShardPolicy::Fixed(4)] {
                 let frames = match frontend {
                     FrontendKind::Http => run_problem_workload_http(workers, shards),
-                    _ => run_problem_workload(frontend, workers, shards),
+                    FrontendKind::Reactor => run_problem_workload(workers, shards),
                 };
                 runs.push((format!("{frontend:?}/{workers}w/{shards:?}"), frames));
             }
@@ -392,20 +385,10 @@ fn problem_reports_are_bit_identical_across_frontends_workers_and_shards() {
 #[test]
 fn wire_reports_are_bit_identical_across_frontends_and_worker_counts() {
     let cancel_idx = [2usize, 5];
-    let runs: Vec<(String, RunFingerprints)> = [
-        (FrontendKind::Threads, 1),
-        (FrontendKind::Threads, 4),
-        (FrontendKind::Reactor, 1),
-        (FrontendKind::Reactor, 4),
-    ]
-    .into_iter()
-    .map(|(frontend, workers)| {
-        (
-            format!("{frontend:?}/{workers}w"),
-            run_workload(frontend, workers, &cancel_idx),
-        )
-    })
-    .collect();
+    let runs: Vec<(String, RunFingerprints)> = [1, 4]
+        .into_iter()
+        .map(|workers| (format!("{workers}w"), run_workload(workers, &cancel_idx)))
+        .collect();
     let (reference_name, reference) = &runs[0];
     assert_eq!(reference.len(), 7, "9 jobs minus 2 cancelled");
     for (name, fingerprints) in &runs[1..] {

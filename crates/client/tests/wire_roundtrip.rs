@@ -1,5 +1,5 @@
 //! Full-stack wire tests: real loopback TCP sockets, the library
-//! client, and a live [`WireServer`] — pinning the two properties the
+//! client, and a live binary-codec [`Frontend`] — pinning the two properties the
 //! socket path must preserve on top of the in-process server:
 //!
 //! 1. **determinism across the wire**: the report frames of one job are
@@ -15,8 +15,7 @@ use msropm_client::{Client, ClientError, RetryPolicy, SubmitOptions};
 use msropm_core::{BatchJob, MsropmConfig, SweepParam, SweepSpec};
 use msropm_graph::{generators, graph_hash};
 use msropm_server::proto::{encode_response, ErrorCode, Response, WireReport};
-use msropm_server::wire::{WireConfig, WireServer};
-use msropm_server::ServerConfig;
+use msropm_server::{Frontend, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,20 +26,26 @@ fn fast_config() -> MsropmConfig {
     }
 }
 
-fn server_with(workers: usize) -> WireServer {
-    WireServer::bind(
-        "127.0.0.1:0",
-        WireConfig {
-            server: ServerConfig {
-                workers,
-                queue_capacity: 16,
-                cache_capacity: 4, // smaller than the graph pool: eviction churn included
-                ..ServerConfig::default()
-            },
-            ..WireConfig::default()
-        },
-    )
-    .expect("bind ephemeral port")
+fn server_with(workers: usize) -> Frontend {
+    ServerConfig::builder()
+        .workers(workers)
+        .queue_capacity(16)
+        .cache_capacity(4) // smaller than the graph pool: eviction churn included
+        .bind("127.0.0.1:0")
+        .expect("bind ephemeral port")
+}
+
+/// One worker and per-tenant caps on in-flight jobs and queued lanes.
+fn one_worker(max_inflight_jobs: usize, max_queued_lanes: usize) -> Frontend {
+    ServerConfig::builder()
+        .workers(1)
+        .queue_capacity(16)
+        .cache_capacity(4)
+        .max_inflight_jobs(max_inflight_jobs)
+        .max_queued_lanes(max_queued_lanes)
+        .max_connections(8)
+        .bind("127.0.0.1:0")
+        .expect("bind")
 }
 
 /// A small mixed workload: repeat + cold topologies, every third job a
@@ -171,21 +176,7 @@ fn blocking_verbs_never_consume_outstanding_mux_replies() {
 
 #[test]
 fn quota_rejection_is_tenant_scoped_through_the_client() {
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        WireConfig {
-            server: ServerConfig {
-                workers: 1,
-                queue_capacity: 16,
-                cache_capacity: 4,
-                ..ServerConfig::default()
-            },
-            max_inflight_jobs: 1,
-            max_queued_lanes: 64,
-            max_connections: 8,
-        },
-    )
-    .expect("bind");
+    let server = one_worker(1, 64);
     let g = generators::kings_graph(6, 6);
     let mut greedy = Client::connect(server.local_addr(), "greedy").expect("connect");
     let mut modest = Client::connect(server.local_addr(), "modest").expect("connect");
@@ -210,21 +201,7 @@ fn quota_rejection_is_tenant_scoped_through_the_client() {
 
 #[test]
 fn cancelled_job_never_streams_a_report_and_frees_quota() {
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        WireConfig {
-            server: ServerConfig {
-                workers: 1,
-                queue_capacity: 16,
-                cache_capacity: 4,
-                ..ServerConfig::default()
-            },
-            max_inflight_jobs: 2,
-            max_queued_lanes: 64,
-            max_connections: 8,
-        },
-    )
-    .expect("bind");
+    let server = one_worker(2, 64);
     let g = generators::kings_graph(6, 6);
     let mut client = Client::connect(server.local_addr(), "c").expect("connect");
     // A occupies the worker; B queues and is cancelled; a third submit

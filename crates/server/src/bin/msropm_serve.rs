@@ -1,8 +1,8 @@
 //! Standalone server daemon: binds a TCP port and serves jobs until
-//! killed, over any of the three front ends.
+//! killed, over either codec.
 //!
 //! ```text
-//! msropm_serve [--addr HOST:PORT] [--frontend threads|reactor|http]
+//! msropm_serve [--addr HOST:PORT] [--frontend reactor|http]
 //!              [--workers N] [--queue N] [--cache N] [--shards auto|N]
 //!              [--backend f64|fixed] [--max-inflight N] [--max-lanes N]
 //!              [--max-conns N] [--loops N] [--max-wbuf BYTES]
@@ -21,17 +21,16 @@
 //! integer path; `--backend f64` pins the float path. Without the flag
 //! each job's own config picks its backend.
 //!
-//! `--frontend threads` (default) serves each binary-protocol
-//! connection with a reader/writer thread pair; `--frontend reactor`
-//! multiplexes the same binary protocol over `--loops` nonblocking
-//! event loops (epoll, or `poll(2)` with `--poll-backend`) so
-//! thousands of idle connections cost no threads; `--frontend http`
-//! serves the HTTP/1.1 + JSON gateway (see the server crate's `http`
-//! module for the endpoint table). All three run the same session
-//! core, so quotas, deadlines, cancellation, and drain behave
-//! identically. `--max-conns` caps concurrent connections,
-//! `--max-wbuf` caps a nonblocking connection's buffered unsent bytes
-//! before a non-reading peer is dropped.
+//! Every connection is served by `--loops` nonblocking event loops
+//! (epoll, or `poll(2)` with `--poll-backend`), so thousands of idle
+//! connections cost no threads. `--frontend reactor` (default) speaks
+//! the binary frame protocol; `--frontend http` speaks the HTTP/1.1 +
+//! JSON gateway (see the server crate's `http` module for the endpoint
+//! table). Both codecs run on the same loop and session core, so
+//! quotas, deadlines, cancellation, and drain behave identically.
+//! `--max-conns` caps concurrent connections, `--max-wbuf` caps a
+//! connection's buffered unsent bytes before a non-reading peer is
+//! dropped.
 //!
 //! `--addr 127.0.0.1:0` binds an ephemeral port; the bound address is
 //! printed as `listening on ADDR` (and written to `--port-file` when
@@ -60,7 +59,7 @@ fn main() {
             "--frontend" => {
                 let v = value("--frontend");
                 let kind = FrontendKind::from_name(&v).unwrap_or_else(|| {
-                    eprintln!("unknown frontend {v:?}; valid: threads, reactor, http");
+                    eprintln!("unknown frontend {v:?}; valid: reactor, http");
                     std::process::exit(2);
                 });
                 builder.frontend(kind)
@@ -104,7 +103,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument {other:?}; valid: --addr HOST:PORT, \
-                     --frontend threads|reactor|http, --workers N, --queue N, --cache N, \
+                     --frontend reactor|http, --workers N, --queue N, --cache N, \
                      --shards auto|N, --backend f64|fixed, --max-inflight N, \
                      --max-lanes N, --max-conns N, --loops N, --max-wbuf BYTES, \
                      --poll-backend, --port-file PATH"

@@ -2,7 +2,7 @@
 //!
 //! The serving stack calls tiny check functions at the places failures
 //! matter: job execution (worker panics), completion delivery (slow
-//! hooks), and the socket write paths of both front ends (short writes,
+//! hooks), and the event loop's socket write path (short writes,
 //! abrupt disconnects). Each check's **disarmed fast path is a single
 //! relaxed atomic load** of one process-global bitmask — `wire_bench`
 //! asserts this stays free (and that the module is quiescent unless a
@@ -100,7 +100,7 @@ pub fn arm_delay_completion(millis: u64) {
     ARMED.fetch_or(DELAY_COMPLETION, Ordering::AcqRel);
 }
 
-/// Arms short-writes: every socket write in both front ends is capped
+/// Arms short-writes: every socket write of the event loop is capped
 /// to 7 bytes, until disarmed — frames cross the wire in dribbles,
 /// exercising partial-write handling end to end.
 pub fn arm_short_writes() {

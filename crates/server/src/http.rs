@@ -1,17 +1,17 @@
-//! HTTP/1.1 + JSON gateway front end: the same session core behind a
-//! curl-able transport.
+//! HTTP/1.1 + JSON codec: the same session core behind a curl-able
+//! transport.
 //!
 //! The binary wire protocol ([`crate::proto`]) is the efficient path,
 //! but it requires a bespoke client. This module serves the identical
 //! job semantics — admission, per-tenant quotas, deadlines, cooperative
 //! cancellation, graceful drain — over HTTP/1.1 with JSON bodies, so
 //! any load balancer, curl script, or metrics scraper can reach the
-//! Potts machine. It is the third transport over
-//! [`crate::session::SessionCore`] and reuses the reactor's
-//! nonblocking machinery: one event-loop thread owns every socket via
-//! a [`polling::Poller`], each connection is a small state machine (an
-//! incremental [`HttpParser`] feeding a write buffer), and worker
-//! threads hand completed jobs back through an inbox + poller wakeup.
+//! Potts machine. It is a codec, not a server: the event loop of
+//! [`crate::reactor`] owns the sockets, feeds each connection's bytes
+//! to an incremental [`HttpParser`], and hands every parsed request to
+//! this module's router, which decodes the JSON into the same
+//! [`Request`]s the binary codec produces and renders the session's
+//! answers back as JSON.
 //!
 //! # Endpoints
 //!
@@ -29,7 +29,9 @@
 //! terminal frame (report, decoded problem report, or typed job
 //! failure) is retained server-side for `GET /v1/jobs/{id}` — the same
 //! bounded retention discipline as the session's terminal-status
-//! window.
+//! window. The retention store is shared by every event loop, so a job
+//! submitted on one connection can be polled or cancelled from any
+//! other.
 //!
 //! # Error mapping
 //!
@@ -53,26 +55,15 @@
 //! the oversized body is discarded and the connection resyncs at its
 //! end).
 
-use crate::proto::{
-    self, ErrorCode, FrontendKind, Request, Response, WireLane, WireProblemReport, WireReport,
-};
-use crate::session::{
-    DeliverFn, ParkedSubmit, ProblemSubmission, SessionCore, SubmitDisposition, WireConfig,
-};
-use crate::{faultinject, lock_unpoisoned};
+use crate::lock_unpoisoned;
+use crate::proto::{self, ErrorCode, Request, Response, WireLane, WireProblemReport, WireReport};
+use crate::session::SessionCore;
 use msropm_core::{BatchJob, MsropmConfig, ReinitMode};
 use msropm_graph::Graph;
 use msropm_problems::json::{self, Json};
 use msropm_problems::{DecodedLane, DecodedSolution, ProblemClass, ProblemError, ProblemSpec};
-use polling::{BackendKind, Event, Poller};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read as _, Write as _};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
 
 /// Longest accepted request line (method + target + version), bytes.
 pub const MAX_REQUEST_LINE: usize = 8 << 10;
@@ -610,7 +601,7 @@ fn method_not_allowed() -> ApiError {
 
 /// The JSON error body every failure path renders:
 /// `{"error": <name>, "code": <wire code>, "message": <detail>}`.
-fn error_body(code: ErrorCode, message: &str) -> Json {
+pub(crate) fn error_body(code: ErrorCode, message: &str) -> Json {
     Json::Obj(vec![
         ("error".into(), Json::Str(code.to_string())),
         ("code".into(), Json::Num(code as u16 as f64)),
@@ -803,7 +794,7 @@ fn parse_graph(value: &Json) -> Result<Graph, ApiError> {
 }
 
 /// Decodes a `POST /v1/jobs` body into a raw submit.
-fn parse_submit_job(body: &[u8]) -> Result<(String, Graph, BatchJob, u64), ApiError> {
+fn parse_submit_job(body: &[u8]) -> Result<Request, ApiError> {
     let j = parse_json_body(body)?;
     let fields = as_obj(&j)?;
     let tenant = get_tenant(fields)?;
@@ -812,19 +803,19 @@ fn parse_submit_job(body: &[u8]) -> Result<(String, Graph, BatchJob, u64), ApiEr
     let seed = get_u64(fields, "seed")?.unwrap_or(0);
     let deadline_ms = get_u64(fields, "deadline_ms")?.unwrap_or(0);
     let config = get_config(fields)?;
-    Ok((
+    Ok(Request::Submit {
         tenant,
         graph,
-        BatchJob::uniform(config, replicas, seed),
+        job: BatchJob::uniform(config, replicas, seed),
         deadline_ms,
-    ))
+    })
 }
 
 /// Decodes a `POST /v1/problems` body into a typed problem submission.
 /// The `input` text is the class's native format (DIMACS `.col`,
 /// DIMACS CNF, weight list, QUBO/Ising JSON), exactly as `solve_remote`
 /// reads from disk.
-fn parse_submit_problem(body: &[u8]) -> Result<ProblemSubmission, ApiError> {
+fn parse_submit_problem(body: &[u8]) -> Result<Request, ApiError> {
     let j = parse_json_body(body)?;
     let fields = as_obj(&j)?;
     let tenant = get_tenant(fields)?;
@@ -848,7 +839,7 @@ fn parse_submit_problem(body: &[u8]) -> Result<ProblemSubmission, ApiError> {
     let seed = get_u64(fields, "seed")?.unwrap_or(0);
     let deadline_ms = get_u64(fields, "deadline_ms")?.unwrap_or(0);
     let config = get_config(fields)?;
-    Ok(ProblemSubmission {
+    Ok(Request::SubmitProblem {
         tenant,
         spec,
         config,
@@ -953,112 +944,13 @@ fn problem_report_json(report: &WireProblemReport) -> Json {
 }
 
 // ---------------------------------------------------------------------
-// The server
+// Routing
 // ---------------------------------------------------------------------
-
-/// Poller key of the listener; connections are keyed
-/// `FIRST_CONN_KEY + slab index`.
-const KEY_LISTENER: usize = 0;
-const FIRST_CONN_KEY: usize = 1;
-
-/// How long a draining loop keeps trying to flush queued responses to
-/// slow readers before giving up.
-const DRAIN_FLUSH_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Most terminal frames retained for `GET /v1/jobs/{id}` — matches the
 /// session registry's terminal-status window, so a pollable report
 /// outlives neither its status entry nor this cap.
 const TERMINAL_FRAMES_RETAINED: usize = 4096;
-
-/// Knobs for [`HttpServer::bind`].
-#[derive(Debug, Clone)]
-pub struct HttpConfig {
-    /// Session semantics: worker pool, quotas, connection cap.
-    pub wire: WireConfig,
-    /// Per-connection pending-output cap; a consumer further behind
-    /// than this is dropped.
-    pub max_write_buffer: usize,
-    /// Force the portable `poll(2)` backend instead of epoll.
-    pub poll_backend: bool,
-}
-
-impl Default for HttpConfig {
-    fn default() -> Self {
-        HttpConfig {
-            wire: WireConfig::default(),
-            max_write_buffer: 8 << 20,
-            poll_backend: false,
-        }
-    }
-}
-
-/// The cross-thread surface of the HTTP loop: poller (for wakeups) and
-/// completion inbox.
-struct HttpShared {
-    poller: Poller,
-    inbox: Mutex<HttpInbox>,
-    /// Jobs admitted here whose completion has not yet been pushed into
-    /// the inbox; the exit check waits for zero so no terminal frame is
-    /// lost in the worker→loop handoff.
-    pending_jobs: AtomicUsize,
-}
-
-#[derive(Default)]
-struct HttpInbox {
-    completions: Vec<HttpCompletion>,
-    exit: bool,
-}
-
-/// A job's terminal frame crossing from a worker thread to the loop.
-/// HTTP being poll-based, completions are keyed by job id — not by
-/// connection — so the submitting connection may die and any later
-/// connection of the same tenant can still collect the report.
-struct HttpCompletion {
-    job_id: u64,
-    /// The pre-encoded binary terminal frame; `None` for a cancelled
-    /// job.
-    frame: Option<Vec<u8>>,
-}
-
-/// Increments the pending-job count for exactly as long as a deliver
-/// callback is outstanding (dropped-unfired included), mirroring the
-/// reactor's guard.
-struct PendingGuard(Arc<HttpShared>);
-
-impl PendingGuard {
-    fn new(shared: Arc<HttpShared>) -> PendingGuard {
-        shared.pending_jobs.fetch_add(1, Ordering::AcqRel);
-        PendingGuard(shared)
-    }
-}
-
-impl Drop for PendingGuard {
-    fn drop(&mut self) {
-        self.0.pending_jobs.fetch_sub(1, Ordering::AcqRel);
-        let _ = self.0.poller.notify();
-    }
-}
-
-/// One HTTP connection's state machine.
-struct HttpConn {
-    stream: TcpStream,
-    parser: HttpParser,
-    /// Encoded-but-unsent bytes (`out[out_pos..]` is pending).
-    out: Vec<u8>,
-    out_pos: usize,
-    /// (read, write) interest currently registered with the poller.
-    registered: (bool, bool),
-    read_eof: bool,
-    /// Flush queued output, then close (fatal parse error, explicit
-    /// `connection: close`, or HTTP/1.0).
-    closing: bool,
-}
-
-impl HttpConn {
-    fn pending_out(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-}
 
 /// A terminal frame retained for polling; `served` dedupes the
 /// reports-streamed accounting across repeated GETs.
@@ -1067,15 +959,20 @@ struct TerminalEntry {
     served: bool,
 }
 
-/// Bounded job-id-keyed retention of terminal frames.
+/// Bounded job-id-keyed retention of terminal frames (the pre-encoded
+/// binary frame; `None` for a cancelled job). HTTP being poll-based,
+/// completions are keyed by job id — not by connection — so the
+/// submitting connection may die and any later connection of the same
+/// tenant, on any event loop, can still collect the report.
 #[derive(Default)]
-struct TerminalStore {
+pub(crate) struct TerminalStore {
     entries: HashMap<u64, TerminalEntry>,
     order: VecDeque<u64>,
 }
 
 impl TerminalStore {
-    fn insert(&mut self, job_id: u64, frame: Option<Vec<u8>>) {
+    /// Files a job's terminal frame (the HTTP codec's deliver callback).
+    pub(crate) fn insert(&mut self, job_id: u64, frame: Option<Vec<u8>>) {
         if self
             .entries
             .insert(
@@ -1097,770 +994,209 @@ impl TerminalStore {
     }
 }
 
-/// The HTTP/1.1 + JSON front end; see the module docs.
-pub struct HttpServer {
-    core: Arc<SessionCore>,
-    local_addr: SocketAddr,
-    shared: Arc<HttpShared>,
-    handle: Option<thread::JoinHandle<()>>,
-    down: bool,
+/// Appends one HTTP/1.1 response (head + body) to `out`; `close`
+/// advertises `connection: close`.
+pub(crate) fn write_response(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    body: &[u8],
+    close: bool,
+) {
+    let head = format!(
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\n\
+         content-length: {}\r\n{}\r\n",
+        status_text(status),
+        body.len(),
+        if close { "connection: close\r\n" } else { "" }
+    );
+    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(body);
 }
 
-impl HttpServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// event loop; the backing worker pool boots immediately.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind and poller-creation failures.
-    pub fn bind<A: ToSocketAddrs>(addr: A, config: HttpConfig) -> std::io::Result<HttpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let core = SessionCore::new(config.wire, FrontendKind::Http);
-        let backend = if config.poll_backend {
-            BackendKind::Poll
-        } else {
-            BackendKind::Epoll
-        };
-        let shared = Arc::new(HttpShared {
-            poller: Poller::with_backend(backend)?,
-            inbox: Mutex::new(HttpInbox::default()),
-            pending_jobs: AtomicUsize::new(0),
-        });
-        shared
-            .poller
-            .add(listener.as_raw_fd(), Event::readable(KEY_LISTENER))?;
-        let http_loop = HttpLoop {
-            core: Arc::clone(&core),
-            shared: Arc::clone(&shared),
-            listener: Some(listener),
-            slab: Vec::new(),
-            free: Vec::new(),
-            parked: Vec::new(),
-            terminals: TerminalStore::default(),
-            max_wbuf: config.max_write_buffer,
-            exiting: false,
-            exit_deadline: None,
-        };
-        let handle = thread::Builder::new()
-            .name("msropm-http".into())
-            .spawn(move || http_loop.run())
-            .expect("spawn http loop");
-        Ok(HttpServer {
-            core,
-            local_addr,
-            shared,
-            handle: Some(handle),
-            down: false,
-        })
+/// Answers one parsed request: `(status, content type, body)`.
+/// `dispatch` runs a decoded [`Request`] through the session on the
+/// requesting connection's event loop; `terminals` holds the frames
+/// that `GET /v1/jobs/{id}` serves.
+pub(crate) fn answer(
+    req: &HttpRequest,
+    core: &SessionCore,
+    terminals: &Mutex<TerminalStore>,
+    dispatch: impl FnMut(Request) -> Response,
+) -> (u16, &'static str, Vec<u8>) {
+    if (req.method.as_str(), req.path.as_str()) == ("GET", "/metrics") {
+        let text = core.stats_registry().render_prometheus();
+        return (200, "text/plain; version=0.0.4", text.into_bytes());
     }
-
-    /// The bound address (reports the ephemeral port after `bind(":0")`).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Current server-wide counters as the legacy wire struct.
-    pub fn stats(&self) -> proto::WireStats {
-        self.core.wire_stats()
-    }
-
-    /// Current server-wide counters as the named registry.
-    pub fn registry(&self) -> crate::stats::Registry {
-        self.core.stats_registry()
-    }
-
-    /// Report bodies actually served to a `GET /v1/jobs/{id}` (each
-    /// report counted once, however often it is re-polled).
-    pub fn reports_streamed(&self) -> u64 {
-        self.core.reports_streamed()
-    }
-
-    /// Graceful drain: stop admitting, wait for every admitted job to
-    /// reach a terminal state, flush what can be flushed, join the
-    /// loop.
-    pub fn shutdown(mut self) {
-        self.shutdown_in_place();
-    }
-
-    fn shutdown_in_place(&mut self) {
-        if self.down {
-            return;
-        }
-        self.down = true;
-        self.core.begin_drain();
-        self.core.await_drained();
-        lock_unpoisoned(&self.shared.inbox).exit = true;
-        let _ = self.shared.poller.notify();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
+    let (status, body) = route(req, core, terminals, dispatch)
+        .unwrap_or_else(|e| (e.status, error_body(e.code, &e.message)));
+    (status, "application/json", body.render().into_bytes())
 }
 
-impl Drop for HttpServer {
-    /// Dropping the front end performs the same graceful drain as
-    /// [`HttpServer::shutdown`].
-    fn drop(&mut self) {
-        self.shutdown_in_place();
-    }
-}
-
-/// The event loop's full state; `run` is the thread body.
-struct HttpLoop {
-    core: Arc<SessionCore>,
-    shared: Arc<HttpShared>,
-    listener: Option<TcpListener>,
-    slab: Vec<Option<HttpConn>>,
-    free: Vec<usize>,
-    parked: Vec<ParkedSubmit>,
-    terminals: TerminalStore,
-    max_wbuf: usize,
-    exiting: bool,
-    exit_deadline: Option<Instant>,
-}
-
-impl HttpLoop {
-    fn run(mut self) {
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            let timeout = if !self.parked.is_empty() {
-                // A parked submit can also become enqueueable when a
-                // worker picks up a job (which signals nothing), so
-                // poll on a short tick rather than relying purely on
-                // completion wakeups.
-                Some(Duration::from_millis(10))
-            } else if self.exiting {
-                Some(Duration::from_millis(20))
-            } else {
-                None
-            };
-            if self.shared.poller.wait(&mut events, timeout).is_err() {
-                break;
-            }
-            self.handle_inbox();
-            for &ev in &events {
-                if ev.key == KEY_LISTENER {
-                    self.accept_ready();
-                } else {
-                    self.conn_event(ev);
-                }
-            }
-            self.retry_parked();
-            if self.exiting && self.ready_to_exit() {
-                break;
-            }
-        }
-        self.teardown();
-    }
-
-    /// Drains the cross-thread inbox: file terminal frames, observe the
-    /// exit flag.
-    fn handle_inbox(&mut self) {
-        let (completions, exit) = {
-            let mut inbox = lock_unpoisoned(&self.shared.inbox);
-            (std::mem::take(&mut inbox.completions), inbox.exit)
-        };
-        if exit && !self.exiting {
-            self.exiting = true;
-            self.exit_deadline = Some(Instant::now() + DRAIN_FLUSH_DEADLINE);
-            if let Some(listener) = self.listener.take() {
-                let _ = self.shared.poller.delete(listener.as_raw_fd());
-            }
-        }
-        for completion in completions {
-            self.terminals.insert(completion.job_id, completion.frame);
-        }
-    }
-
-    /// Pulls any already-delivered completions into the terminal store
-    /// without waiting for the next poll wakeup — `job_status` calls
-    /// this when the session says a job is terminal but its frame has
-    /// not been filed yet (the worker updates the status cell before
-    /// the completion hook pushes the frame through the inbox).
-    fn drain_completions(&mut self) {
-        let completions = std::mem::take(&mut lock_unpoisoned(&self.shared.inbox).completions);
-        for completion in completions {
-            self.terminals.insert(completion.job_id, completion.frame);
-        }
-    }
-
-    /// Accepts until the listener would block.
-    fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if self.core.at_connection_cap() {
-                        // Over the cap: one best-effort 503 (the stream
-                        // is still blocking), then close.
-                        let body = error_body(ErrorCode::Busy, "connection cap reached").render();
-                        let head = format!(
-                            "HTTP/1.1 503 {}\r\ncontent-type: application/json\r\n\
-                             content-length: {}\r\nconnection: close\r\n\r\n",
-                            status_text(503),
-                            body.len()
-                        );
-                        let _ = (&stream).write_all(head.as_bytes());
-                        let _ = (&stream).write_all(body.as_bytes());
-                        continue;
-                    }
-                    self.core.connection_opened();
-                    let _ = stream.set_nodelay(true);
-                    self.register(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Installs an accepted connection into the slab and poller.
-    fn register(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
-            self.core.connection_closed();
-            return;
-        }
-        let idx = self.free.pop().unwrap_or_else(|| {
-            self.slab.push(None);
-            self.slab.len() - 1
-        });
-        let key = idx + FIRST_CONN_KEY;
-        if self
-            .shared
-            .poller
-            .add(stream.as_raw_fd(), Event::readable(key))
-            .is_err()
-        {
-            self.free.push(idx);
-            self.core.connection_closed();
-            return;
-        }
-        self.slab[idx] = Some(HttpConn {
-            stream,
-            parser: HttpParser::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            registered: (true, false),
-            read_eof: false,
-            closing: false,
-        });
-    }
-
-    fn conn_mut(&mut self, idx: usize) -> Option<&mut HttpConn> {
-        self.slab.get_mut(idx).and_then(Option::as_mut)
-    }
-
-    fn close(&mut self, idx: usize) {
-        if let Some(conn) = self.slab.get_mut(idx).and_then(Option::take) {
-            let _ = self.shared.poller.delete(conn.stream.as_raw_fd());
-            self.free.push(idx);
-            self.core.connection_closed();
-        }
-    }
-
-    /// Dispatches one readiness event for a connection slot.
-    fn conn_event(&mut self, ev: Event) {
-        let idx = ev.key - FIRST_CONN_KEY;
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        if conn.registered == (false, false) {
-            // Level-triggered error/hang-up on a connection with no
-            // registered interest: nothing to read or flush, close it
-            // rather than spin.
-            self.close(idx);
-            return;
-        }
-        if ev.writable {
-            self.flush(idx);
-        }
-        let readable = ev.readable
-            && self
-                .conn_mut(idx)
-                .is_some_and(|conn| !conn.read_eof && !conn.closing);
-        if readable {
-            self.conn_read(idx);
-        }
-        self.maybe_close(idx);
-        self.update_interest(idx);
-    }
-
-    /// Reads until the socket would block, feeding the request parser.
-    fn conn_read(&mut self, idx: usize) {
-        let mut buf = [0u8; 16 << 10];
-        loop {
-            let Some(conn) = self.conn_mut(idx) else {
-                return;
-            };
-            match (&conn.stream).read(&mut buf) {
-                Ok(0) => {
-                    conn.read_eof = true;
-                    return;
-                }
-                Ok(n) => {
-                    conn.parser.push(&buf[..n]);
-                    if !self.drain_requests(idx) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close(idx);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Pulls every complete request out of the parser; `false` once the
-    /// connection should stop being read.
-    fn drain_requests(&mut self, idx: usize) -> bool {
-        loop {
-            let step = {
-                let Some(conn) = self.conn_mut(idx) else {
-                    return false;
-                };
-                match conn.parser.next_request() {
-                    Ok(Some(req)) => Ok(req),
-                    Ok(None) => return true,
-                    Err(e) => {
-                        if e.fatal {
-                            conn.closing = true;
-                        }
-                        Err(e)
-                    }
-                }
-            };
-            match step {
-                Ok(req) => {
-                    let keep = req.keep_alive;
-                    self.handle_request(idx, req);
-                    if self.conn_mut(idx).is_none() {
-                        return false;
-                    }
-                    if !keep {
-                        return false;
-                    }
-                }
-                Err(e) => {
-                    // Framing errors answer with the parser's status;
-                    // only fatal ones (desync) close the connection —
-                    // an oversized body is discarded and serving
-                    // continues (hostile input must not take the
-                    // connection down).
-                    let fatal = e.fatal;
-                    let body = error_body(ErrorCode::Malformed, &e.reason).render();
-                    self.respond(idx, e.status, "application/json", body.as_bytes(), fatal);
-                    if fatal {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The deliver callback for a submit admitted on this loop: push
-    /// the terminal frame into the inbox, keyed by job id.
-    fn deliver_hook(&self) -> DeliverFn {
-        let guard = PendingGuard::new(Arc::clone(&self.shared));
-        let shared = Arc::clone(&self.shared);
-        Box::new(move |_core, job_id, frame| {
-            lock_unpoisoned(&shared.inbox)
-                .completions
-                .push(HttpCompletion { job_id, frame });
-            // The guard's drop decrements the pending count and wakes
-            // the loop *after* the completion is visible in the inbox.
-            drop(guard);
-        })
-    }
-
-    /// Routes one parsed request. `close` mirrors the request's
-    /// keep-alive decision into the response headers.
-    fn handle_request(&mut self, idx: usize, req: HttpRequest) {
-        let close = !req.keep_alive;
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/v1/jobs") => match parse_submit_job(&req.body) {
-                Ok((tenant, graph, job, deadline_ms)) => {
-                    let deliver = self.deliver_hook();
-                    let disposition =
-                        self.core
-                            .submit_nonblocking(tenant, graph, job, deadline_ms, deliver);
-                    self.submit_reply(idx, disposition, close);
-                }
-                Err(e) => self.respond_api_error(idx, &e, close),
-            },
-            ("POST", "/v1/problems") => match parse_submit_problem(&req.body) {
-                Ok(sub) => {
-                    let deliver = self.deliver_hook();
-                    let disposition = self.core.submit_problem_nonblocking(sub, deliver);
-                    self.submit_reply(idx, disposition, close);
-                }
-                Err(e) => self.respond_api_error(idx, &e, close),
-            },
-            ("GET", "/v1/stats") => {
-                let registry = self.core.stats_registry();
-                let counters = registry
-                    .iter()
-                    .map(|(def, value)| (def.name.to_string(), Json::Num(value as f64)))
-                    .collect();
-                let body = Json::Obj(vec![
+/// The JSON endpoints of the table in the module docs.
+fn route(
+    req: &HttpRequest,
+    core: &SessionCore,
+    terminals: &Mutex<TerminalStore>,
+    mut dispatch: impl FnMut(Request) -> Response,
+) -> Result<(u16, Json), ApiError> {
+    match (req.method.as_str(), req.path.as_str()) {
+        ("POST", "/v1/jobs") => Ok(submit_reply(dispatch(parse_submit_job(&req.body)?))),
+        ("POST", "/v1/problems") => Ok(submit_reply(dispatch(parse_submit_problem(&req.body)?))),
+        ("GET", "/v1/stats") => {
+            let registry = core.stats_registry();
+            let counters = registry
+                .iter()
+                .map(|(def, value)| (def.name.to_string(), Json::Num(value as f64)))
+                .collect();
+            Ok((
+                200,
+                Json::Obj(vec![
                     (
                         "frontend".into(),
                         Json::Str(registry.frontend().to_string()),
                     ),
                     ("counters".into(), Json::Obj(counters)),
-                ]);
-                self.respond_json(idx, 200, &body, close);
-            }
-            ("GET", "/metrics") => {
-                let text = self.core.stats_registry().render_prometheus();
-                self.respond(
-                    idx,
-                    200,
-                    "text/plain; version=0.0.4",
-                    text.as_bytes(),
-                    close,
-                );
-            }
-            (method, path) if path.starts_with("/v1/jobs/") => {
-                let id = &path["/v1/jobs/".len()..];
-                let Ok(job_id) = id.parse::<u64>() else {
-                    return self.respond_api_error(idx, &not_found("no such job resource"), close);
-                };
-                let Some(tenant) = query_param(&req.query, "tenant") else {
-                    return self.respond_api_error(
-                        idx,
-                        &bad("missing \"tenant\" query parameter"),
-                        close,
-                    );
-                };
-                match method {
-                    "GET" => {
-                        let (status, body) = self.job_status(&tenant, job_id);
-                        self.respond_json(idx, status, &body, close);
-                    }
-                    "DELETE" => {
-                        let (status, body) = self.job_cancel(&tenant, job_id);
-                        self.respond_json(idx, status, &body, close);
-                    }
-                    _ => self.respond_api_error(idx, &method_not_allowed(), close),
-                }
-            }
-            (_, "/v1/jobs") | (_, "/v1/problems") | (_, "/v1/stats") | (_, "/metrics") => {
-                self.respond_api_error(idx, &method_not_allowed(), close)
-            }
-            _ => self.respond_api_error(idx, &not_found("no such resource"), close),
+                ]),
+            ))
         }
+        (method, path) if path.starts_with("/v1/jobs/") => {
+            let job_id = path["/v1/jobs/".len()..]
+                .parse::<u64>()
+                .map_err(|_| not_found("no such job resource"))?;
+            let tenant = query_param(&req.query, "tenant")
+                .ok_or_else(|| bad("missing \"tenant\" query parameter"))?;
+            match method {
+                "GET" => Ok(job_status(
+                    dispatch(Request::Status { tenant, job_id }),
+                    job_id,
+                    core,
+                    terminals,
+                )),
+                "DELETE" => Ok(job_cancel(dispatch(Request::Cancel { tenant, job_id }))),
+                _ => Err(method_not_allowed()),
+            }
+        }
+        (_, "/v1/jobs" | "/v1/problems" | "/v1/stats" | "/metrics") => Err(method_not_allowed()),
+        _ => Err(not_found("no such resource")),
     }
+}
 
-    /// Applies a submit disposition: park queue-full admissions and map
-    /// the reply (`Submitted` → `202`, typed errors → their status).
-    fn submit_reply(&mut self, idx: usize, disposition: SubmitDisposition, close: bool) {
-        let resp = match disposition {
-            SubmitDisposition::Reply(resp) => resp,
-            SubmitDisposition::Parked(parked, resp) => {
-                self.parked.push(parked);
-                resp
-            }
-        };
-        match resp {
-            Response::Submitted { job_id } => {
-                let body = Json::Obj(vec![("job_id".into(), Json::Num(job_id as f64))]);
-                self.respond_json(idx, 202, &body, close);
-            }
-            Response::Error { code, message } => {
-                self.respond_json(idx, http_status(code), &error_body(code, &message), close)
-            }
-            _ => self.respond_json(
-                idx,
+/// Maps a submit reply: `Submitted` → `202`, typed errors → their
+/// status.
+fn submit_reply(resp: Response) -> (u16, Json) {
+    match resp {
+        Response::Submitted { job_id } => (
+            202,
+            Json::Obj(vec![("job_id".into(), Json::Num(job_id as f64))]),
+        ),
+        Response::Error { code, message } => (http_status(code), error_body(code, &message)),
+        _ => (
+            500,
+            error_body(ErrorCode::Internal, "unexpected submit reply"),
+        ),
+    }
+}
+
+/// `GET /v1/jobs/{id}`: the session's status answer, upgraded with the
+/// retained terminal frame once there is one. A terminal `JobFailed`
+/// answers with the failure's mapped status (`504` for an expired
+/// deadline).
+fn job_status(
+    resp: Response,
+    job_id: u64,
+    core: &SessionCore,
+    terminals: &Mutex<TerminalStore>,
+) -> (u16, Json) {
+    let mut state = match resp {
+        Response::StatusReply { state, .. } => state,
+        Response::Error { code, message } => {
+            return (http_status(code), error_body(code, &message))
+        }
+        _ => {
+            return (
                 500,
-                &error_body(ErrorCode::Internal, "unexpected submit reply"),
-                close,
-            ),
+                error_body(ErrorCode::Internal, "unexpected status reply"),
+            );
         }
+    };
+    let filed = lock_unpoisoned(terminals)
+        .entries
+        .get_mut(&job_id)
+        .map(|entry| {
+            (
+                entry.frame.clone(),
+                !std::mem::replace(&mut entry.served, true),
+            )
+        });
+    // `done`/`failed` promise a report (or typed error) in the same
+    // body, but the worker flips the status cell before its completion
+    // hook files the frame. If the frame is still in flight, answer
+    // `running` — the next poll will see both flip together.
+    if matches!(state, crate::JobState::Done | crate::JobState::Failed) && filed.is_none() {
+        state = crate::JobState::Running;
     }
-
-    /// `GET /v1/jobs/{id}`: the session's status answer, upgraded with
-    /// the retained terminal frame once there is one. A terminal
-    /// `JobFailed` answers with the failure's mapped status (`504` for
-    /// an expired deadline).
-    fn job_status(&mut self, tenant: &str, job_id: u64) -> (u16, Json) {
-        let resp = self
-            .core
-            .handle_control(&Request::Status {
-                tenant: tenant.to_string(),
-                job_id,
-            })
-            .expect("status is a control verb");
-        let mut state = match resp {
-            Response::StatusReply { state, .. } => state,
-            Response::Error { code, message } => {
-                return (http_status(code), error_body(code, &message));
+    let mut fields = vec![
+        ("job_id".into(), Json::Num(job_id as f64)),
+        ("state".into(), Json::Str(state.to_string())),
+    ];
+    if let Some((frame, first_serve)) = filed {
+        let report = match frame.as_deref().map(proto::decode_response) {
+            Some(Ok(Response::Report(report))) => report_json(&report),
+            Some(Ok(Response::ProblemReport(report))) => problem_report_json(&report),
+            Some(Ok(Response::JobFailed { code, message, .. })) => {
+                fields.push(("error".into(), error_body(code, &message)));
+                return (http_status(code), Json::Obj(fields));
             }
-            _ => {
+            Some(_) => {
                 return (
                     500,
-                    error_body(ErrorCode::Internal, "unexpected status reply"),
+                    error_body(ErrorCode::Internal, "corrupt terminal frame"),
                 );
             }
+            // A cancelled job retains no frame; the state already says
+            // "cancelled".
+            None => return (200, Json::Obj(fields)),
         };
-        // `done`/`failed` promise a report (or typed error) in the same
-        // body, but the worker flips the status cell before its
-        // completion hook files the frame here. Pull pending
-        // completions in; if the frame is still in flight, answer
-        // `running` — the next poll will see both flip together.
-        if matches!(state, crate::JobState::Done | crate::JobState::Failed)
-            && !self.terminals.entries.contains_key(&job_id)
-        {
-            self.drain_completions();
-            if !self.terminals.entries.contains_key(&job_id) {
-                state = crate::JobState::Running;
-            }
+        if first_serve {
+            core.note_report_streamed();
         }
-        let mut fields = vec![
-            ("job_id".into(), Json::Num(job_id as f64)),
-            ("state".into(), Json::Str(state.to_string())),
-        ];
-        if let Some(entry) = self.terminals.entries.get_mut(&job_id) {
-            match entry.frame.as_deref().map(proto::decode_response) {
-                Some(Ok(Response::Report(report))) => {
-                    if !entry.served {
-                        entry.served = true;
-                        self.core.note_report_streamed();
-                    }
-                    fields.push(("report".into(), report_json(&report)));
-                }
-                Some(Ok(Response::ProblemReport(report))) => {
-                    if !entry.served {
-                        entry.served = true;
-                        self.core.note_report_streamed();
-                    }
-                    fields.push(("report".into(), problem_report_json(&report)));
-                }
-                Some(Ok(Response::JobFailed { code, message, .. })) => {
-                    fields.push(("error".into(), error_body(code, &message)));
-                    return (http_status(code), Json::Obj(fields));
-                }
-                Some(_) => {
-                    return (
-                        500,
-                        error_body(ErrorCode::Internal, "corrupt terminal frame"),
-                    );
-                }
-                // A cancelled job retains no frame; the state already
-                // says "cancelled".
-                None => {}
-            }
-        }
-        (200, Json::Obj(fields))
+        fields.push(("report".into(), report));
     }
+    (200, Json::Obj(fields))
+}
 
-    /// `DELETE /v1/jobs/{id}`: cooperative cancel through the session.
-    fn job_cancel(&mut self, tenant: &str, job_id: u64) -> (u16, Json) {
-        let resp = self
-            .core
-            .handle_control(&Request::Cancel {
-                tenant: tenant.to_string(),
-                job_id,
-            })
-            .expect("cancel is a control verb");
-        match resp {
-            Response::CancelReply { job_id, state } => (
-                200,
-                Json::Obj(vec![
-                    ("job_id".into(), Json::Num(job_id as f64)),
-                    ("state".into(), Json::Str(state.to_string())),
-                ]),
-            ),
-            Response::Error { code, message } => (http_status(code), error_body(code, &message)),
-            _ => (
-                500,
-                error_body(ErrorCode::Internal, "unexpected cancel reply"),
-            ),
-        }
-    }
-
-    fn respond_api_error(&mut self, idx: usize, e: &ApiError, close: bool) {
-        self.respond_json(idx, e.status, &error_body(e.code, &e.message), close);
-    }
-
-    fn respond_json(&mut self, idx: usize, status: u16, body: &Json, close: bool) {
-        let text = body.render();
-        self.respond(idx, status, "application/json", text.as_bytes(), close);
-    }
-
-    /// Queues one response (head + body), flushes opportunistically,
-    /// and drops slow consumers over the write-buffer cap. `close`
-    /// advertises `connection: close` and stops reading further
-    /// requests.
-    fn respond(&mut self, idx: usize, status: u16, content_type: &str, body: &[u8], close: bool) {
-        {
-            let Some(conn) = self.conn_mut(idx) else {
-                return;
-            };
-            let head = format!(
-                "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\n\
-                 content-length: {}\r\n{}\r\n",
-                status_text(status),
-                body.len(),
-                if close { "connection: close\r\n" } else { "" }
-            );
-            conn.out.extend_from_slice(head.as_bytes());
-            conn.out.extend_from_slice(body);
-            if close {
-                conn.closing = true;
-            }
-        }
-        self.flush(idx);
-        if let Some(conn) = self.conn_mut(idx) {
-            if conn.pending_out() > self.max_wbuf {
-                // Slow consumer: drop it instead of holding the memory.
-                self.close(idx);
-                return;
-            }
-        }
-        self.update_interest(idx);
-    }
-
-    /// Retries parked submits; keeps whatever is still blocked on a
-    /// full queue.
-    fn retry_parked(&mut self) {
-        if self.parked.is_empty() {
-            return;
-        }
-        let parked = std::mem::take(&mut self.parked);
-        for p in parked {
-            if let Some(still) = self.core.retry_parked(p) {
-                self.parked.push(still);
-            }
-        }
-    }
-
-    /// Writes pending output until empty or the socket would block,
-    /// passing through the same fault-injection points as the other
-    /// front ends.
-    fn flush(&mut self, idx: usize) {
-        loop {
-            let Some(conn) = self.conn_mut(idx) else {
-                return;
-            };
-            if conn.out_pos >= conn.out.len() {
-                break;
-            }
-            if faultinject::should_sever_write() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                self.close(idx);
-                return;
-            }
-            let cap = faultinject::short_write_cap(conn.out.len() - conn.out_pos);
-            match (&conn.stream).write(&conn.out[conn.out_pos..conn.out_pos + cap]) {
-                Ok(0) => {
-                    self.close(idx);
-                    return;
-                }
-                Ok(n) => conn.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close(idx);
-                    return;
-                }
-            }
-        }
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        if conn.out_pos == conn.out.len() {
-            conn.out.clear();
-            conn.out_pos = 0;
-        } else if conn.out_pos > 64 << 10 {
-            conn.out.drain(..conn.out_pos);
-            conn.out_pos = 0;
-        }
-    }
-
-    /// Closes a connection that has finished its useful life: a close
-    /// decision flushes-then-closes; a half-closed peer closes once its
-    /// queued responses are flushed.
-    fn maybe_close(&mut self, idx: usize) {
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        let drained = conn.pending_out() == 0;
-        if (conn.closing || conn.read_eof) && drained {
-            self.close(idx);
-        }
-    }
-
-    /// Syncs the poller registration with what the state machine needs.
-    fn update_interest(&mut self, idx: usize) {
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        let want = (!conn.read_eof && !conn.closing, conn.pending_out() > 0);
-        if want == conn.registered {
-            return;
-        }
-        let key = idx + FIRST_CONN_KEY;
-        let interest = Event {
-            key,
-            readable: want.0,
-            writable: want.1,
-        };
-        let fd = conn.stream.as_raw_fd();
-        if self.shared.poller.modify(fd, interest).is_ok() {
-            if let Some(conn) = self.conn_mut(idx) {
-                conn.registered = want;
-            }
-        } else {
-            self.close(idx);
-        }
-    }
-
-    /// True once a draining loop has nothing left to deliver — or the
-    /// flush deadline has passed.
-    fn ready_to_exit(&self) -> bool {
-        if self
-            .exit_deadline
-            .is_some_and(|deadline| Instant::now() >= deadline)
-        {
-            return true;
-        }
-        if !self.parked.is_empty() {
-            return false;
-        }
-        if self.shared.pending_jobs.load(Ordering::Acquire) != 0 {
-            return false;
-        }
-        if !lock_unpoisoned(&self.shared.inbox).completions.is_empty() {
-            return false;
-        }
-        self.slab
-            .iter()
-            .flatten()
-            .all(|conn| conn.pending_out() == 0)
-    }
-
-    /// Final teardown: close every connection and release the slab.
-    fn teardown(&mut self) {
-        for idx in 0..self.slab.len() {
-            self.close(idx);
-        }
+/// `DELETE /v1/jobs/{id}`: cooperative cancel through the session.
+fn job_cancel(resp: Response) -> (u16, Json) {
+    match resp {
+        Response::CancelReply { job_id, state } => (
+            200,
+            Json::Obj(vec![
+                ("job_id".into(), Json::Num(job_id as f64)),
+                ("state".into(), Json::Str(state.to_string())),
+            ]),
+        ),
+        Response::Error { code, message } => (http_status(code), error_body(code, &message)),
+        _ => (
+            500,
+            error_body(ErrorCode::Internal, "unexpected cancel reply"),
+        ),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ServerConfig, ShardPolicy};
+    use crate::proto::FrontendKind;
+    use crate::reactor::ReactorConfig;
+    use crate::{Frontend, ServerConfig, ShardPolicy, WireConfig};
+    use std::io::{Read as _, Write as _};
+    use std::net::{SocketAddr, TcpStream};
+    use std::thread;
+    use std::time::{Duration, Instant};
 
-    fn http_config(workers: usize, max_inflight: usize, max_connections: usize) -> HttpConfig {
-        HttpConfig {
+    fn http_config(workers: usize, max_inflight: usize, max_connections: usize) -> ReactorConfig {
+        ReactorConfig {
             wire: WireConfig {
                 server: ServerConfig {
                     workers,
@@ -1873,12 +1209,16 @@ mod tests {
                 max_queued_lanes: 1024,
                 max_connections,
             },
-            ..HttpConfig::default()
+            ..ReactorConfig::default()
         }
     }
 
-    fn server(workers: usize) -> HttpServer {
-        HttpServer::bind("127.0.0.1:0", http_config(workers, 32, 8)).expect("bind ephemeral port")
+    fn bind(config: ReactorConfig) -> Frontend {
+        Frontend::bind("127.0.0.1:0", FrontendKind::Http, config).expect("bind ephemeral port")
+    }
+
+    fn server(workers: usize) -> Frontend {
+        bind(http_config(workers, 32, 8))
     }
 
     /// Minimal blocking test client: one request at a time over a
@@ -2304,8 +1644,7 @@ mod tests {
     #[test]
     fn quota_deadline_cancel_and_ownership_map_to_http_statuses() {
         // One worker, one in-flight job per tenant.
-        let server =
-            HttpServer::bind("127.0.0.1:0", http_config(1, 1, 8)).expect("bind ephemeral port");
+        let server = bind(http_config(1, 1, 8));
         let mut client = TestClient::connect(server.local_addr());
         // Occupy the single worker with a long job from tenant "u"
         // (paper-default dt, many replicas ≈ 100 ms) so tenant "t"'s
@@ -2406,8 +1745,7 @@ mod tests {
 
     #[test]
     fn connection_cap_answers_busy_503() {
-        let server =
-            HttpServer::bind("127.0.0.1:0", http_config(1, 32, 1)).expect("bind ephemeral port");
+        let server = bind(http_config(1, 32, 1));
         let mut first = TestClient::connect(server.local_addr());
         let (status, _) = first.request("GET", "/v1/stats", None);
         assert_eq!(status, 200);
@@ -2420,5 +1758,64 @@ mod tests {
             Some(ErrorCode::Busy as u16 as u64)
         );
         assert!(second.read_response().is_none());
+    }
+
+    #[test]
+    fn jobs_submitted_on_one_loop_poll_and_cancel_from_another() {
+        // Two event loops: connection A lands on loop 0 and B on loop 1
+        // (round-robin in accept order), so every GET/DELETE on B
+        // reaches jobs admitted on A only through the shared terminal
+        // store and session.
+        let server = bind(ReactorConfig {
+            loops: 2,
+            ..http_config(1, 32, 8)
+        });
+        let mut a = TestClient::connect(server.local_addr());
+        let (status, body) = a.request(
+            "POST",
+            "/v1/problems",
+            Some(&problem_body("max-cut", MAXCUT_DIMACS, vec![])),
+        );
+        assert_eq!(status, 202, "{body}");
+        let done_id = job_id_of(&body);
+        // Occupy the single worker with another tenant's long job so
+        // the second job is still queued when B's cancel lands.
+        let occupier = Json::Obj(vec![
+            ("tenant".into(), Json::Str("u".into())),
+            ("class".into(), Json::Str("max-cut".into())),
+            ("input".into(), Json::Str(MAXCUT_DIMACS.into())),
+            ("replicas".into(), Json::Num(64.0)),
+        ])
+        .render();
+        let (status, body) = a.request("POST", "/v1/problems", Some(&occupier));
+        assert_eq!(status, 202, "{body}");
+        let (status, body) = a.request(
+            "POST",
+            "/v1/problems",
+            Some(&problem_body("max-cut", MAXCUT_DIMACS, vec![])),
+        );
+        assert_eq!(status, 202, "{body}");
+        let cancel_id = job_id_of(&body);
+
+        let mut b = TestClient::connect(server.local_addr());
+        let (status, body) = b.request("DELETE", &format!("/v1/jobs/{cancel_id}?tenant=t"), None);
+        assert_eq!(status, 200, "{body}");
+
+        let (status, report) = poll_terminal(&mut b, done_id);
+        assert_eq!(status, 200, "{report:?}");
+        assert_eq!(state_of(&report), "done");
+        let report = field(&report, "report");
+        assert_eq!(field(report, "type").as_str(), Some("problem_report"));
+        assert_eq!(field(report, "class").as_str(), Some("max-cut"));
+        let Json::Arr(ranked) = field(report, "ranked") else {
+            panic!("ranked must be an array");
+        };
+        assert_eq!(ranked.len(), 2);
+
+        let (status, j) = poll_terminal(&mut b, cancel_id);
+        assert_eq!(status, 200);
+        assert_eq!(state_of(&j), "cancelled");
+        assert_eq!(server.stats().connections, 2);
+        server.shutdown();
     }
 }

@@ -75,7 +75,9 @@ pub mod queue;
 pub mod reactor;
 pub(crate) mod session;
 pub mod stats;
-pub mod wire;
+
+pub use reactor::Frontend;
+pub use session::WireConfig;
 
 use msropm_core::{
     num_cores, BatchJob, CacheStats, CancelToken, JobReport, KernelBackend, ProblemCache,
@@ -378,9 +380,7 @@ impl JobTicket {
 
 /// Everything a submitter can do with one job: await the report, watch
 /// its lifecycle, request cancellation. Returned by
-/// [`JobServer::submit_handle`]; the wire front end keeps the status
-/// cell and cancel token in its job registry while the ticket rides
-/// with the per-job completion waiter.
+/// [`JobServer::submit_handle`].
 #[derive(Debug)]
 pub struct JobHandle {
     /// Completion channel; consume with [`JobTicket::wait`].
@@ -440,8 +440,8 @@ pub enum JobCompletion {
 /// registered job can never be silently forgotten.
 ///
 /// Hooks must be cheap and panic-free: they run inline in the worker
-/// loop (the front ends use them to enqueue an already-encoded frame
-/// and poke an event loop).
+/// loop (the serving codecs use them to hand an already-encoded frame
+/// to an event loop or a poll store).
 pub struct CompletionHook(Option<Box<dyn FnOnce(JobCompletion) + Send>>);
 
 impl CompletionHook {
@@ -493,8 +493,8 @@ impl Reply {
 }
 
 /// Everything needed to enqueue one hook-completed job. Returned intact
-/// by [`JobServer::try_submit_job`] when the queue is full, so a
-/// nonblocking front end can park it and retry; **dropping** a
+/// by [`JobServer::try_submit_job`] when the queue is full, so the
+/// event loop can park it and retry; **dropping** a
 /// `PendingJob` fires its hook with [`JobCompletion::WorkerDied`].
 #[derive(Debug)]
 pub struct PendingJob {
@@ -698,10 +698,10 @@ impl JobServer {
         })
     }
 
-    /// Submission with caller-provided cancellation/status plumbing —
-    /// the wire front end registers the token and cell *before*
-    /// enqueueing so a `cancel`/`status` verb can never race a job it
-    /// doesn't know yet.
+    /// Submission with caller-provided cancellation/status plumbing, so
+    /// a registry can hold the token and cell *before* enqueueing and a
+    /// `cancel`/`status` query can never race a job it doesn't know
+    /// yet.
     ///
     /// # Errors
     ///
@@ -731,36 +731,21 @@ impl JobServer {
         Ok(JobTicket { rx })
     }
 
-    /// Enqueues a hook-completed job, blocking while the queue is full
-    /// (backpressure). The job's [`CompletionHook`] fires on the worker
-    /// thread when the job reaches a terminal state.
+    /// Enqueues a hook-completed job without ever waiting for queue
+    /// space, handing the job back tagged with why it could not be
+    /// enqueued. The event loop parks `Full` jobs and retries when a
+    /// completion frees capacity. The job's [`CompletionHook`] fires on
+    /// the worker thread when the job reaches a terminal state.
     ///
     /// # Errors
     ///
-    /// Gives the job back untouched when the server has been shut down
-    /// (dropping it then fires the hook with
+    /// [`TrySubmitError::Full`] or [`TrySubmitError::Closed`], both
+    /// carrying the job back intact (dropping it fires the hook with
     /// [`JobCompletion::WorkerDied`]).
     // The Err variant intentionally carries the whole job back — that
     // give-back is the API (park and retry); boxing it would just move
     // the allocation onto the submit hot path.
     #[allow(clippy::result_large_err)]
-    pub fn submit_job(&self, pending: PendingJob) -> Result<(), PendingJob> {
-        self.shared
-            .queue
-            .push(pending.into_envelope())
-            .map_err(Envelope::into_pending)
-    }
-
-    /// Nonblocking [`JobServer::submit_job`]: never waits for queue
-    /// space, handing the job back tagged with why it could not be
-    /// enqueued. The reactor front end parks `Full` jobs and retries
-    /// when a completion frees capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`TrySubmitError::Full`] or [`TrySubmitError::Closed`], both
-    /// carrying the job back intact.
-    #[allow(clippy::result_large_err)] // see submit_job: the give-back is the API
     pub fn try_submit_job(&self, pending: PendingJob) -> Result<(), TrySubmitError> {
         use queue::TryPushError;
         match self.shared.queue.try_push(pending.into_envelope()) {
@@ -865,93 +850,12 @@ impl Drop for JobServer {
     }
 }
 
-/// Either serving front end behind one handle — the shared dispatch
-/// used by the `msropm_serve` daemon, the wire benches, and the
-/// cross-front-end parity tests, so adding a front end means extending
-/// exactly one enum.
-pub enum Frontend {
-    /// Thread-per-connection front end ([`wire::WireServer`]).
-    Threads(wire::WireServer),
-    /// Nonblocking event-loop front end ([`reactor::ReactorServer`]).
-    Reactor(reactor::ReactorServer),
-    /// HTTP/1.1 + JSON gateway front end ([`http::HttpServer`]).
-    Http(http::HttpServer),
-}
-
-impl Frontend {
-    /// Which kind is serving (as carried in stats replies).
-    pub fn kind(&self) -> proto::FrontendKind {
-        match self {
-            Frontend::Threads(_) => proto::FrontendKind::Threads,
-            Frontend::Reactor(_) => proto::FrontendKind::Reactor,
-            Frontend::Http(_) => proto::FrontendKind::Http,
-        }
-    }
-
-    /// The bound address (reports the ephemeral port after `bind(":0")`).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            Frontend::Threads(s) => s.local_addr(),
-            Frontend::Reactor(s) => s.local_addr(),
-            Frontend::Http(s) => s.local_addr(),
-        }
-    }
-
-    /// Current server-wide counters (the `stats` verb's payload).
-    pub fn stats(&self) -> proto::WireStats {
-        match self {
-            Frontend::Threads(s) => s.stats(),
-            Frontend::Reactor(s) => s.stats(),
-            Frontend::Http(s) => s.stats(),
-        }
-    }
-
-    /// Report frames actually handed to a connection writer (for the
-    /// HTTP front end: report bodies served to a poll, each counted
-    /// once).
-    pub fn reports_streamed(&self) -> u64 {
-        match self {
-            Frontend::Threads(s) => s.reports_streamed(),
-            Frontend::Reactor(s) => s.reports_streamed(),
-            Frontend::Http(s) => s.reports_streamed(),
-        }
-    }
-
-    /// Graceful drain of whichever front end is serving.
-    pub fn shutdown(self) {
-        match self {
-            Frontend::Threads(s) => s.shutdown(),
-            Frontend::Reactor(s) => s.shutdown(),
-            Frontend::Http(s) => s.shutdown(),
-        }
-    }
-}
-
-impl From<wire::WireServer> for Frontend {
-    fn from(server: wire::WireServer) -> Frontend {
-        Frontend::Threads(server)
-    }
-}
-
-impl From<reactor::ReactorServer> for Frontend {
-    fn from(server: reactor::ReactorServer) -> Frontend {
-        Frontend::Reactor(server)
-    }
-}
-
-impl From<http::HttpServer> for Frontend {
-    fn from(server: http::HttpServer) -> Frontend {
-        Frontend::Http(server)
-    }
-}
-
-/// One boot path for every front end: a [`ServerConfig::builder`] chain
-/// ending in [`FrontendBuilder::bind`]. The builder exposes the full
-/// superset of front-end knobs (worker pool, quotas, event-loop count,
-/// write-buffer cap); knobs a front end does not use are ignored by it,
-/// so `msropm_serve` parses flags once and a new transport is one
-/// [`proto::FrontendKind`] arm here — not another copy of the boot
-/// sequence.
+/// One boot path for both codecs: a [`ServerConfig::builder`] chain
+/// ending in [`FrontendBuilder::bind`]. Every knob (worker pool,
+/// quotas, event-loop count, write-buffer cap, poll backend) applies to
+/// whichever codec [`FrontendBuilder::frontend`] selects, so
+/// `msropm_serve` parses flags once and both transports run on the one
+/// event loop of [`reactor`].
 ///
 /// ```no_run
 /// use msropm_server::{proto::FrontendKind, ServerConfig, ShardPolicy};
@@ -973,15 +877,15 @@ pub struct FrontendBuilder {
 impl Default for FrontendBuilder {
     fn default() -> Self {
         FrontendBuilder {
-            kind: proto::FrontendKind::Threads,
+            kind: proto::FrontendKind::Reactor,
             config: reactor::ReactorConfig::default(),
         }
     }
 }
 
 impl FrontendBuilder {
-    /// Which front end [`FrontendBuilder::bind`] boots (default:
-    /// threads).
+    /// Which codec [`FrontendBuilder::bind`] serves (default: the
+    /// binary protocol, [`proto::FrontendKind::Reactor`]).
     pub fn frontend(mut self, kind: proto::FrontendKind) -> Self {
         self.kind = kind;
         self
@@ -1036,21 +940,20 @@ impl FrontendBuilder {
         self
     }
 
-    /// Event-loop threads (reactor front end only).
+    /// Event-loop threads; accepted connections round-robin across
+    /// them.
     pub fn loops(mut self, loops: usize) -> Self {
         self.config.loops = loops;
         self
     }
 
-    /// Per-connection cap on buffered unsent bytes (reactor and HTTP
-    /// front ends).
+    /// Per-connection cap on buffered unsent bytes.
     pub fn max_write_buffer(mut self, cap: usize) -> Self {
         self.config.max_write_buffer = cap;
         self
     }
 
-    /// Force the portable `poll(2)` backend instead of epoll (reactor
-    /// and HTTP front ends).
+    /// Force the portable `poll(2)` backend instead of epoll.
     pub fn poll_backend(mut self, force: bool) -> Self {
         self.config.poll_backend = force;
         self
@@ -1061,29 +964,13 @@ impl FrontendBuilder {
         &self.config
     }
 
-    /// Binds `addr` and boots the selected front end.
+    /// Binds `addr` and boots the event loops with the selected codec.
     ///
     /// # Errors
     ///
     /// Propagates bind and poller-creation failures.
     pub fn bind<A: std::net::ToSocketAddrs>(self, addr: A) -> std::io::Result<Frontend> {
-        match self.kind {
-            proto::FrontendKind::Threads => {
-                wire::WireServer::bind(addr, self.config.wire).map(Frontend::from)
-            }
-            proto::FrontendKind::Reactor => {
-                reactor::ReactorServer::bind(addr, self.config).map(Frontend::from)
-            }
-            proto::FrontendKind::Http => http::HttpServer::bind(
-                addr,
-                http::HttpConfig {
-                    wire: self.config.wire,
-                    max_write_buffer: self.config.max_write_buffer,
-                    poll_backend: self.config.poll_backend,
-                },
-            )
-            .map(Frontend::from),
-        }
+        Frontend::bind(addr, self.kind, self.config)
     }
 }
 

@@ -283,18 +283,17 @@ pub enum Request {
     Stats,
 }
 
-/// Which serving architecture answered a stats request.
+/// Which codec the serving event loop ([`crate::Frontend`]) speaks, as
+/// carried in stats replies. Tag `0` belonged to the retired
+/// thread-per-connection front end; it stays reserved and never
+/// decodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(u8)]
 pub enum FrontendKind {
-    /// Thread-per-connection front end ([`crate::wire::WireServer`]).
+    /// The binary frame protocol of this module.
     #[default]
-    Threads = 0,
-    /// Nonblocking event-loop front end
-    /// ([`crate::reactor::ReactorServer`]).
     Reactor = 1,
-    /// HTTP/1.1 + JSON gateway front end
-    /// ([`crate::http::HttpServer`]).
+    /// The HTTP/1.1 + JSON gateway ([`crate::http`]).
     Http = 2,
 }
 
@@ -302,7 +301,6 @@ impl FrontendKind {
     /// Inverse of `self as u8` (for wire decoding).
     pub fn from_u8(b: u8) -> Option<FrontendKind> {
         match b {
-            0 => Some(FrontendKind::Threads),
             1 => Some(FrontendKind::Reactor),
             2 => Some(FrontendKind::Http),
             _ => None,
@@ -312,7 +310,6 @@ impl FrontendKind {
     /// Inverse of [`fmt::Display`] (flag parsing).
     pub fn from_name(name: &str) -> Option<FrontendKind> {
         match name {
-            "threads" => Some(FrontendKind::Threads),
             "reactor" => Some(FrontendKind::Reactor),
             "http" => Some(FrontendKind::Http),
             _ => None,
@@ -323,7 +320,6 @@ impl FrontendKind {
 impl fmt::Display for FrontendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            FrontendKind::Threads => "threads",
             FrontendKind::Reactor => "reactor",
             FrontendKind::Http => "http",
         })
@@ -355,7 +351,7 @@ pub struct WireStats {
     pub jobs_sharded: u64,
     /// The widest shard count any job has run with, since boot.
     pub shard_width_max: u64,
-    /// Which front end is serving (threads vs reactor).
+    /// Which codec is serving (binary vs HTTP).
     pub frontend: FrontendKind,
 }
 
@@ -1858,6 +1854,26 @@ mod tests {
                 other => panic!("variant mismatch: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn retired_threads_tag_never_decodes_as_a_frontend_kind() {
+        assert_eq!(FrontendKind::from_u8(0), None);
+        assert_eq!(FrontendKind::from_name("threads"), None);
+        assert_eq!(FrontendKind::default(), FrontendKind::Reactor);
+        for kind in [FrontendKind::Reactor, FrontendKind::Http] {
+            assert_eq!(FrontendKind::from_u8(kind as u8), Some(kind));
+            assert_eq!(FrontendKind::from_name(&kind.to_string()), Some(kind));
+        }
+        // A stats reply carrying the reserved tag is a typed decode
+        // error, not a silent default.
+        let mut payload = encode_response(&Response::StatsReply(WireStats::default()));
+        assert_eq!(payload.last(), Some(&(FrontendKind::Reactor as u8)));
+        *payload.last_mut().unwrap() = 0;
+        assert!(matches!(
+            decode_response(&payload),
+            Err(ProtoError::BadValue("frontend kind byte"))
+        ));
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl<T> BoundedQueue<T> {
 
     /// Non-blocking [`BoundedQueue::push`]: enqueues only if space is
     /// free right now, giving the item back (tagged with why) otherwise.
-    /// The reactor front end uses this so a full queue parks the job
+    /// The serving event loop uses this so a full queue parks the job
     /// instead of stalling the event loop.
     ///
     /// # Errors

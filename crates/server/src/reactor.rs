@@ -1,73 +1,80 @@
-//! Event-driven reactor front end: a nonblocking epoll/poll loop
-//! serving the same wire protocol as [`crate::wire`] without a thread
-//! per connection.
+//! The serving event loop: both transports — the binary frame
+//! protocol and the HTTP/1.1 + JSON gateway — on nonblocking
+//! epoll/poll loops, with no thread per connection.
 //!
-//! The threaded front end costs two OS threads per connection, so
-//! concurrency is bounded by thread count rather than solver
-//! throughput; ten thousand mostly idle clients would burn gigabytes of
-//! stacks doing nothing. The reactor inverts the shape: **N event-loop
-//! threads** (default 1) own all sockets via a [`polling::Poller`]
-//! (epoll on Linux, `poll(2)` fallback), and each connection is a small
-//! state machine — a read buffer feeding the incremental
-//! [`crate::proto::Decoder`], and a write buffer flushed on writable
+//! **N event-loop threads** (default 1) own all sockets via a
+//! [`polling::Poller`] (epoll on Linux, `poll(2)` fallback), and each
+//! connection is a small state machine: a read buffer feeding its
+//! codec's incremental decoder, and a write buffer flushed on writable
 //! readiness. An idle connection costs one registered fd and a few
 //! hundred bytes; *all* per-tenant quota, registry, and drain semantics
-//! come from the shared [`crate::session::SessionCore`], so the two
-//! front ends cannot diverge on protocol behaviour (property-tested:
-//! report frames are byte-identical across front ends and worker
-//! counts).
+//! come from the shared [`crate::session::SessionCore`].
+//!
+//! # Codecs
+//!
+//! A [`Frontend`] speaks one codec ([`FrontendKind`]) on every
+//! connection. The codecs differ only where the transports do:
+//!
+//! | step | binary ([`FrontendKind::Reactor`]) | HTTP ([`FrontendKind::Http`]) |
+//! |---|---|---|
+//! | decode | [`proto::Decoder`] frames | [`HttpParser`] requests ([`crate::http`] routes them) |
+//! | reply | framed [`Response`] | status line + JSON body |
+//! | over the connection cap | `Busy` error frame | `503` |
+//! | completion | streamed to the submitting connection | filed by job id for `GET /v1/jobs/{id}` |
+//!
+//! Both decode into the same [`Request`]s and dispatch them through the
+//! same session calls, so the report a codec renders is byte-identical
+//! to the other's (property-tested across codecs, worker counts and
+//! shard widths).
 //!
 //! # Completion wakeups
 //!
 //! Job completions are delivered by the worker thread through the
-//! session hook: the encoded report frame is pushed into the owning
-//! loop's inbox and the loop is woken through the poller's
-//! eventfd/pipe notifier — no per-connection or per-job thread
-//! anywhere. Cancelled jobs deliver no frame (the wire contract:
-//! **a cancelled job never streams a report**).
+//! session hook. A binary connection's terminal frame is pushed into
+//! the owning loop's inbox, addressed to the connection's slot and
+//! generation, and the loop is woken through the poller's
+//! eventfd/pipe notifier; an HTTP job's frame goes into a
+//! [`TerminalStore`] shared by all loops, so a job submitted on one
+//! loop is pollable from a connection on another. Cancelled jobs
+//! deliver no frame (the wire contract: **a cancelled job never
+//! streams a report**).
 //!
 //! # Backpressure
-//!
-//! Two mechanisms replace the threaded front end's "block the
-//! connection thread":
 //!
 //! - a full worker queue **parks** the (already admitted) submit inside
 //!   the loop and retries as completions free capacity — the client
 //!   sees `submitted` and a `queued` status, never a stalled loop;
-//! - a peer that stops reading while reports pile up grows its write
+//! - a peer that stops reading while replies pile up grows its write
 //!   buffer until [`ReactorConfig::max_write_buffer`], at which point
 //!   the connection is dropped (a slow consumer must not hold frame
 //!   memory hostage).
 //!
 //! # Shutdown
 //!
-//! [`ReactorServer::shutdown`] mirrors the threaded drain: submits are
-//! rejected with the typed `Draining` error while in-flight jobs run to
-//! terminal states, every pending report frame is flushed (bounded by a
-//! five-second deadline against stuck peers), and only then do the
-//! loops, connections, and worker pool tear down.
+//! [`Frontend::shutdown`] drains gracefully: submits are rejected with
+//! the typed `Draining` error while in-flight jobs run to terminal
+//! states, every pending reply is flushed (bounded by a five-second
+//! deadline against stuck peers), and only then do the loops,
+//! connections, and worker pool tear down.
 
+use crate::http::{self, HttpParser, HttpRequest, TerminalStore};
 use crate::proto::{
     self, Decoder, ErrorCode, FrontendKind, ProtoError, Request, Response, WireStats,
 };
-use crate::session::{
-    DeliverFn, ParkedSubmit, ProblemSubmission, SessionCore, SubmitDisposition, WireConfig,
-};
+use crate::session::{DeliverFn, ParkedSubmit, SessionCore, SubmitDisposition, WireConfig};
 use crate::{faultinject, lock_unpoisoned};
 use polling::{BackendKind, Event, Poller};
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Sizing and policy knobs of a [`ReactorServer`].
+/// Sizing and policy knobs of a [`Frontend`], for either codec.
 #[derive(Debug, Clone, Copy)]
 pub struct ReactorConfig {
-    /// Session policy shared with the threaded front end (worker pool,
-    /// quotas, connection cap).
+    /// Session policy (worker pool, quotas, connection cap).
     pub wire: WireConfig,
     /// Event-loop threads. Loop 0 owns the listener; accepted
     /// connections are distributed round-robin across all loops.
@@ -100,9 +107,10 @@ const FIRST_CONN_KEY: usize = 1;
 /// stopped reading before force-closing them.
 const DRAIN_FLUSH_DEADLINE: Duration = Duration::from_secs(5);
 
-/// A finished job routed back to its loop: the encoded terminal frame
-/// — a report, or a typed `JobFailed` for failed/deadline-exceeded
-/// jobs (`None` for cancelled ones) — addressed to a connection slot.
+/// A finished binary-codec job routed back to its loop: the encoded
+/// terminal frame — a report, or a typed `JobFailed` for
+/// failed/deadline-exceeded jobs (`None` for cancelled ones) —
+/// addressed to a connection slot.
 struct Completion {
     conn: usize,
     generation: u64,
@@ -124,30 +132,13 @@ struct Inbox {
 struct LoopShared {
     poller: Poller,
     inbox: Mutex<Inbox>,
-    /// Jobs admitted on this loop whose completion has not yet been
-    /// pushed into the inbox; the exit check waits for zero so no
-    /// report frame can be lost in the worker→loop handoff.
-    pending_jobs: AtomicUsize,
 }
 
-/// Increments a loop's pending-job count for exactly as long as the
-/// matching deliver callback is outstanding — decremented (with a
-/// wakeup) whether the callback fires or is dropped unfired, so the
-/// drain accounting can never leak.
-struct PendingGuard(Arc<LoopShared>);
-
-impl PendingGuard {
-    fn new(shared: Arc<LoopShared>) -> PendingGuard {
-        shared.pending_jobs.fetch_add(1, Ordering::AcqRel);
-        PendingGuard(shared)
-    }
-}
-
-impl Drop for PendingGuard {
-    fn drop(&mut self) {
-        self.0.pending_jobs.fetch_sub(1, Ordering::AcqRel);
-        let _ = self.0.poller.notify();
-    }
+/// A connection's incremental request decoder, which also names its
+/// codec.
+enum Codec {
+    Binary(Decoder),
+    Http(HttpParser),
 }
 
 /// One connection's state machine.
@@ -156,7 +147,7 @@ struct Conn {
     /// Guards completions against slot reuse: a frame addressed to a
     /// recycled index is discarded unless the generation matches.
     generation: u64,
-    decoder: Decoder,
+    codec: Codec,
     /// Encoded-but-unsent bytes (`out[out_pos..]` is pending).
     out: Vec<u8>,
     out_pos: usize,
@@ -165,9 +156,11 @@ struct Conn {
     /// Peer closed its write side; serve queued output, accept no new
     /// requests, close once outstanding jobs finish.
     read_eof: bool,
-    /// Fatal protocol desync: flush queued output, then close.
+    /// Flush queued output, then close (protocol desync, or an HTTP
+    /// exchange without keep-alive).
     closing: bool,
-    /// Jobs admitted on this connection and not yet completion-routed.
+    /// Binary jobs admitted on this connection and not yet
+    /// completion-routed (HTTP jobs are polled, never routed).
     jobs_outstanding: usize,
 }
 
@@ -177,17 +170,21 @@ impl Conn {
     }
 }
 
-/// The reactor front end; see the module docs.
-pub struct ReactorServer {
+/// The serving front end: N event loops speaking one codec over one
+/// session; see the module docs. Boot it with
+/// [`crate::ServerConfig::builder`].
+pub struct Frontend {
+    kind: FrontendKind,
     core: Arc<SessionCore>,
     local_addr: SocketAddr,
     loops: Vec<(Arc<LoopShared>, thread::JoinHandle<()>)>,
     down: bool,
 }
 
-impl ReactorServer {
+impl Frontend {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// event loops; the backing worker pool boots immediately.
+    /// event loops speaking `kind`'s codec; the backing worker pool
+    /// boots immediately.
     ///
     /// # Errors
     ///
@@ -196,15 +193,16 @@ impl ReactorServer {
     /// # Panics
     ///
     /// Panics if `config.loops` is zero.
-    pub fn bind<A: ToSocketAddrs>(
+    pub(crate) fn bind<A: ToSocketAddrs>(
         addr: A,
+        kind: FrontendKind,
         config: ReactorConfig,
-    ) -> std::io::Result<ReactorServer> {
+    ) -> std::io::Result<Frontend> {
         assert!(config.loops > 0, "need at least one event loop");
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let core = SessionCore::new(config.wire, FrontendKind::Reactor);
+        let core = SessionCore::new(config.wire, kind);
         let backend = if config.poll_backend {
             BackendKind::Poll
         } else {
@@ -215,10 +213,10 @@ impl ReactorServer {
                 Ok(Arc::new(LoopShared {
                     poller: Poller::with_backend(backend)?,
                     inbox: Mutex::new(Inbox::default()),
-                    pending_jobs: AtomicUsize::new(0),
                 }))
             })
             .collect::<std::io::Result<_>>()?;
+        let terminals = Arc::new(Mutex::new(TerminalStore::default()));
         let mut loops = Vec::with_capacity(config.loops);
         // Loop 0 takes ownership of the listener itself — registering a
         // clone's fd would leave the poll backend watching a raw fd
@@ -226,9 +224,11 @@ impl ReactorServer {
         let mut listener = Some(listener);
         for (i, shared) in shareds.iter().enumerate() {
             let event_loop = EventLoop {
+                kind,
                 core: Arc::clone(&core),
                 shared: Arc::clone(shared),
                 peers: shareds.clone(),
+                terminals: Arc::clone(&terminals),
                 listener: if i == 0 {
                     let listener = listener.take().expect("loop 0 takes the listener");
                     shared
@@ -248,17 +248,23 @@ impl ReactorServer {
                 exit_deadline: None,
             };
             let handle = thread::Builder::new()
-                .name(format!("msropm-reactor-{i}"))
+                .name(format!("msropm-{kind}-{i}"))
                 .spawn(move || event_loop.run())
-                .expect("spawn reactor loop");
+                .expect("spawn event loop");
             loops.push((Arc::clone(shared), handle));
         }
-        Ok(ReactorServer {
+        Ok(Frontend {
+            kind,
             core,
             local_addr,
             loops,
             down: false,
         })
+    }
+
+    /// Which codec is serving (as carried in stats replies).
+    pub fn kind(&self) -> FrontendKind {
+        self.kind
     }
 
     /// The bound address (reports the ephemeral port after `bind(":0")`).
@@ -271,7 +277,8 @@ impl ReactorServer {
         self.core.wire_stats()
     }
 
-    /// Report frames actually handed to a connection's write buffer.
+    /// Report frames actually handed to a connection's write buffer
+    /// (for HTTP: report bodies served to a poll, each counted once).
     pub fn reports_streamed(&self) -> u64 {
         self.core.reports_streamed()
     }
@@ -287,9 +294,8 @@ impl ReactorServer {
         }
         self.down = true;
         self.core.begin_drain();
-        // All jobs terminal ⇒ every completion hook has run; each loop's
-        // pending counter lets the loop itself wait out the tiny window
-        // between a hook releasing the quota slot and pushing its frame.
+        // All jobs terminal and delivered ⇒ every binary completion is
+        // in its loop's inbox and every HTTP frame is filed.
         self.core.await_drained();
         for (shared, _) in &self.loops {
             lock_unpoisoned(&shared.inbox).exit = true;
@@ -303,21 +309,45 @@ impl ReactorServer {
     }
 }
 
-impl Drop for ReactorServer {
+impl Drop for Frontend {
     /// Dropping the front end performs the same graceful drain as
-    /// [`ReactorServer::shutdown`].
+    /// [`Frontend::shutdown`].
     fn drop(&mut self) {
         self.shutdown_in_place();
     }
 }
 
+/// The over-cap reply of `kind`'s codec: a `Busy` error frame or a
+/// `503`, after which the connection closes.
+fn busy_reply(kind: FrontendKind) -> Vec<u8> {
+    let (code, message) = (ErrorCode::Busy, "connection cap reached");
+    let mut out = Vec::new();
+    match kind {
+        FrontendKind::Reactor => {
+            let frame = proto::encode_response(&Response::Error {
+                code,
+                message: message.into(),
+            });
+            let _ = proto::write_frame(&mut out, &frame);
+        }
+        FrontendKind::Http => {
+            let body = http::error_body(code, message).render();
+            http::write_response(&mut out, 503, "application/json", body.as_bytes(), true);
+        }
+    }
+    out
+}
+
 /// One event loop's full state; `run` is the thread body.
 struct EventLoop {
+    kind: FrontendKind,
     core: Arc<SessionCore>,
     shared: Arc<LoopShared>,
-    /// Every loop of the reactor, in index order (round-robin targets;
-    /// only loop 0, the listener owner, actually assigns).
+    /// Every loop of the front end, in index order (round-robin
+    /// targets; only loop 0, the listener owner, actually assigns).
     peers: Vec<Arc<LoopShared>>,
+    /// HTTP terminal frames by job id, shared by every loop.
+    terminals: Arc<Mutex<TerminalStore>>,
     listener: Option<TcpListener>,
     slab: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -407,16 +437,9 @@ impl EventLoop {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     if self.core.at_connection_cap() {
-                        // Over the cap: one typed error frame
-                        // (best-effort, the stream is still blocking),
-                        // then close.
-                        let frame = proto::encode_response(&Response::Error {
-                            code: ErrorCode::Busy,
-                            message: "connection cap reached".into(),
-                        });
-                        let mut out = Vec::new();
-                        let _ = proto::write_frame(&mut out, &frame);
-                        let _ = (&stream).write_all(&out);
+                        // Over the cap: one best-effort busy reply (the
+                        // stream is still blocking), then close.
+                        let _ = (&stream).write_all(&busy_reply(self.kind));
                         continue;
                     }
                     self.core.connection_opened();
@@ -464,7 +487,10 @@ impl EventLoop {
         self.slab[idx] = Some(Conn {
             stream,
             generation: self.next_gen,
-            decoder: Decoder::new(),
+            codec: match self.kind {
+                FrontendKind::Reactor => Codec::Binary(Decoder::new()),
+                FrontendKind::Http => Codec::Http(HttpParser::new()),
+            },
             out: Vec::new(),
             out_pos: 0,
             registered: (true, false),
@@ -521,7 +547,7 @@ impl EventLoop {
         self.update_interest(idx);
     }
 
-    /// Reads until the socket would block, feeding the frame decoder.
+    /// Reads until the socket would block, feeding the codec.
     fn conn_read(&mut self, idx: usize) {
         let mut buf = [0u8; 16 << 10];
         loop {
@@ -530,15 +556,18 @@ impl EventLoop {
             };
             match (&conn.stream).read(&mut buf) {
                 Ok(0) => {
-                    // Peer closed its write side. Mirror the threaded
-                    // front end: keep the connection alive to stream
-                    // reports of its outstanding jobs, then close.
+                    // Peer closed its write side: keep the connection
+                    // alive to stream reports of its outstanding jobs,
+                    // then close.
                     conn.read_eof = true;
                     return;
                 }
                 Ok(n) => {
-                    conn.decoder.push(&buf[..n]);
-                    if !self.drain_frames(idx) {
+                    match &mut conn.codec {
+                        Codec::Binary(decoder) => decoder.push(&buf[..n]),
+                        Codec::Http(parser) => parser.push(&buf[..n]),
+                    }
+                    if !self.drain_requests(idx) {
                         return;
                     }
                 }
@@ -552,174 +581,138 @@ impl EventLoop {
         }
     }
 
-    /// Pulls every complete frame out of the decoder; `false` once the
-    /// connection should stop being read (closed or desynced).
-    fn drain_frames(&mut self, idx: usize) -> bool {
+    /// Answers every complete request the codec has buffered; `false`
+    /// once the connection should stop being read (closed, desynced, or
+    /// an HTTP exchange without keep-alive).
+    fn drain_requests(&mut self, idx: usize) -> bool {
         loop {
-            let step = {
-                let Some(conn) = self.conn_mut(idx) else {
-                    return false;
-                };
-                match conn.decoder.next_frame() {
-                    Ok(Some(payload)) => Ok(payload),
+            let Some(conn) = self.conn_mut(idx) else {
+                return false;
+            };
+            let more = match &mut conn.codec {
+                Codec::Binary(decoder) => match decoder.next_frame() {
+                    Ok(Some(payload)) => {
+                        self.binary_request(idx, &payload);
+                        true
+                    }
                     Ok(None) => return true,
                     Err(e) => {
                         // Framing desync (oversized header): typed
-                        // error, flush, close — same as the threaded
-                        // front end dropping the connection.
+                        // error, flush, close.
                         conn.closing = true;
-                        Err(e)
+                        self.queue_response(
+                            idx,
+                            &Response::Error {
+                                code: ErrorCode::Malformed,
+                                message: e.to_string(),
+                            },
+                        );
+                        false
                     }
-                }
+                },
+                Codec::Http(parser) => match parser.next_request() {
+                    Ok(Some(req)) => {
+                        let keep_alive = req.keep_alive;
+                        self.http_request(idx, &req);
+                        keep_alive
+                    }
+                    Ok(None) => return true,
+                    Err(e) => {
+                        // Framing errors answer with the parser's
+                        // status; only fatal ones (desync) close the
+                        // connection — an oversized body is discarded
+                        // and serving continues.
+                        let body = http::error_body(ErrorCode::Malformed, &e.reason).render();
+                        self.queue_http(
+                            idx,
+                            e.status,
+                            "application/json",
+                            body.as_bytes(),
+                            e.fatal,
+                        );
+                        !e.fatal
+                    }
+                },
             };
-            match step {
-                Ok(payload) => {
-                    self.process_frame(idx, &payload);
-                    if self.conn_mut(idx).is_none() {
-                        return false;
-                    }
-                }
-                Err(e) => {
-                    self.queue_response(
-                        idx,
-                        &Response::Error {
-                            code: ErrorCode::Malformed,
-                            message: e.to_string(),
-                        },
-                    );
-                    return false;
-                }
+            if !more || self.conn_mut(idx).is_none() {
+                return false;
             }
         }
     }
 
-    /// Decodes and dispatches one request frame.
-    fn process_frame(&mut self, idx: usize, payload: &[u8]) {
-        match proto::decode_request(payload) {
-            Ok(Request::Submit {
-                tenant,
-                graph,
-                job,
-                deadline_ms,
-            }) => self.submit(idx, tenant, graph, job, deadline_ms),
-            Ok(Request::SubmitProblem {
-                tenant,
-                spec,
-                config,
-                replicas,
-                seed,
-                deadline_ms,
-            }) => self.submit_problem(
-                idx,
-                ProblemSubmission {
-                    tenant,
-                    spec,
-                    config,
-                    replicas,
-                    seed,
-                    deadline_ms,
-                },
-            ),
-            Ok(req) => {
-                let resp = self
-                    .core
-                    .handle_control(&req)
-                    .expect("non-submit requests are control verbs");
-                self.queue_response(idx, &resp);
-            }
-            Err(ProtoError::BadTag(t)) => self.queue_response(
-                idx,
-                &Response::Error {
-                    code: ErrorCode::UnsupportedVerb,
-                    message: format!("unknown frame type 0x{t:02X}"),
-                },
-            ),
-            Err(e) => self.queue_response(
-                idx,
-                &Response::Error {
-                    code: ErrorCode::Malformed,
-                    message: e.to_string(),
-                },
-            ),
+    /// Binary codec: decodes one request frame, dispatches it, and
+    /// frames the reply.
+    fn binary_request(&mut self, idx: usize, payload: &[u8]) {
+        let resp = match proto::decode_request(payload) {
+            Ok(req) => self.dispatch(idx, req),
+            Err(ProtoError::BadTag(t)) => Response::Error {
+                code: ErrorCode::UnsupportedVerb,
+                message: format!("unknown frame type 0x{t:02X}"),
+            },
+            Err(e) => Response::Error {
+                code: ErrorCode::Malformed,
+                message: e.to_string(),
+            },
+        };
+        self.queue_response(idx, &resp);
+    }
+
+    /// HTTP codec: routes one parsed request (see [`http::answer`]) and
+    /// queues the response, advertising `connection: close` when the
+    /// request did not ask for keep-alive.
+    fn http_request(&mut self, idx: usize, req: &HttpRequest) {
+        let core = Arc::clone(&self.core);
+        let terminals = Arc::clone(&self.terminals);
+        let (status, content_type, body) =
+            http::answer(req, &core, &terminals, |r| self.dispatch(idx, r));
+        self.queue_http(idx, status, content_type, &body, !req.keep_alive);
+    }
+
+    /// Answers one decoded request through the session: control verbs
+    /// inline; a submit is admitted with the codec's deliver callback
+    /// (a full worker queue parks it here).
+    fn dispatch(&mut self, idx: usize, req: Request) -> Response {
+        if let Some(resp) = self.core.handle_control(&req) {
+            return resp;
         }
-    }
-
-    /// Nonblocking submit: admitted jobs deliver their report through
-    /// this loop's inbox; a full worker queue parks the job here.
-    fn submit(
-        &mut self,
-        idx: usize,
-        tenant: String,
-        graph: msropm_graph::Graph,
-        job: msropm_core::BatchJob,
-        deadline_ms: u64,
-    ) {
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        let generation = conn.generation;
-        let guard = PendingGuard::new(Arc::clone(&self.shared));
-        let shared = Arc::clone(&self.shared);
-        let deliver: DeliverFn = Box::new(move |_core, _job_id, frame| {
-            lock_unpoisoned(&shared.inbox).completions.push(Completion {
-                conn: idx,
-                generation,
-                frame,
-            });
-            // The guard's drop decrements the pending count and wakes
-            // the loop *after* the completion is visible in the inbox.
-            drop(guard);
-        });
-        let disposition = self
-            .core
-            .submit_nonblocking(tenant, graph, job, deadline_ms, deliver);
-        self.finish_submit(idx, disposition);
-    }
-
-    /// Nonblocking problem submit: the spec is compiled at admission
-    /// (an unsupported spec answers with a request-scoped error) and
-    /// its report decoded at completion; queue handling is identical to
-    /// a plain [`Self::submit`].
-    fn submit_problem(&mut self, idx: usize, sub: ProblemSubmission) {
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        let generation = conn.generation;
-        let guard = PendingGuard::new(Arc::clone(&self.shared));
-        let shared = Arc::clone(&self.shared);
-        let deliver: DeliverFn = Box::new(move |_core, _job_id, frame| {
-            lock_unpoisoned(&shared.inbox).completions.push(Completion {
-                conn: idx,
-                generation,
-                frame,
-            });
-            drop(guard);
-        });
-        let disposition = self.core.submit_problem_nonblocking(sub, deliver);
-        self.finish_submit(idx, disposition);
-    }
-
-    /// Applies a submit disposition: count an accepted job against the
-    /// connection, park a queue-full admission for retry, and queue the
-    /// reply frame either way.
-    fn finish_submit(&mut self, idx: usize, disposition: SubmitDisposition) {
-        match disposition {
-            SubmitDisposition::Reply(resp) => {
-                if matches!(resp, Response::Submitted { .. }) {
-                    if let Some(conn) = self.conn_mut(idx) {
-                        conn.jobs_outstanding += 1;
-                    }
-                }
-                self.queue_response(idx, &resp);
+        let deliver: DeliverFn = match self.kind {
+            FrontendKind::Reactor => {
+                // Route the frame back to this connection slot (the
+                // generation guards against slot reuse) and wake the
+                // loop.
+                let shared = Arc::clone(&self.shared);
+                let generation = self.slab[idx]
+                    .as_ref()
+                    .expect("only a live connection dispatches")
+                    .generation;
+                Box::new(move |_job_id, frame| {
+                    lock_unpoisoned(&shared.inbox).completions.push(Completion {
+                        conn: idx,
+                        generation,
+                        frame,
+                    });
+                    let _ = shared.poller.notify();
+                })
             }
+            FrontendKind::Http => {
+                // File the frame by job id for any connection's poll.
+                let terminals = Arc::clone(&self.terminals);
+                Box::new(move |job_id, frame| lock_unpoisoned(&terminals).insert(job_id, frame))
+            }
+        };
+        let resp = match self.core.submit(req, deliver) {
+            SubmitDisposition::Reply(resp) => resp,
             SubmitDisposition::Parked(parked, resp) => {
                 self.parked.push(parked);
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.jobs_outstanding += 1;
-                }
-                self.queue_response(idx, &resp);
+                resp
+            }
+        };
+        if self.kind == FrontendKind::Reactor && matches!(resp, Response::Submitted { .. }) {
+            if let Some(conn) = self.conn_mut(idx) {
+                conn.jobs_outstanding += 1;
             }
         }
+        resp
     }
 
     /// Retries parked submits; keeps whatever is still blocked on a
@@ -736,21 +729,20 @@ impl EventLoop {
         }
     }
 
-    /// Routes one completed job back to its connection.
+    /// Routes one completed binary job back to its connection.
     fn route_completion(&mut self, completion: Completion) {
         let Some(conn) = self.conn_mut(completion.conn) else {
             return;
         };
         if conn.generation != completion.generation {
             // The slot was recycled; the original peer is gone and the
-            // frame is dropped, matching the threaded front end's
-            // silent drain to a dead writer.
+            // frame is dropped.
             return;
         }
         conn.jobs_outstanding = conn.jobs_outstanding.saturating_sub(1);
         if let Some(frame) = completion.frame {
             let is_report = proto::is_report_frame(&frame);
-            if self.queue_bytes(completion.conn, &frame) && is_report {
+            if self.queue_frame(completion.conn, &frame) && is_report {
                 self.core.note_report_streamed();
             }
         }
@@ -758,38 +750,60 @@ impl EventLoop {
         self.update_interest(completion.conn);
     }
 
-    /// Encodes and queues a response frame.
+    /// Encodes and queues a binary response frame.
     fn queue_response(&mut self, idx: usize, resp: &Response) {
-        let frame = proto::encode_response(resp);
-        self.queue_bytes(idx, &frame);
-        self.update_interest(idx);
+        self.queue_frame(idx, &proto::encode_response(resp));
     }
 
-    /// Frames `payload` into the connection's write buffer and flushes
-    /// opportunistically. Returns `false` when the connection is gone
-    /// (dead peer or slow-consumer overflow).
-    fn queue_bytes(&mut self, idx: usize, payload: &[u8]) -> bool {
-        {
-            let Some(conn) = self.conn_mut(idx) else {
-                return false;
-            };
-            if proto::write_frame(&mut conn.out, payload).is_err() {
-                // Only possible for an oversized payload we built
-                // ourselves; drop the connection rather than desync it.
-                self.close(idx);
-                return false;
-            }
+    /// Frames `payload` into the connection's write buffer. Returns
+    /// `false` when the connection is gone (dead peer or slow-consumer
+    /// overflow).
+    fn queue_frame(&mut self, idx: usize, payload: &[u8]) -> bool {
+        let Some(conn) = self.conn_mut(idx) else {
+            return false;
+        };
+        if proto::write_frame(&mut conn.out, payload).is_err() {
+            // Only possible for an oversized payload we built
+            // ourselves; drop the connection rather than desync it.
+            self.close(idx);
+            return false;
         }
+        self.queued(idx)
+    }
+
+    /// Queues one HTTP response; `close` advertises `connection: close`
+    /// and stops reading further requests.
+    fn queue_http(
+        &mut self,
+        idx: usize,
+        status: u16,
+        content_type: &str,
+        body: &[u8],
+        close: bool,
+    ) {
+        let Some(conn) = self.conn_mut(idx) else {
+            return;
+        };
+        http::write_response(&mut conn.out, status, content_type, body, close);
+        conn.closing |= close;
+        self.queued(idx);
+    }
+
+    /// Flushes freshly queued output opportunistically and drops a slow
+    /// consumer over the write-buffer cap. Returns `false` when the
+    /// connection is gone.
+    fn queued(&mut self, idx: usize) -> bool {
         self.flush(idx);
         let Some(conn) = self.conn_mut(idx) else {
             return false;
         };
         if conn.pending_out() > self.max_wbuf {
-            // Slow consumer: the peer stopped reading while frames
+            // Slow consumer: the peer stopped reading while replies
             // piled up. Drop it instead of holding the memory.
             self.close(idx);
             return false;
         }
+        self.update_interest(idx);
         true
     }
 
@@ -839,8 +853,8 @@ impl EventLoop {
         }
     }
 
-    /// Closes a connection that has finished its useful life: a desync
-    /// flushes-then-closes; a half-closed peer closes once its
+    /// Closes a connection that has finished its useful life: a close
+    /// decision flushes-then-closes; a half-closed peer closes once its
     /// outstanding jobs have reported and flushed.
     fn maybe_close(&mut self, idx: usize) {
         let Some(conn) = self.conn_mut(idx) else {
@@ -880,8 +894,8 @@ impl EventLoop {
     }
 
     /// True once a draining loop has nothing left to deliver: no parked
-    /// submits, no in-flight completion handoffs, an empty inbox, and
-    /// every write buffer flushed — or the flush deadline has passed.
+    /// submits, an empty inbox, and every write buffer flushed — or the
+    /// flush deadline has passed.
     fn ready_to_exit(&self) -> bool {
         if self
             .exit_deadline
@@ -890,9 +904,6 @@ impl EventLoop {
             return true;
         }
         if !self.parked.is_empty() {
-            return false;
-        }
-        if self.shared.pending_jobs.load(Ordering::Acquire) != 0 {
             return false;
         }
         {
@@ -951,8 +962,27 @@ mod tests {
         BatchJob::uniform(config, 16, seed)
     }
 
-    fn reactor(config: ReactorConfig) -> ReactorServer {
-        ReactorServer::bind("127.0.0.1:0", config).expect("bind ephemeral port")
+    fn reactor(config: ReactorConfig) -> Frontend {
+        Frontend::bind("127.0.0.1:0", FrontendKind::Reactor, config).expect("bind ephemeral port")
+    }
+
+    /// One worker and a small queue: the shape every quota/cancel test
+    /// below runs against.
+    fn one_worker(max_inflight_jobs: usize, max_queued_lanes: usize) -> ReactorConfig {
+        ReactorConfig {
+            wire: WireConfig {
+                server: ServerConfig {
+                    workers: 1,
+                    queue_capacity: 8,
+                    cache_capacity: 4,
+                    ..ServerConfig::default()
+                },
+                max_inflight_jobs,
+                max_queued_lanes,
+                max_connections: 8,
+            },
+            ..ReactorConfig::default()
+        }
     }
 
     /// Minimal blocking test client speaking raw frames; out-of-order
@@ -995,14 +1025,19 @@ mod tests {
             }
         }
 
-        fn submit(&mut self, tenant: &str, graph: &Graph, job: BatchJob) -> u64 {
+        /// Sends one submit and returns its reply (reports stashed).
+        fn try_submit(&mut self, tenant: &str, graph: &Graph, job: BatchJob) -> Response {
             self.send(&Request::Submit {
                 tenant: tenant.into(),
                 graph: graph.clone(),
                 job,
                 deadline_ms: 0,
             });
-            match self.recv_reply() {
+            self.recv_reply()
+        }
+
+        fn submit(&mut self, tenant: &str, graph: &Graph, job: BatchJob) -> u64 {
+            match self.try_submit(tenant, graph, job) {
                 Response::Submitted { job_id } => job_id,
                 other => panic!("expected Submitted, got {other:?}"),
             }
@@ -1124,8 +1159,7 @@ mod tests {
             connections >= 129,
             "server must track all idle connections, saw {connections}"
         );
-        // Idle connections must not have spawned threads (the threaded
-        // front end would have added two per connection). Other tests in
+        // Idle connections must not have spawned threads. Other tests in
         // this process start and stop servers meanwhile, so keep the
         // least of several samples.
         let with_idle = (0..50)
@@ -1238,6 +1272,13 @@ mod tests {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnsupportedVerb),
             other => panic!("expected UnsupportedVerb, got {other:?}"),
         }
+        // Well-framed truncated submit body: Malformed, still alive.
+        write_frame(&mut c.stream, &[0x01, 0xFF]).unwrap();
+        c.stream.flush().unwrap();
+        match c.recv() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
         c.send(&Request::Stats);
         match c.recv() {
             Response::StatsReply(_) => {}
@@ -1260,18 +1301,7 @@ mod tests {
 
     #[test]
     fn draining_rejects_submits_but_streams_inflight_reports() {
-        let server = reactor(ReactorConfig {
-            wire: WireConfig {
-                server: ServerConfig {
-                    workers: 1,
-                    queue_capacity: 8,
-                    cache_capacity: 4,
-                    ..ServerConfig::default()
-                },
-                ..WireConfig::default()
-            },
-            ..ReactorConfig::default()
-        });
+        let server = reactor(one_worker(16, 1024));
         // Long enough (~seconds on one worker) that the drain window is
         // wide open for the late submit below.
         let g = generators::kings_graph(10, 10);
@@ -1296,20 +1326,7 @@ mod tests {
 
     #[test]
     fn cancelled_jobs_never_stream_and_free_quota() {
-        let server = reactor(ReactorConfig {
-            wire: WireConfig {
-                server: ServerConfig {
-                    workers: 1,
-                    queue_capacity: 8,
-                    cache_capacity: 4,
-                    ..ServerConfig::default()
-                },
-                max_inflight_jobs: 2,
-                max_queued_lanes: 64,
-                max_connections: 8,
-            },
-            ..ReactorConfig::default()
-        });
+        let server = reactor(one_worker(2, 64));
         let g = generators::kings_graph(6, 6);
         let mut c = RawClient::connect(server.local_addr());
         let a = c.submit("t", &g, big_job(1));
@@ -1356,6 +1373,106 @@ mod tests {
         let c2 = c.submit("t", &g, small_job(2, 4));
         let report = c.wait_report(c2);
         assert_eq!(report.job_id, c2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn tenant_at_inflight_cap_is_rejected_while_others_proceed() {
+        let server = reactor(one_worker(1, 64));
+        let g = generators::kings_graph(6, 6);
+        let mut greedy = RawClient::connect(server.local_addr());
+        let mut other = RawClient::connect(server.local_addr());
+
+        // Greedy's first job occupies its whole in-flight quota.
+        let first = greedy.submit("greedy", &g, big_job(1));
+        // Second submit: typed quota rejection (jobs stay in flight for
+        // at least the service time of the first).
+        match greedy.try_submit("greedy", &g, small_job(2, 2)) {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::QuotaInFlight),
+            other => panic!("expected quota rejection, got {other:?}"),
+        }
+        // A different tenant is unaffected.
+        other.submit("modest", &g, small_job(2, 3));
+        // After the first job completes, greedy can submit again.
+        greedy.wait_report(first);
+        greedy.submit("greedy", &g, small_job(2, 4));
+        server.shutdown();
+    }
+
+    #[test]
+    fn lane_quota_counts_lanes_not_jobs() {
+        let server = reactor(one_worker(10, 20));
+        let g = generators::kings_graph(6, 6);
+        let mut c = RawClient::connect(server.local_addr());
+        // 16 lanes admitted; 16 + 8 > 20 rejected on the lane axis.
+        c.submit("t", &g, big_job(1));
+        match c.try_submit("t", &g, small_job(8, 2)) {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::QuotaLanes),
+            other => panic!("expected lane-quota rejection, got {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn cancel_is_tenant_scoped_and_status_answers_unknown_ids() {
+        let server = reactor(ReactorConfig::default());
+        let g = generators::kings_graph(4, 4);
+        let mut owner = RawClient::connect(server.local_addr());
+        let mut thief = RawClient::connect(server.local_addr());
+        let job_id = owner.submit("owner", &g, small_job(2, 1));
+        thief.send(&Request::Cancel {
+            tenant: "thief".into(),
+            job_id,
+        });
+        match thief.recv() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Forbidden),
+            other => panic!("expected Forbidden, got {other:?}"),
+        }
+        thief.send(&Request::Status {
+            tenant: "thief".into(),
+            job_id: 999_999,
+        });
+        match thief.recv() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownJob),
+            other => panic!("expected UnknownJob, got {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn stats_count_completed_cancelled_and_connections() {
+        let server = reactor(one_worker(16, 1024));
+        let g = generators::kings_graph(5, 5);
+        let mut c = RawClient::connect(server.local_addr());
+        let a = c.submit("t", &g, big_job(1));
+        let b = c.submit("t", &g, small_job(2, 2));
+        c.send(&Request::Cancel {
+            tenant: "t".into(),
+            job_id: b,
+        });
+        let Response::CancelReply { .. } = c.recv_reply() else {
+            panic!("cancel reply");
+        };
+        c.wait_report(a);
+        // Poll stats until the cancelled job has been observed.
+        let mut stats = WireStats::default();
+        for _ in 0..200 {
+            c.send(&Request::Stats);
+            match c.recv_reply() {
+                Response::StatsReply(s) => stats = s,
+                other => panic!("unexpected frame {other:?}"),
+            }
+            if stats.jobs_cancelled >= 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(stats.jobs_completed, 1);
+        assert_eq!(stats.jobs_cancelled, 1);
+        assert_eq!(stats.connections, 1);
+        assert_eq!(stats.frontend, FrontendKind::Reactor);
+        assert_eq!(server.stats().jobs_completed, 1);
+        assert_eq!(server.reports_streamed(), 1);
         server.shutdown();
     }
 }

@@ -1,37 +1,34 @@
-//! Transport-agnostic session logic shared by both serving front ends.
+//! Transport-agnostic session logic behind the serving event loop.
 //!
-//! PR 4's `server::wire` mixed two concerns: the TCP mechanics of a
-//! thread-per-connection server, and the *session* semantics of the job
-//! protocol — per-tenant quota accounting, the job registry
-//! (id → status cell + cancel token), admission, terminal-state
-//! bookkeeping, and graceful drain. This module owns the second half,
-//! so [`crate::wire::WireServer`] (threads) and
-//! [`crate::reactor::ReactorServer`] (epoll event loop) are thin
-//! transports over one [`SessionCore`] and **cannot** drift apart on
-//! quota or lifecycle behaviour: the byte-identical-reports property
-//! test across front ends leans on this sharing.
+//! Both codecs of [`crate::reactor`] — binary frames and HTTP/1.1 +
+//! JSON — decode their requests into [`Request`]s and answer them
+//! through one [`SessionCore`]: per-tenant quota accounting, the job
+//! registry (id → status cell + cancel token), admission,
+//! terminal-state bookkeeping, and graceful drain. The codecs therefore
+//! **cannot** drift apart on quota or lifecycle behaviour: the
+//! byte-identical-reports property test across codecs leans on this
+//! sharing.
 //!
 //! # Completion flow
 //!
 //! Submission is hook-based ([`crate::CompletionHook`]): the worker
 //! thread that finishes a job runs the session's completion hook, which
 //! **first** releases the tenant's quota slot (so a client resubmitting
-//! the instant its report arrives always fits), then encodes the report
-//! frame once, and hands it to the front-end-specific `deliver`
-//! callback — a writer-channel send for the threaded front end, an
-//! inbox push + [`polling::Poller::notify`] for the reactor. No per-job
-//! waiter thread exists anywhere anymore.
+//! the instant its report arrives always fits), then encodes the
+//! terminal frame once, and hands it to the codec's `deliver` callback
+//! — an inbox push + [`polling::Poller::notify`] for a binary
+//! connection, a job-id-keyed store for HTTP polls. No per-job waiter
+//! thread exists anywhere.
 //!
 //! # Drain
 //!
 //! [`SessionCore::begin_drain`] flips the draining flag: new submits
 //! are rejected with the typed [`ErrorCode::Draining`] **before**
-//! admission, on whatever connections are still attached (this closes
-//! the PR 4 race where late submits on live connections could still be
-//! admitted after the acceptor stopped). [`SessionCore::await_drained`]
-//! then blocks until every admitted job has reached a terminal state —
-//! at which point every completion hook has run and every report frame
-//! has been handed to its transport.
+//! admission, on whatever connections are still attached.
+//! [`SessionCore::await_drained`] then blocks until every admitted job
+//! has reached a terminal state and its `deliver` callback has
+//! returned — at which point every terminal frame has been handed to
+//! its transport.
 
 use crate::proto::{
     self, ErrorCode, FrontendKind, Request, Response, WireProblemReport, WireReport, WireStats,
@@ -41,15 +38,15 @@ use crate::{
     lock_unpoisoned, CompletionHook, JobCompletion, JobServer, JobState, JobStatusCell, PendingJob,
     ServerConfig, TrySubmitError,
 };
-use msropm_core::{BatchJob, CancelToken, MsropmConfig};
+use msropm_core::{BatchJob, CancelToken};
 use msropm_graph::Graph;
-use msropm_problems::{Decoder, ProblemSpec};
+use msropm_problems::Decoder;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
-/// Sizing and policy knobs shared by both front ends.
+/// Session sizing and policy knobs, shared by both codecs.
 #[derive(Debug, Clone, Copy)]
 pub struct WireConfig {
     /// The backing job-server pool (workers, queue, cache).
@@ -103,19 +100,19 @@ struct Registry {
     /// Terminal job ids in completion order, oldest first (the eviction
     /// queue bounding `jobs`).
     terminal_order: std::collections::VecDeque<u64>,
-    /// Jobs not yet terminal (drain waits for this to hit zero).
+    /// Jobs whose terminal frame has not yet been delivered (drain
+    /// waits for this to hit zero).
     active_jobs: usize,
 }
 
-/// Delivers one finished job to its connection: `frame` is the encoded
-/// terminal frame — a report for completed jobs, a
+/// Delivers one finished job to its codec: called with the job id and
+/// the encoded terminal frame — a report for completed jobs, a
 /// [`Response::JobFailed`] for failed/deadline-exceeded ones, `None`
 /// for cancelled jobs (nothing is streamed). Runs on the worker
 /// thread, after the quota slot has been released.
-pub type DeliverFn = Box<dyn FnOnce(&SessionCore, u64, Option<Vec<u8>>) + Send>;
+pub type DeliverFn = Box<dyn FnOnce(u64, Option<Vec<u8>>) + Send>;
 
-/// What a nonblocking submit decided; see
-/// [`SessionCore::submit_nonblocking`].
+/// What a submit decided; see [`SessionCore::submit`].
 pub enum SubmitDisposition {
     /// Send this reply; the submit is fully handled.
     Reply(Response),
@@ -132,25 +129,6 @@ pub struct ParkedSubmit {
     pub job_id: u64,
 }
 
-/// A decoded `submit problem` request, ready for
-/// [`SessionCore::submit_problem_blocking`] /
-/// [`SessionCore::submit_problem_nonblocking`] (the fields of
-/// [`Request::SubmitProblem`], minus the transport's deliver callback).
-pub struct ProblemSubmission {
-    /// Quota-accounting identity of the submitter.
-    pub tenant: String,
-    /// The typed problem instance.
-    pub spec: ProblemSpec,
-    /// Base operating point (`num_colors` overridden per class).
-    pub config: MsropmConfig,
-    /// Number of uniform replica lanes.
-    pub replicas: u32,
-    /// Job seed.
-    pub seed: u64,
-    /// Milliseconds from admission to report; `0` means none.
-    pub deadline_ms: u64,
-}
-
 /// One admission-ready job: the encoding graph, the batch job, and —
 /// for compiled problems — the fingerprint scoping its cache slot plus
 /// the decoder that turns its report into a typed
@@ -165,40 +143,57 @@ struct Admission {
 }
 
 impl Admission {
-    fn plain(tenant: String, graph: Graph, job: BatchJob, deadline_ms: u64) -> Admission {
-        Admission {
-            tenant,
-            graph,
-            job,
-            problem_fingerprint: 0,
-            decoder: None,
-            deadline_ms,
+    /// Turns a submit request into an admission-ready job. A problem
+    /// spec the compiler rejects answers with
+    /// [`ErrorCode::UnsupportedProblem`] (request-scoped: the
+    /// connection stays usable).
+    fn from_request(req: Request) -> Result<Admission, Response> {
+        match req {
+            Request::Submit {
+                tenant,
+                graph,
+                job,
+                deadline_ms,
+            } => Ok(Admission {
+                tenant,
+                graph,
+                job,
+                problem_fingerprint: 0,
+                decoder: None,
+                deadline_ms,
+            }),
+            Request::SubmitProblem {
+                tenant,
+                spec,
+                config,
+                replicas,
+                seed,
+                deadline_ms,
+            } => {
+                let compiled =
+                    spec.compile(&config, replicas as usize)
+                        .map_err(|e| Response::Error {
+                            code: ErrorCode::UnsupportedProblem,
+                            message: e.to_string(),
+                        })?;
+                Ok(Admission {
+                    tenant,
+                    graph: compiled.graph,
+                    job: BatchJob {
+                        config: compiled.config,
+                        lanes: compiled.lanes,
+                        seed,
+                    },
+                    problem_fingerprint: compiled.fingerprint,
+                    decoder: Some(compiled.decoder),
+                    deadline_ms,
+                })
+            }
+            _ => Err(Response::Error {
+                code: ErrorCode::UnsupportedVerb,
+                message: "not a submit request".into(),
+            }),
         }
-    }
-
-    /// Compiles a problem submission onto the machine. A spec the
-    /// compiler rejects answers with [`ErrorCode::UnsupportedProblem`]
-    /// (request-scoped: the connection stays usable).
-    fn problem(sub: ProblemSubmission) -> Result<Admission, Response> {
-        let compiled = sub
-            .spec
-            .compile(&sub.config, sub.replicas as usize)
-            .map_err(|e| Response::Error {
-                code: ErrorCode::UnsupportedProblem,
-                message: e.to_string(),
-            })?;
-        Ok(Admission {
-            tenant: sub.tenant,
-            graph: compiled.graph,
-            job: BatchJob {
-                config: compiled.config,
-                lanes: compiled.lanes,
-                seed: sub.seed,
-            },
-            problem_fingerprint: compiled.fingerprint,
-            decoder: Some(compiled.decoder),
-            deadline_ms: sub.deadline_ms,
-        })
     }
 }
 
@@ -271,8 +266,9 @@ impl SessionCore {
         self.draining.store(true, Ordering::Release);
     }
 
-    /// Blocks until every admitted job has reached a terminal state
-    /// (all completion hooks have run).
+    /// Blocks until every admitted job has reached a terminal state and
+    /// its terminal frame has been delivered (all completion hooks have
+    /// run).
     pub fn await_drained(&self) {
         let mut reg = lock_unpoisoned(&self.registry);
         while reg.active_jobs > 0 {
@@ -307,15 +303,13 @@ impl SessionCore {
     }
 
     /// [`SessionCore::stats_registry`] projected onto the binary frame's
-    /// struct (the `stats` verb and the front ends' `stats()` methods).
+    /// struct (the `stats` verb and [`crate::Frontend::stats`]).
     pub fn wire_stats(&self) -> WireStats {
         self.stats_registry().to_wire()
     }
 
     /// Answers the control verbs (`status`/`cancel`/`stats`) — `None`
-    /// for `submit`, which must go through
-    /// [`SessionCore::submit_blocking`] /
-    /// [`SessionCore::submit_nonblocking`].
+    /// for the submits, which must go through [`SessionCore::submit`].
     pub fn handle_control(&self, req: &Request) -> Option<Response> {
         match req {
             Request::Submit { .. } | Request::SubmitProblem { .. } => None,
@@ -364,90 +358,16 @@ impl SessionCore {
         }
     }
 
-    /// Submits on behalf of a blocking transport: a full worker queue
-    /// blocks this call (per-connection backpressure). Returns the
-    /// reply to send.
-    pub fn submit_blocking(
-        self: &Arc<Self>,
-        tenant: String,
-        graph: Graph,
-        job: BatchJob,
-        deadline_ms: u64,
-        deliver: DeliverFn,
-    ) -> Response {
-        self.enqueue_blocking(Admission::plain(tenant, graph, job, deadline_ms), deliver)
-    }
-
-    /// [`SessionCore::submit_blocking`] for typed problem submissions:
-    /// compiles the spec (an unsupported one answers
-    /// [`ErrorCode::UnsupportedProblem`] without touching quotas), then
-    /// admits the encoded job; its terminal frame is a decoded
-    /// [`Response::ProblemReport`].
-    pub fn submit_problem_blocking(
-        self: &Arc<Self>,
-        sub: ProblemSubmission,
-        deliver: DeliverFn,
-    ) -> Response {
-        match Admission::problem(sub) {
-            Ok(admission) => self.enqueue_blocking(admission, deliver),
-            Err(reject) => reject,
-        }
-    }
-
-    fn enqueue_blocking(self: &Arc<Self>, admission: Admission, deliver: DeliverFn) -> Response {
-        let (job_id, pending) = match self.admit(admission, deliver) {
-            Ok(admitted) => admitted,
-            Err(reject) => return reject,
-        };
-        match self.jobs.submit_job(pending) {
-            Ok(()) => Response::Submitted { job_id },
-            Err(pending) => {
-                // Queue closed under us: dropping the job fires its
-                // hook (worker-died), which marks it failed and
-                // releases the quota slot.
-                drop(pending);
-                Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "job queue closed".into(),
-                }
-            }
-        }
-    }
-
-    /// Submits on behalf of a nonblocking transport: never blocks the
-    /// caller. A full worker queue parks the (already admitted) job —
-    /// the reply is still `Submitted`, and `status` answers `queued`
-    /// until a worker picks it up.
-    pub fn submit_nonblocking(
-        self: &Arc<Self>,
-        tenant: String,
-        graph: Graph,
-        job: BatchJob,
-        deadline_ms: u64,
-        deliver: DeliverFn,
-    ) -> SubmitDisposition {
-        self.enqueue_nonblocking(Admission::plain(tenant, graph, job, deadline_ms), deliver)
-    }
-
-    /// [`SessionCore::submit_nonblocking`] for typed problem
-    /// submissions; see [`SessionCore::submit_problem_blocking`].
-    pub fn submit_problem_nonblocking(
-        self: &Arc<Self>,
-        sub: ProblemSubmission,
-        deliver: DeliverFn,
-    ) -> SubmitDisposition {
-        match Admission::problem(sub) {
-            Ok(admission) => self.enqueue_nonblocking(admission, deliver),
-            Err(reject) => SubmitDisposition::Reply(reject),
-        }
-    }
-
-    fn enqueue_nonblocking(
-        self: &Arc<Self>,
-        admission: Admission,
-        deliver: DeliverFn,
-    ) -> SubmitDisposition {
-        let (job_id, pending) = match self.admit(admission, deliver) {
+    /// Admits a `Submit` or `SubmitProblem` request without ever
+    /// blocking the caller. A problem spec is compiled first (an
+    /// unsupported one answers [`ErrorCode::UnsupportedProblem`]
+    /// without touching quotas) and its terminal frame is a decoded
+    /// [`Response::ProblemReport`]. A full worker queue parks the
+    /// (already admitted) job — the reply is still `Submitted`, and
+    /// `status` answers `queued` until a worker picks it up.
+    pub fn submit(self: &Arc<Self>, req: Request, deliver: DeliverFn) -> SubmitDisposition {
+        let admitted = Admission::from_request(req).and_then(|a| self.admit(a, deliver));
+        let (job_id, pending) = match admitted {
             Ok(admitted) => admitted,
             Err(reject) => return SubmitDisposition::Reply(reject),
         };
@@ -458,6 +378,9 @@ impl SessionCore {
                 Response::Submitted { job_id },
             ),
             Err(TrySubmitError::Closed(pending)) => {
+                // Queue closed under us: dropping the job fires its
+                // hook (worker-died), which marks it failed and
+                // releases the quota slot.
                 drop(pending);
                 SubmitDisposition::Reply(Response::Error {
                     code: ErrorCode::ShuttingDown,
@@ -565,7 +488,7 @@ impl SessionCore {
     /// that resubmits the moment its report arrives must fit), encode
     /// the terminal frame once — a report for `Done`, a typed
     /// [`Response::JobFailed`] for failures — then hand it to the
-    /// transport's deliver callback. Every admitted job thus reaches
+    /// codec's deliver callback. Every admitted job thus reaches
     /// the client as exactly one terminal frame, except cancelled jobs
     /// (the `CancelReply` already told the client) and jobs whose
     /// submit reply itself carried the error. Holds only a weak
@@ -590,7 +513,7 @@ impl SessionCore {
                     message: message.into(),
                 }))
             };
-            match completion {
+            let frame = match completion {
                 JobCompletion::Done(outcome) => {
                     core.finalize(job_id);
                     // A problem submission decodes the ranked phase
@@ -598,7 +521,7 @@ impl SessionCore {
                     // plain graph submission streams the raw report.
                     // The worker stamped the service time before the
                     // decode, so the decode is timed here and added.
-                    let frame = match &decoder {
+                    Some(match &decoder {
                         Some(decoder) => {
                             let decode_start = Instant::now();
                             let report = decoder.decode_report(&outcome.report);
@@ -614,34 +537,25 @@ impl SessionCore {
                             let report = WireReport::from_outcome(job_id, &outcome);
                             proto::encode_response(&Response::Report(report))
                         }
-                    };
-                    deliver(&core, job_id, Some(frame));
+                    })
                 }
                 JobCompletion::Cancelled => {
                     // No report exists for a cancelled job, and none is
                     // ever streamed.
                     core.finalize(job_id);
-                    deliver(&core, job_id, None);
+                    None
                 }
                 JobCompletion::Failed { message } => {
                     // A panicking solve, caught by the worker: the
                     // client gets the panic message under a typed code.
                     core.fail(job_id);
                     core.finalize(job_id);
-                    deliver(
-                        &core,
-                        job_id,
-                        job_failed_frame(ErrorCode::Internal, &message),
-                    );
+                    job_failed_frame(ErrorCode::Internal, &message)
                 }
                 JobCompletion::DeadlineExceeded => {
                     core.fail(job_id);
                     core.finalize(job_id);
-                    deliver(
-                        &core,
-                        job_id,
-                        job_failed_frame(ErrorCode::DeadlineExceeded, "job deadline exceeded"),
-                    );
+                    job_failed_frame(ErrorCode::DeadlineExceeded, "job deadline exceeded")
                 }
                 JobCompletion::WorkerDied => {
                     // Fired from the hook's Drop. Two distinct paths
@@ -654,16 +568,14 @@ impl SessionCore {
                     core.finalize(job_id);
                     if was_running {
                         core.jobs.count_failed_job();
-                        deliver(
-                            &core,
-                            job_id,
-                            job_failed_frame(ErrorCode::Internal, "worker died"),
-                        );
+                        job_failed_frame(ErrorCode::Internal, "worker died")
                     } else {
-                        deliver(&core, job_id, None);
+                        None
                     }
                 }
-            }
+            };
+            deliver(job_id, frame);
+            core.settle();
         })
     }
 
@@ -676,8 +588,8 @@ impl SessionCore {
             .map(|entry| entry.status.swap(JobState::Failed))
     }
 
-    /// Releases a job's quota reservation once it is terminal and wakes
-    /// the drain waiter. The registry entry is retained so late status
+    /// Releases a job's quota reservation once it is terminal. The
+    /// registry entry is retained so late status
     /// queries resolve, but only the newest [`TERMINAL_JOBS_RETAINED`]
     /// terminal jobs — older ones are evicted (status then answers
     /// `UnknownJob`), keeping a long-lived daemon's footprint bounded.
@@ -698,13 +610,19 @@ impl SessionCore {
                 reg.tenants.remove(&tenant);
             }
         }
-        reg.active_jobs = reg.active_jobs.saturating_sub(1);
         reg.terminal_order.push_back(job_id);
         while reg.terminal_order.len() > TERMINAL_JOBS_RETAINED {
             if let Some(evict) = reg.terminal_order.pop_front() {
                 reg.jobs.remove(&evict);
             }
         }
+    }
+
+    /// Counts one job's terminal frame as delivered and wakes the drain
+    /// waiter.
+    fn settle(&self) {
+        let mut reg = lock_unpoisoned(&self.registry);
+        reg.active_jobs = reg.active_jobs.saturating_sub(1);
         drop(reg);
         self.drained.notify_all();
     }

@@ -8,11 +8,11 @@
 #   smoke  job-server determinism smoke + wire smoke (real TCP loopback:
 #          boot msropm_serve on an ephemeral port, run solve_remote
 #          submit/status/cancel against it under a hard timeout) + HTTP
-#          gateway smoke (every problem class as JSON over raw sockets,
-#          plus /v1/stats and /metrics scrapes)
+#          gateway smoke on two event loops (every problem class as JSON
+#          over raw sockets, plus /v1/stats and /metrics scrapes)
 #   chaos  fault-injection suite (crates/client/tests/chaos.rs): armed
 #          panics, killed workers, deadlines and socket faults against
-#          both front ends, under a hard timeout — fault points are
+#          the binary codec, under a hard timeout — fault points are
 #          process-global so the suite runs single-threaded
 #   perf   bench_phase_step / serve_bench / wire_bench regression gates
 #          against the committed BENCH_*.json baselines (wire_bench also
@@ -69,25 +69,24 @@ stage_smoke() {
 
     # Wire smoke: a real TCP server on an ephemeral loopback port, then
     # submit/status/cancel through the solve_remote client. The cancelled
-    # job must never produce a report (asserted inside `smoke`). Runs
-    # once per front end; the reactor pass additionally holds 512
-    # completely idle connections open through the whole scenario —
-    # served by the event loop with no per-connection threads.
+    # job must never produce a report (asserted inside `smoke`). The
+    # pass holds 512 completely idle connections open through the whole
+    # scenario — served by the event loop with no per-connection
+    # threads.
     cargo build --release -p msropm-server -p msropm-client \
         --bin msropm_serve --bin solve_remote
-    run_wire_smoke "threads" ""
     run_wire_smoke "reactor" "--idle 512"
 
     # Problem-compiler smoke: one instance of every problem class
     # through the `problem` CLI verb (SubmitProblem on the wire),
     # covering the standard-format file ingestion paths too. (The
     # `smoke` verb above already submits all nine classes in-process
-    # per front end; this exercises the user-facing CLI surface.)
+    # in-process; this exercises the user-facing CLI surface.)
     run_problem_smoke
 
-    # HTTP gateway smoke: boot the third front end and drive every
-    # problem class over raw sockets — no client library, just bytes —
-    # then scrape /v1/stats and /metrics.
+    # HTTP gateway smoke: boot the HTTP codec on two event loops and
+    # drive every problem class over raw sockets — no client library,
+    # just bytes — then scrape /v1/stats and /metrics.
     run_http_smoke
 
     # Fixed-point backend smoke: a `--backend fixed` deployment forces
@@ -96,7 +95,7 @@ stage_smoke() {
     run_fixed_backend_smoke
 }
 
-# Boots msropm_serve with `--backend fixed` (threads front end) and
+# Boots msropm_serve with `--backend fixed` (binary codec) and
 # submits through solve_remote: once plain (the server-side override
 # forces the fixed-point kernel), once with the client's own
 # `--backend fixed` flag (the config codec carries the backend tag
@@ -105,7 +104,7 @@ run_fixed_backend_smoke() {
     local port_file addr
     port_file=$(mktemp -t msropm_fx_smoke.XXXXXX)
     ./target/release/msropm_serve \
-        --addr 127.0.0.1:0 --frontend threads --workers 1 \
+        --addr 127.0.0.1:0 --frontend reactor --workers 1 \
         --shards auto --backend fixed --port-file "$port_file" &
     wire_server_pid=$!
     for _ in $(seq 1 100); do
@@ -147,15 +146,16 @@ http_request() {
     exec 9<&- 9>&-
 }
 
-# Boots `msropm_serve --frontend http` and submits one instance of
-# every problem class as JSON over raw sockets, polling each job to a
-# terminal report, then asserts /v1/stats and /metrics expose the
-# registry (including the frontend marker).
+# Boots `msropm_serve --frontend http --loops 2` and submits one
+# instance of every problem class as JSON over raw sockets (each request
+# on a fresh connection, so they round-robin across both loops),
+# polling each job to a terminal report, then asserts /v1/stats and
+# /metrics expose the registry (including the frontend marker).
 run_http_smoke() {
     local port_file addr
     port_file=$(mktemp -t msropm_http_smoke.XXXXXX)
     ./target/release/msropm_serve \
-        --addr 127.0.0.1:0 --frontend http --workers 2 \
+        --addr 127.0.0.1:0 --frontend http --loops 2 --workers 2 \
         --shards auto --port-file "$port_file" &
     wire_server_pid=$!
     for _ in $(seq 1 100); do
@@ -236,7 +236,7 @@ run_http_smoke() {
     rm -f "$port_file"
 }
 
-# Boots a threads-front-end server and submits one instance of every
+# Boots a binary-codec server and submits one instance of every
 # problem class through `solve_remote problem`, using generator specs
 # for the graph classes and temp files for the text/JSON formats.
 run_problem_smoke() {
@@ -244,7 +244,7 @@ run_problem_smoke() {
     port_file=$(mktemp -t msropm_problem_smoke.XXXXXX)
     tmpdir=$(mktemp -d -t msropm_problem_inputs.XXXXXX)
     ./target/release/msropm_serve \
-        --addr 127.0.0.1:0 --frontend threads --workers 2 \
+        --addr 127.0.0.1:0 --frontend reactor --workers 2 \
         --shards auto --port-file "$port_file" &
     wire_server_pid=$!
     for _ in $(seq 1 100); do

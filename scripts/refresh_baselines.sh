@@ -5,10 +5,12 @@
 #   BENCH_phase_step.json   <- bench_phase_step (kernel/batch ns/op)
 #   BENCH_serve.json        <- serve_bench (in-process rows), then
 #                              wire_bench (merges its wire_*/http_*
-#                              socket rows into the same file: threaded
-#                              rows, the wire_reactor_*/wire_mux_*
-#                              front-end rows, the idle-connection-
-#                              scaling row, and the HTTP gateway rows)
+#                              socket rows into the same file: the
+#                              wire_reactor_*/wire_mux_* binary-codec
+#                              rows, the idle-connection-scaling row,
+#                              and the http_* HTTP-codec rows, all on
+#                              the one event loop; wire_* rows the run
+#                              no longer produces are dropped)
 #   BENCH_problems.json     <- problems_bench (per-class solution-quality
 #                              vs greedy baselines; deterministic, so an
 #                              exact accuracy gate rather than a timing one)
