@@ -75,6 +75,8 @@ pub mod queue;
 pub mod reactor;
 pub(crate) mod session;
 pub mod stats;
+#[cfg(test)]
+mod wire;
 
 pub use reactor::Frontend;
 pub use session::WireConfig;

@@ -927,7 +927,7 @@ impl EventLoop {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::proto::{decode_response, encode_request, read_frame, write_frame, WireReport};
     use crate::{JobState, ServerConfig};
@@ -935,21 +935,21 @@ mod tests {
     use msropm_graph::{generators, Graph};
     use std::io::{BufReader, Write};
 
-    fn fast_config() -> MsropmConfig {
+    pub(crate) fn fast_config() -> MsropmConfig {
         MsropmConfig {
             dt: 0.02,
             ..MsropmConfig::paper_default()
         }
     }
 
-    fn small_job(replicas: usize, seed: u64) -> BatchJob {
+    pub(crate) fn small_job(replicas: usize, seed: u64) -> BatchJob {
         BatchJob::uniform(fast_config(), replicas, seed)
     }
 
     /// A 16-lane job that holds a 1-worker server busy for hundreds of
     /// ms in either build profile: release builds integrate ~30x faster
     /// than debug ones, so they take a 16x finer step.
-    fn big_job(seed: u64) -> BatchJob {
+    pub(crate) fn big_job(seed: u64) -> BatchJob {
         let dt = if cfg!(debug_assertions) {
             0.02
         } else {
@@ -987,14 +987,14 @@ mod tests {
 
     /// Minimal blocking test client speaking raw frames; out-of-order
     /// report frames are stashed, never dropped.
-    struct RawClient {
-        stream: TcpStream,
-        reader: BufReader<TcpStream>,
-        stash: Vec<WireReport>,
+    pub(crate) struct RawClient {
+        pub(crate) stream: TcpStream,
+        pub(crate) reader: BufReader<TcpStream>,
+        pub(crate) stash: Vec<WireReport>,
     }
 
     impl RawClient {
-        fn connect(addr: SocketAddr) -> Self {
+        pub(crate) fn connect(addr: SocketAddr) -> Self {
             let stream = TcpStream::connect(addr).expect("connect");
             let reader = BufReader::new(stream.try_clone().expect("clone"));
             RawClient {
@@ -1004,19 +1004,19 @@ mod tests {
             }
         }
 
-        fn send(&mut self, req: &Request) {
+        pub(crate) fn send(&mut self, req: &Request) {
             let payload = encode_request(req);
             write_frame(&mut self.stream, &payload).expect("write frame");
             self.stream.flush().expect("flush");
         }
 
-        fn recv(&mut self) -> Response {
+        pub(crate) fn recv(&mut self) -> Response {
             let payload = read_frame(&mut self.reader).expect("read frame");
             decode_response(&payload).expect("decode response")
         }
 
         /// Reads until a non-report frame arrives, stashing reports.
-        fn recv_reply(&mut self) -> Response {
+        pub(crate) fn recv_reply(&mut self) -> Response {
             loop {
                 match self.recv() {
                     Response::Report(r) => self.stash.push(r),
@@ -1026,7 +1026,12 @@ mod tests {
         }
 
         /// Sends one submit and returns its reply (reports stashed).
-        fn try_submit(&mut self, tenant: &str, graph: &Graph, job: BatchJob) -> Response {
+        pub(crate) fn try_submit(
+            &mut self,
+            tenant: &str,
+            graph: &Graph,
+            job: BatchJob,
+        ) -> Response {
             self.send(&Request::Submit {
                 tenant: tenant.into(),
                 graph: graph.clone(),
@@ -1036,14 +1041,14 @@ mod tests {
             self.recv_reply()
         }
 
-        fn submit(&mut self, tenant: &str, graph: &Graph, job: BatchJob) -> u64 {
+        pub(crate) fn submit(&mut self, tenant: &str, graph: &Graph, job: BatchJob) -> u64 {
             match self.try_submit(tenant, graph, job) {
                 Response::Submitted { job_id } => job_id,
                 other => panic!("expected Submitted, got {other:?}"),
             }
         }
 
-        fn wait_report(&mut self, job_id: u64) -> WireReport {
+        pub(crate) fn wait_report(&mut self, job_id: u64) -> WireReport {
             loop {
                 if let Some(pos) = self.stash.iter().position(|r| r.job_id == job_id) {
                     return self.stash.remove(pos);
