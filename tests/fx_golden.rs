@@ -79,7 +79,9 @@ fn fx_golden_hash_is_shard_width_invariant() {
     let lanes = vec![LaneConfig::default(); seeds.len()];
     let pool = ShardPool::new(4);
 
-    for shards in [1usize, 4] {
+    // Per-shard lane counts 8, 4, 2 and 1: every lane width the kernel
+    // specializes plus the generic fallback.
+    for shards in [1usize, 2, 4, 8] {
         let mut arena = ShardedArena::new();
         let sols =
             machine.solve_batch_lanes_arena_sharded(&lanes, &seeds, shards, &mut arena, &pool);
@@ -87,6 +89,37 @@ fn fx_golden_hash_is_shard_width_invariant() {
             phase_digest(&sols),
             GOLDEN_KINGS_6X6,
             "fx digest changed at shard width {shards}"
+        );
+    }
+}
+
+/// The committed digest for a solve shaped like number partitioning
+/// (max-cut on a complete graph): `complete_graph(40)` in 2-colour mode,
+/// `fx_config()`, seeds `200..203`. Recompute (and justify) only on a
+/// deliberate fx format change.
+const GOLDEN_COMPLETE_40: u64 = 0x431f_b3f4_66b6_2abe;
+
+#[test]
+fn fx_complete_graph_digest_matches_at_every_shard_width() {
+    let g = generators::complete_graph(40);
+    let config = MsropmConfig {
+        num_colors: 2,
+        ..fx_config()
+    };
+    let machine = Msropm::new(&g, config);
+    let seeds: Vec<u64> = (200..203).collect();
+    let lanes = vec![LaneConfig::default(); seeds.len()];
+    let pool = ShardPool::new(2);
+
+    // Per-shard lane counts 3 (generic fallback), then 2 and 1.
+    for shards in [1usize, 2] {
+        let mut arena = ShardedArena::new();
+        let sols =
+            machine.solve_batch_lanes_arena_sharded(&lanes, &seeds, shards, &mut arena, &pool);
+        let digest = phase_digest(&sols);
+        assert_eq!(
+            digest, GOLDEN_COMPLETE_40,
+            "complete-graph fx digest changed at shard width {shards} (got {digest:#018x})"
         );
     }
 }
