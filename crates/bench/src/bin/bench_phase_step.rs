@@ -11,6 +11,8 @@
 //!   ([`FxBatchKernel`] at one replica): i32 binary-turn phases,
 //!   Q-format weights, table-driven sine (the acceptance metric is
 //!   `fx_speedup = kernel/fx` > 1 on the 2116-node board);
+//! - `fx_batch_eval`: the fixed-point RHS at two replicas, the lane
+//!   width a sharded serving job runs per shard, reported per replica;
 //! - `batch_eval`: one 40-replica SoA RHS sweep ([`BatchKernel`]),
 //!   reported per replica;
 //! - `sweep_eval`: the same 40-replica RHS with **heterogeneous**
@@ -48,6 +50,8 @@ use std::time::Instant;
 const BATCH_REPLICAS: usize = 40; // the paper's iteration count
 /// Lanes per shard of a `paper_2116` job (8 lanes on 2 cores).
 const STAGE2_LANES: usize = 4;
+/// Lanes per shard of a sharded 2–4-lane serving job on 2 cores.
+const FX_SHARD_LANES: usize = 2;
 
 /// Real stage-1 cuts of `g`: the partitions of `STAGE2_LANES` lanes of
 /// a single-stage (2-colour) solve at the paper's physics.
@@ -95,6 +99,8 @@ struct Row {
     fx_eval_ns: f64,
     /// Compiled f64 kernel vs fixed-point kernel: `kernel/fx`.
     fx_speedup: f64,
+    /// Fixed-point RHS at the serving shard width, per replica.
+    fx_batch_eval_ns_per_replica: f64,
     batch_eval_ns_per_replica: f64,
     batch_speedup: f64,
     /// Heterogeneous 40-lane (K, σ) sweep RHS, per replica — the
@@ -155,6 +161,23 @@ fn bench_side(g: &Graph, side: usize, cuts: &[Cut], eval_budget: f64, anneal_bud
             3,
             eval_budget,
         );
+
+    // --- Fixed-point RHS at the serving shard width. ---
+    let fx_batch = FxBatchKernel::new(&net, FX_SHARD_LANES, 0.01);
+    let mut rng_q = StdRng::seed_from_u64(4);
+    let phases_qb: Vec<i32> = (0..fx_batch.state_len())
+        .map(|_| rng_q.gen::<u32>() as i32)
+        .collect();
+    let mut dq_b = vec![0i32; fx_batch.state_len()];
+    let fx_batch_eval_ns_per_replica =
+        1e9 * time_per_call(
+            || {
+                fx_batch.drift_into(std::hint::black_box(&phases_qb), &mut dq_b, &mut scratch_q);
+                std::hint::black_box(&dq_b);
+            },
+            3,
+            eval_budget,
+        ) / FX_SHARD_LANES as f64;
 
     // --- 40-replica SoA sweep. ---
     let batch = BatchKernel::new(&net, BATCH_REPLICAS);
@@ -270,6 +293,7 @@ fn bench_side(g: &Graph, side: usize, cuts: &[Cut], eval_budget: f64, anneal_bud
         kernel_speedup: naive_eval_ns / kernel_eval_ns,
         fx_eval_ns,
         fx_speedup: kernel_eval_ns / fx_eval_ns,
+        fx_batch_eval_ns_per_replica,
         batch_eval_ns_per_replica,
         batch_speedup: naive_eval_ns / batch_eval_ns_per_replica,
         sweep_eval_ns_per_replica,
@@ -290,6 +314,9 @@ fn best_of(a: Row, b: Row) -> Row {
         naive_eval_ns: a.naive_eval_ns.min(b.naive_eval_ns),
         kernel_eval_ns: a.kernel_eval_ns.min(b.kernel_eval_ns),
         fx_eval_ns: a.fx_eval_ns.min(b.fx_eval_ns),
+        fx_batch_eval_ns_per_replica: a
+            .fx_batch_eval_ns_per_replica
+            .min(b.fx_batch_eval_ns_per_replica),
         batch_eval_ns_per_replica: a.batch_eval_ns_per_replica.min(b.batch_eval_ns_per_replica),
         sweep_eval_ns_per_replica: a.sweep_eval_ns_per_replica.min(b.sweep_eval_ns_per_replica),
         batch_stage2_eval_ns: a.batch_stage2_eval_ns.min(b.batch_stage2_eval_ns),
@@ -309,10 +336,11 @@ fn best_of(a: Row, b: Row) -> Row {
 /// Tracked ns/op columns for the `--baseline` CI perf gate: the compiled
 /// hot paths. `naive_eval_ns` is the uncompiled reference (tracked too —
 /// it regressing usually means the whole build got slower).
-const TRACKED: [&str; 8] = [
+const TRACKED: [&str; 9] = [
     "naive_eval_ns",
     "kernel_eval_ns",
     "fx_eval_ns",
+    "fx_batch_eval_ns_per_replica",
     "batch_eval_ns_per_replica",
     "sweep_eval_ns_per_replica",
     "batch_stage2_eval_ns",
@@ -321,12 +349,16 @@ const TRACKED: [&str; 8] = [
 ];
 
 /// Every timing a row carries, for output validation.
-fn row_timings(r: &Row) -> [(&'static str, f64); 11] {
+fn row_timings(r: &Row) -> [(&'static str, f64); 12] {
     [
         ("naive_eval_ns", r.naive_eval_ns),
         ("kernel_eval_ns", r.kernel_eval_ns),
         ("fx_eval_ns", r.fx_eval_ns),
         ("fx_speedup", r.fx_speedup),
+        (
+            "fx_batch_eval_ns_per_replica",
+            r.fx_batch_eval_ns_per_replica,
+        ),
         ("batch_eval_ns_per_replica", r.batch_eval_ns_per_replica),
         ("sweep_eval_ns_per_replica", r.sweep_eval_ns_per_replica),
         ("batch_stage2_eval_ns", r.batch_stage2_eval_ns),
@@ -372,10 +404,11 @@ fn main() {
             bench_side(&g, side, &cuts, eval_budget, anneal_budget),
         );
         println!(
-            "kings {:>2}x{:<2} n={:<5} m={:<6} eval naive {:>9.1} ns | kernel {:>9.1} ns ({:>4.2}x) | fx {:>9.1} ns ({:>4.2}x) | batch/rep {:>9.1} ns ({:>4.2}x) | sweep/rep {:>9.1} ns | stage2/rep {:>9.1} ns ({:>4.1}% live) | anneal1ns naive {:>8.1} us | kernel {:>8.1} us | batch/rep {:>8.1} us",
+            "kings {:>2}x{:<2} n={:<5} m={:<6} eval naive {:>9.1} ns | kernel {:>9.1} ns ({:>4.2}x) | fx {:>9.1} ns ({:>4.2}x) | fx{}/rep {:>9.1} ns | batch/rep {:>9.1} ns ({:>4.2}x) | sweep/rep {:>9.1} ns | stage2/rep {:>9.1} ns ({:>4.1}% live) | anneal1ns naive {:>8.1} us | kernel {:>8.1} us | batch/rep {:>8.1} us",
             row.side, row.side, row.nodes, row.edges,
             row.naive_eval_ns, row.kernel_eval_ns, row.kernel_speedup,
             row.fx_eval_ns, row.fx_speedup,
+            FX_SHARD_LANES, row.fx_batch_eval_ns_per_replica,
             row.batch_eval_ns_per_replica, row.batch_speedup,
             row.sweep_eval_ns_per_replica,
             row.batch_stage2_eval_ns, 100.0 * row.stage2_live_frac,
@@ -421,6 +454,7 @@ fn main() {
              \"naive_eval_ns\": {naive:.2}, \"kernel_eval_ns\": {kern:.2}, \
              \"kernel_speedup\": {speed:.3}, \
              \"fx_eval_ns\": {fx:.2}, \"fx_speedup\": {fxs:.3}, \
+             \"fx_batch_eval_ns_per_replica\": {fxb:.2}, \
              \"batch_eval_ns_per_replica\": {batch:.2}, \"batch_speedup\": {bspeed:.3}, \
              \"sweep_eval_ns_per_replica\": {sweep:.2}, \
              \"batch_stage2_eval_ns\": {stage2:.2}, \"stage2_live_frac\": {live:.3}, \
@@ -434,6 +468,7 @@ fn main() {
             speed = r.kernel_speedup,
             fx = r.fx_eval_ns,
             fxs = r.fx_speedup,
+            fxb = r.fx_batch_eval_ns_per_replica,
             batch = r.batch_eval_ns_per_replica,
             bspeed = r.batch_speedup,
             sweep = r.sweep_eval_ns_per_replica,

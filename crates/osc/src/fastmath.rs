@@ -44,9 +44,10 @@ const SHIFTER: f64 = 6_755_399_441_055_744.0;
 
 /// `y.round()` (nearest integer, ties away from zero) without a libm
 /// call, bit for bit — including the sign of zero results. Valid for
-/// `|y| < 2^51`; [`sin_core`] only sees `|y| ≤ 2^20 · 2/π`.
+/// `|y| < 2^51`; [`sin_core`] only sees `|y| ≤ 2^20 · 2/π`, and the
+/// fixed-point noise quantizer guards its own range.
 #[inline(always)]
-fn round_half_away(y: f64) -> f64 {
+pub(crate) fn round_half_away(y: f64) -> f64 {
     let a = y.abs();
     // Nearest integer, ties to even; exact because `a` is far below
     // 2^52 and the shifted sum is an integer.

@@ -53,6 +53,9 @@ stage_test() {
     # The incremental CNF repair against its from-scratch reference, in
     # release too: integer overflow goes unchecked there.
     PROPTEST_CASES=2000 cargo test -q --release -p msropm-problems --lib cnf_repair
+    # The lane-width-specialized fixed-point drift and step against their
+    # generic reference loops, bit for bit, likewise in release.
+    PROPTEST_CASES=2000 cargo test -q --release -p msropm-osc --lib drift_and_step_match_reference
 }
 
 stage_build() {
