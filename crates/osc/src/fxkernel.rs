@@ -24,9 +24,9 @@
 //! widths serving runs (1, 2 and 4 lanes per shard) and a generic
 //! fallback for the rest. Rows are taken as slices and zipped, and the
 //! table index is masked to its proven range, so no bounds check
-//! remains per lane. On a 2-vCPU x86-64 VM this cut the cost per
-//! (edge, lane) from 5–7 ns to about 3 ns at one and two lanes, with
-//! every phase word unchanged.
+//! remains per lane. On a 48-node complete graph this about halved
+//! the cost per (edge, lane) at one, two and four lanes (2-vCPU x86-64
+//! VM), with every phase word unchanged.
 //!
 //! # Phase format: binary turns (Q0.32)
 //!
