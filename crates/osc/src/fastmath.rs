@@ -42,12 +42,14 @@ const REDUCTION_LIMIT: f64 = 1_048_576.0; // 2^20
 /// mantissa bits.
 const SHIFTER: f64 = 6_755_399_441_055_744.0;
 
+/// `2^51`, the bound below which [`round_half_away`] is exact.
+const SHIFTER_LIMIT: f64 = 2_251_799_813_685_248.0;
+
 /// `y.round()` (nearest integer, ties away from zero) without a libm
 /// call, bit for bit — including the sign of zero results. Valid for
-/// `|y| < 2^51`; [`sin_core`] only sees `|y| ≤ 2^20 · 2/π`, and the
-/// fixed-point noise quantizer guards its own range.
+/// `|y| < 2^51`; [`sin_core`] only sees `|y| ≤ 2^20 · 2/π`.
 #[inline(always)]
-pub(crate) fn round_half_away(y: f64) -> f64 {
+fn round_half_away(y: f64) -> f64 {
     let a = y.abs();
     // Nearest integer, ties to even; exact because `a` is far below
     // 2^52 and the shifted sum is an integer.
@@ -56,6 +58,23 @@ pub(crate) fn round_half_away(y: f64) -> f64 {
     // instead, which is the away-from-zero rule on `|y|`.
     let t = if a - t == 0.5 { t + 1.0 } else { t };
     t.copysign(y)
+}
+
+/// `y.round()` for every `y`, bit for bit: [`round_half_away`] below
+/// `2^51`, an out-of-line libm call for larger, infinite or NaN input.
+/// For callers whose range is not bounded by construction, such as the
+/// fixed-point noise quantizer.
+#[inline(always)]
+pub(crate) fn round_half_away_any(y: f64) -> f64 {
+    #[cold]
+    fn round_libm(y: f64) -> f64 {
+        y.round()
+    }
+    if y.abs() < SHIFTER_LIMIT {
+        round_half_away(y)
+    } else {
+        round_libm(y)
+    }
 }
 
 /// `q + SHIFTER` as bits, for an integer `q` with `|q| < 2^51`: the sum

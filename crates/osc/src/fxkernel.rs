@@ -21,12 +21,13 @@
 //! instructions in `drift_into`). What the loop can shed is overhead
 //! around that arithmetic. [`FxBatchKernel::drift_into`] therefore
 //! calls one `#[inline(always)]` body with a literal lane width for the
-//! widths serving runs (1, 2 and 4 lanes per shard) and a generic
-//! fallback for the rest. Rows are taken as slices and zipped, and the
-//! table index is masked to its proven range, so no bounds check
-//! remains per lane. On a 48-node complete graph this about halved
-//! the cost per (edge, lane) at one, two and four lanes (2-vCPU x86-64
-//! VM), with every phase word unchanged.
+//! widths `problems_cold_http` serving runs (1 and 2 lanes per shard)
+//! and at the generic width for the rest. Rows are taken as slices and
+//! zipped, and the table index is masked to its proven range, so no
+//! bounds check remains per lane at any width. On a 48-node complete
+//! graph this cut the cost per (edge, lane) by about 45% at one and two
+//! lanes and by a third at four (2-vCPU x86-64 VM), with every phase
+//! word unchanged.
 //!
 //! # Phase format: binary turns (Q0.32)
 //!
@@ -88,7 +89,7 @@
 //! and across shard widths by the same per-lane-stream argument as the
 //! float path.
 
-use crate::fastmath::{round_half_away, sin_fast};
+use crate::fastmath::{round_half_away_any, sin_fast};
 use crate::network::PhaseNetwork;
 use crate::shil::Shil;
 use msropm_ode::sde::fill_normal_batch;
@@ -150,29 +151,11 @@ pub fn noise_gain(sigma: f64, dt: f64) -> i64 {
 /// shared ziggurat stream.
 #[inline]
 pub fn noise_increment(gain: i64, xi: f64) -> i32 {
-    ((gain * deviate_q16(xi)) >> 32) as i32
-}
-
-/// `(xi · 2^16).round() as i64`, bit for bit, without the libm `round`
-/// call that `f64::round` lowers to on the SSE2 baseline (see the
-/// [`crate::fastmath`] docs): one call per draw in the noise apply loop.
-/// Deviates never come near `2^35`, so the libm path only serves
-/// non-finite or absurd input.
-#[inline(always)]
-fn deviate_q16(xi: f64) -> i64 {
-    /// `2^51`, the bound below which the shifter rounding is exact.
-    const SHIFTER_LIMIT: f64 = 2_251_799_813_685_248.0;
-    #[cold]
-    fn round_libm(y: f64) -> f64 {
-        y.round()
-    }
-    let y = xi * 65_536.0;
-    let r = if y.abs() < SHIFTER_LIMIT {
-        round_half_away(y)
-    } else {
-        round_libm(y)
-    };
-    r as i64
+    // `round_half_away_any` is `f64::round` bit for bit, without the
+    // libm call that `round` lowers to on the SSE2 baseline (see the
+    // `fastmath` docs): one call per draw in the noise apply loop.
+    let xi_q16 = round_half_away_any(xi * 65_536.0) as i64;
+    ((gain * xi_q16) >> 32) as i32
 }
 
 /// The quarter-wave table: `table[j] = round(2^30 · sin(π/2 · j/1024))`
@@ -584,13 +567,12 @@ impl FxBatchKernel {
         assert_eq!(dq.len(), self.state_len(), "increment vector size mismatch");
         let _ = scratch;
         dq.copy_from_slice(&self.bias_q);
-        // Literal lane widths for the shapes serving runs (1 and 2 per
-        // shard on 2–4-lane jobs, 4 on one wide shard): with `rr` a
-        // constant the per-lane loops unroll flat.
+        // Literal lane widths for the shards of 2–4-lane serving jobs
+        // (1 or 2 lanes each): with `rr` a constant the per-lane loops
+        // unroll flat.
         match self.replicas {
             1 => self.drift_lanes(1, y, dq),
             2 => self.drift_lanes(2, y, dq),
-            4 => self.drift_lanes(4, y, dq),
             rr => self.drift_lanes(rr, y, dq),
         }
     }
@@ -1178,8 +1160,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Every lane-width arm of `drift_into` (1, 2, 4 and the generic
-        /// fallback) matches the reference loops bit for bit, and 20
+        /// Every lane-width arm of `drift_into` (1, 2 and the generic
+        /// width) matches the reference loops bit for bit, and 20
         /// integrator steps match 20 reference steps.
         #[test]
         fn drift_and_step_match_reference(
@@ -1226,7 +1208,8 @@ mod tests {
 
     /// Bitwise check of the shifter quantizer against the libm form.
     fn assert_q16_matches(xi: f64) {
-        assert_eq!(deviate_q16(xi), (xi * 65_536.0).round() as i64, "{xi:e}");
+        let y = xi * 65_536.0;
+        assert_eq!(round_half_away_any(y) as i64, y.round() as i64, "{xi:e}");
     }
 
     #[test]
