@@ -15,7 +15,9 @@
 //! ablation_lane_sweep` (`--quick` shrinks the board to 7×7).
 
 use msropm_bench::{paper_benchmark, Options, Table};
-use msropm_core::{Msropm, MsropmConfig, PortfolioRunner, SweepParam, SweepSpec};
+use msropm_core::{
+    LaneConfig, Msropm, MsropmConfig, PortfolioRunner, SolveOptions, SweepParam, SweepSpec,
+};
 
 fn main() {
     let opts = Options::from_env();
@@ -37,7 +39,13 @@ fn main() {
     // Baseline: the same replica budget, all lanes at the paper point.
     let seeds: Vec<u64> = (0..num_lanes as u64).map(|i| opts.seed + i).collect();
     let machine = Msropm::new(g, base);
-    let baseline = machine.solve_batch(&seeds, msropm_core::num_cores());
+    let baseline = machine
+        .solve_lanes(
+            &vec![LaneConfig::default(); seeds.len()],
+            &seeds,
+            SolveOptions::new().shards(msropm_core::num_cores()),
+        )
+        .expect("no abort check");
     let baseline_best = baseline
         .iter()
         .map(|s| s.coloring.accuracy(g))

@@ -5,7 +5,7 @@
 //! - `naive_eval`: one RHS evaluation via the reference CSR walk
 //!   (`PhaseNetwork::eval`);
 //! - `kernel_eval`: one RHS evaluation via the compiled
-//!   [`CoupledKernel`] (the acceptance metric is `kernel_speedup =
+//!   [`msropm_osc::CoupledKernel`] (the acceptance metric is `kernel_speedup =
 //!   naive/kernel` on the 2116-node board);
 //! - `fx_eval`: one RHS evaluation via the fixed-point kernel
 //!   ([`FxBatchKernel`] at one replica): i32 binary-turn phases,

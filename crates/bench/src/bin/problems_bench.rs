@@ -22,7 +22,7 @@
 //! compares the row subset.)
 
 use msropm_bench::baseline::{default_out_path, enforce_gate_cli};
-use msropm_core::{BatchArena, BatchJob, Msropm, MsropmConfig};
+use msropm_core::{BatchJob, Msropm, MsropmConfig, SolveOptions};
 use msropm_graph::{generators, Graph};
 use msropm_problems::baseline::{
     greedy_max_k_cut, greedy_mis, greedy_partition, greedy_vertex_cover,
@@ -58,10 +58,10 @@ fn machine_objective(spec: &ProblemSpec) -> f64 {
         lanes: compiled.lanes.clone(),
         seed: SEED,
     };
-    let mut arena = BatchArena::new();
-    let report = compiled
-        .decoder
-        .decode_report(&job.run(&machine, &mut arena));
+    let report = job
+        .run(&machine, SolveOptions::new())
+        .expect("no abort check");
+    let report = compiled.decoder.decode_report(&report);
     report.best().expect("replicas > 0").objective
 }
 

@@ -364,10 +364,10 @@ pub struct Client {
     /// waiting on other replies, keyed by job id; redeemed as
     /// [`ClientError::Server`] by the report-waiting verbs.
     failed: HashMap<u64, (ErrorCode, String)>,
-    /// Submits written by [`Client::submit_nowait`] whose replies have
+    /// Submits written by [`SubmitOptions::nowait`] whose replies have
     /// not yet been read off the socket.
     pending_submits: usize,
-    /// Replies to [`Client::submit_nowait`] frames that another verb
+    /// Replies to [`SubmitOptions::nowait`] frames that another verb
     /// had to read past (the server answers requests strictly in order
     /// per connection, so a blocking verb first drains every
     /// outstanding submit reply here); redeemed FIFO by
@@ -528,7 +528,7 @@ impl Client {
             .map(|(code, message)| ClientError::Server { code, message })
     }
 
-    /// Reads the replies of every outstanding [`Client::submit_nowait`]
+    /// Reads the replies of every outstanding [`SubmitOptions::nowait`]
     /// into the collected queue. Called by each blocking verb before it
     /// reads its own reply: the server answers requests in order per
     /// connection, so the pending submit replies are on the wire
@@ -669,7 +669,7 @@ impl Client {
         self.pending_submits + self.collected_submits.len()
     }
 
-    /// Collects the oldest outstanding [`Client::submit_nowait`] reply:
+    /// Collects the oldest outstanding [`SubmitOptions::nowait`] reply:
     /// the server-assigned job id, or the typed rejection for that
     /// submit. Reports arriving meanwhile are stashed, never lost.
     ///

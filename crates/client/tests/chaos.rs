@@ -324,7 +324,7 @@ fn panicking_solve_is_a_typed_failure_not_a_dead_server() {
     server.shutdown();
 }
 
-/// Disarms the *core* pool's shard-panic fault on drop — it is a
+/// Disarms the global shard pool's shard-panic fault on drop — it is a
 /// separate fault point from the server crate's `faultinject`, so the
 /// server-side guard does not cover it and a failing assertion must
 /// not leak it into later tests.
@@ -332,7 +332,7 @@ struct ShardFaultGuard;
 
 impl Drop for ShardFaultGuard {
     fn drop(&mut self) {
-        msropm_core::pool::faultinject::disarm();
+        msropm_core::pool::faultinject::disarm(msropm_core::pool::global());
     }
 }
 
@@ -352,7 +352,8 @@ fn shard_panic_is_a_typed_failure_not_a_dead_server() {
         // One shard of the sharded solve panics; the unwind crosses the
         // shard join, the worker's catch_unwind types it, and the
         // worker (arena rebuilt) lives on.
-        msropm_core::pool::faultinject::arm_panic_in_shard(1);
+        // The server shards every job on the global pool.
+        msropm_core::pool::faultinject::arm_panic_in_shard(msropm_core::pool::global(), 1);
         let id = client.submit_ok(&graph, &job).expect("submit");
         match client.wait_report_timeout(id, NO_HANG) {
             Err(ClientError::Server { code, message }) => {

@@ -1,31 +1,32 @@
 //! Multi-replica batch execution of the divide-and-color schedule.
 //!
 //! The paper's experiments run 40 independent iterations per problem;
-//! [`solve_lanes_sharded`] advances all of them through the full
-//! multi-stage schedule as one interleaved SoA sweep per thread (see
-//! [`msropm_osc::batch`] for the kernel layout). Per-replica gating
-//! (`P_EN` lanes) and `SHIL_SEL` assignments evolve independently across
-//! stage transitions, exactly as `Msropm::solve` evolves them for a
-//! single run.
+//! this module advances all of them through the full multi-stage
+//! schedule as one interleaved SoA sweep (see [`msropm_osc::batch`] for
+//! the kernel layout). Per-replica gating (`P_EN` lanes) and `SHIL_SEL`
+//! assignments evolve independently across stage transitions, exactly as
+//! `Msropm::solve` evolves them for a single run.
 //!
-//! Since PR 2 the replicas are full **control lanes**: each lane may
-//! override the base configuration's coupling strength, SHIL
-//! strength/ramp, annealing noise and re-init mode
-//! ([`crate::config::LaneConfig`]), so one batch can sweep an operating
-//! grid or run a restart portfolio instead of repeating one point M
-//! times. Timing stays lockstep across lanes (enforced by
-//! [`crate::schedule::ScheduleSet`]); everything else rides in per-lane
-//! kernel tables, so the hot loop is identical to the homogeneous case.
+//! The replicas are full **control lanes**: each lane may override the
+//! base configuration's coupling strength, SHIL strength/ramp, annealing
+//! noise and re-init mode ([`crate::config::LaneConfig`]), so one batch
+//! can sweep an operating grid or run a restart portfolio instead of
+//! repeating one point M times. Timing stays lockstep across lanes
+//! (enforced by [`crate::schedule::ScheduleSet`]); everything else rides
+//! in per-lane kernel tables, so the hot loop is identical to the
+//! homogeneous case.
 //!
-//! Since PR 7 a *single job's* lane range can also shard **inside** one
-//! solve: [`solve_lanes_sharded_hooked`] splits the range into
-//! contiguous chunks, runs each chunk's current stage as an owned task
-//! on the [`crate::pool::ShardPool`], and re-joins at every stage
-//! boundary, where hooks (cancellation, deadlines, portfolio restarts)
-//! fire over a cross-shard [`StageBoundary`] with exactly the
-//! single-shard semantics. Both paths execute the same
-//! [`run_one_stage`] body on the same per-shard state, so 1-shard and
-//! N-shard solves are bit-identical by construction.
+//! Every batch solve — [`crate::machine::Msropm::solve_lanes`], the
+//! experiment and portfolio runners, the job server — runs one driver,
+//! `solve_lanes_sharded_hooked`. It splits the lane range into
+//! contiguous shards; at width 1 it runs inline on the calling thread,
+//! wider it runs each shard's current stage as an owned task on a
+//! [`crate::pool::ShardPool`] and re-joins at every stage boundary.
+//! There, hooks (cancellation, deadlines, portfolio restarts) see every
+//! lane of every shard at once, in global lane order, with exactly the
+//! single-shard semantics. Both widths execute the same stage body on
+//! the same per-shard state, so 1-shard and N-shard solves are
+//! bit-identical by construction.
 //!
 //! # Determinism contract
 //!
@@ -49,17 +50,17 @@
 //!   jitter lanes integrate bias + noise drawing one deviate per node
 //!   per step, uniform lanes draw nothing until their end-of-window
 //!   phase redraw, each matching its solo counterpart;
-//! - threads and shards partition replicas into disjoint contiguous
-//!   ranges, and a replica's trajectory never depends on its range.
+//! - shards partition replicas into disjoint contiguous ranges, and a
+//!   replica's trajectory never depends on its range.
 //!
-//! Hence colorings (and final phases) are identical across thread counts
-//! *and shard counts* and identical to a sequential iteration loop —
-//! property-tested in the workspace root's `tests/batch_determinism.rs`
-//! and `tests/lane_equivalence.rs`.
+//! Hence colorings (and final phases) are identical across shard counts
+//! and identical to a sequential iteration loop — property-tested in the
+//! workspace root's `tests/batch_determinism.rs` and
+//! `tests/lane_equivalence.rs`.
 
 use crate::config::{KernelBackend, LaneConfig, MsropmConfig, ReinitMode};
 use crate::machine::{MsropmSolution, StageRecord};
-use crate::pool::ShardPool;
+use crate::pool::{faultinject, ShardPool};
 use crate::schedule::{ScheduleSet, Window, WindowKind};
 use msropm_graph::{Color, Coloring, Cut, Graph};
 use msropm_ode::sde::standard_normal;
@@ -77,102 +78,6 @@ use std::f64::consts::TAU;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
-
-/// Runs one homogeneous batch of replicas (every lane at the base
-/// config), sharded over at most `threads` OS threads.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or `config` is inconsistent.
-pub(crate) fn solve_batch_sharded(
-    graph: &Graph,
-    config: &MsropmConfig,
-    network: &PhaseNetwork,
-    seeds: &[u64],
-    sample_spread: bool,
-    threads: usize,
-) -> Vec<MsropmSolution> {
-    let lanes = vec![LaneConfig::default(); seeds.len()];
-    solve_lanes_sharded(
-        graph,
-        config,
-        network,
-        &lanes,
-        seeds,
-        sample_spread,
-        threads,
-    )
-}
-
-/// Runs one batch of heterogeneous control lanes, sharded over at most
-/// `threads` OS threads (disjoint contiguous (lane, seed) ranges; the
-/// outputs are concatenated in lane order). `sample_spread` reproduces
-/// `Msropm::with_frequency_spread` semantics: each replica first draws
-/// per-oscillator frequency offsets from its own RNG, before any phase
-/// draws.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, `lanes.len() != seeds.len()`, or any
-/// resolved lane config is inconsistent.
-pub(crate) fn solve_lanes_sharded(
-    graph: &Graph,
-    config: &MsropmConfig,
-    network: &PhaseNetwork,
-    lanes: &[LaneConfig],
-    seeds: &[u64],
-    sample_spread: bool,
-    threads: usize,
-) -> Vec<MsropmSolution> {
-    assert!(threads > 0, "need at least one thread");
-    assert_eq!(lanes.len(), seeds.len(), "need one lane config per seed");
-    config.validate();
-    if seeds.is_empty() {
-        return Vec::new();
-    }
-    // Check backend agreement across the *whole* batch up front, so a
-    // mixed batch fails identically whether or not the thread chunking
-    // happens to put the odd lane in its own chunk.
-    let _ = batch_backend(config, lanes);
-    let threads = threads.min(seeds.len());
-    if threads == 1 {
-        return solve_lanes_arena(
-            graph,
-            config,
-            network,
-            lanes,
-            seeds,
-            sample_spread,
-            &mut BatchArena::new(),
-        );
-    }
-    let chunk_len = seeds.len().div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .chunks(chunk_len)
-            .zip(lanes.chunks(chunk_len))
-            .map(|(seed_chunk, lane_chunk)| {
-                scope.spawn(move |_| {
-                    solve_lanes_arena(
-                        graph,
-                        config,
-                        network,
-                        lane_chunk,
-                        seed_chunk,
-                        sample_spread,
-                        &mut BatchArena::new(),
-                    )
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(seeds.len());
-        for h in handles {
-            out.extend(h.join().expect("batch worker thread panicked"));
-        }
-        out
-    })
-    .expect("crossbeam scope")
-}
 
 /// The backend-erased compiled kernel of one lane range: either the
 /// IEEE-double SoA kernel or its fixed-point twin. The generic control
@@ -412,23 +317,22 @@ impl StageBoundary<'_> {
     }
 }
 
-/// Reusable per-worker scratch for batch solves: the integrator (drift +
-/// noise buffers) plus every per-run state vector
+/// Reusable scratch for one shard of a batch solve: the integrator
+/// (drift + noise buffers) plus every per-run state vector
 /// (`phases`/`groups`/`bits`/RNGs/resolved configs/SHIL tables).
 ///
 /// A long-lived arena makes repeated batch solves allocation-free across
 /// jobs once warm (for same-shaped jobs — buffers only grow, never
-/// shrink): the job-server workers each own one and thread it through
-/// every solve they execute. The compiled [`BatchKernel`] itself is still
-/// built per solve — it *is* the problem compilation; reuse across repeat
-/// topologies happens one level up in [`crate::cache::ProblemCache`],
-/// which caches the machine (graph + network) a kernel is compiled from.
+/// shrink). The compiled [`BatchKernel`] itself is still built per solve
+/// — it *is* the problem compilation; reuse across repeat topologies
+/// happens one level up in [`crate::cache::ProblemCache`], which caches
+/// the machine (graph + network) a kernel is compiled from.
 ///
 /// Results are bit-identical whether a fresh or a reused arena is used
 /// (every buffer is fully re-initialized at the start of a solve);
 /// covered by `reused_arena_matches_fresh_arena` below.
 #[derive(Debug, Default)]
-pub struct BatchArena {
+pub(crate) struct BatchArena {
     integrator: BatchIntegrator,
     fx_integrator: FxBatchIntegrator,
     rngs: Vec<StdRng>,
@@ -443,26 +347,20 @@ pub struct BatchArena {
     ramped: Vec<bool>,
 }
 
-impl BatchArena {
-    /// Creates an empty arena; buffers are sized lazily by the first
-    /// solve that uses it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// One [`BatchArena`] per shard, owned by a long-lived worker: a
-/// sharded solve moves shard `i`'s arena into shard `i`'s tasks and
-/// moves it back at the end, so repeated sharded solves of same-shaped
-/// jobs reuse every per-shard buffer — the PR 3 allocation-free-across-
-/// jobs property, per shard. (The sharded path does clone the graph and
-/// network into `Arc`s once per solve so tasks can outlive the caller's
-/// borrows; that is O(n + m) against a solve that integrates thousands
-/// of steps per edge.)
+/// Long-lived solver scratch for [`crate::machine::Msropm::solve_lanes`]:
+/// one arena per shard slot. A solve moves shard `i`'s arena into shard
+/// `i`'s tasks and moves it back at the end, so repeated solves of
+/// same-shaped jobs reuse every per-shard buffer and allocate (almost)
+/// nothing per job; a 1-shard solve runs in slot 0. The job-server
+/// workers each own one and thread it through every solve they execute.
+/// (A solve wider than one shard does clone the graph and network into
+/// `Arc`s once so tasks can outlive the caller's borrows; that is
+/// O(n + m) against a solve that integrates thousands of steps per
+/// edge.)
 ///
-/// If a solve panics (a shard task died), the arenas that were in
-/// flight are lost — rebuild with [`ShardedArena::new`], exactly like a
-/// plain arena after a worker panic.
+/// Results are bit-identical whatever the arena's history. If a solve
+/// panics (a shard task died), the arenas that were in flight are lost
+/// — rebuild with [`ShardedArena::new`].
 #[derive(Debug, Default)]
 pub struct ShardedArena {
     shards: Vec<BatchArena>,
@@ -479,7 +377,7 @@ impl ShardedArena {
     /// every solve uses slot `i`, so warm buffers line up across jobs.
     fn shard_slot(&mut self, i: usize) -> &mut BatchArena {
         while self.shards.len() <= i {
-            self.shards.push(BatchArena::new());
+            self.shards.push(BatchArena::default());
         }
         &mut self.shards[i]
     }
@@ -507,37 +405,6 @@ fn lane_network(base: &PhaseNetwork, lane: &LaneConfig) -> PhaseNetwork {
         net.set_noise(sigma);
     }
     net
-}
-
-/// Hook-free wrapper over [`solve_lane_range_hooked`]: one contiguous
-/// lane range solved single-threaded in the caller's `arena`. This is
-/// the job-server unit of work ([`crate::job::BatchJob::run`] and
-/// [`crate::machine::Msropm::solve_batch_lanes_arena`] route here), so
-/// a worker's long-lived arena is reused across jobs.
-pub(crate) fn solve_lanes_arena(
-    graph: &Graph,
-    config: &MsropmConfig,
-    network: &PhaseNetwork,
-    lanes: &[LaneConfig],
-    seeds: &[u64],
-    sample_spread: bool,
-    arena: &mut BatchArena,
-) -> Vec<MsropmSolution> {
-    config.validate();
-    if seeds.is_empty() {
-        return Vec::new();
-    }
-    solve_lane_range_hooked(
-        graph,
-        config,
-        network,
-        lanes,
-        seeds,
-        sample_spread,
-        arena,
-        |_, _: &mut StageBoundary| ControlFlow::Continue(()),
-    )
-    .expect("hook never aborts")
 }
 
 /// Everything [`prepare_lane_range`] computes beyond the arena's own
@@ -1215,8 +1082,13 @@ impl ShardRun {
         }
     }
 
-    fn run_stage(&mut self, stage: usize) {
-        crate::pool::faultinject::maybe_panic_in_shard(self.shard);
+    /// Runs stage `stage`. `injected_panic` is the one-shot fault the
+    /// dispatcher took from its pool for this task
+    /// ([`crate::pool::faultinject`]).
+    fn run_stage(&mut self, stage: usize, injected_panic: bool) {
+        if injected_panic {
+            panic!("injected shard panic (shard {})", self.shard);
+        }
         run_one_stage(
             &self.graph,
             stage,
@@ -1295,13 +1167,17 @@ fn collect_shards(
         .collect()
 }
 
-/// Runs one job's lane range sharded across the [`ShardPool`]: the
-/// range splits into `shards` contiguous chunks; each chunk's current
-/// stage runs as one owned task; the dispatching thread helps the pool
-/// while waiting and fires `hook` over a cross-shard [`StageBoundary`]
-/// at every non-final boundary. `shards == 1` (or a single-lane job)
-/// delegates to [`solve_lane_range_hooked`] in shard slot 0 — the
-/// sharded entry at width 1 *is* the unsharded entry.
+/// Runs one job's lane range — the one batch-solve driver. The range
+/// splits into `shards` contiguous chunks; each chunk's current stage
+/// runs as one owned task on `pool` (the process-wide
+/// [`crate::pool::global`] when `None`); the dispatching thread helps
+/// the pool while waiting and fires `hook` over a cross-shard
+/// [`StageBoundary`] at every non-final boundary. `shards == 1` (or a
+/// single-lane job) runs [`solve_lane_range_hooked`] inline in shard
+/// slot 0 and never touches a pool. `sample_spread` reproduces
+/// `Msropm::with_frequency_spread` semantics: each replica first draws
+/// per-oscillator frequency offsets from its own RNG, before any phase
+/// draws.
 ///
 /// Bit-identity across shard counts holds by construction (shared
 /// [`prepare_lane_range`] + [`run_one_stage`], per-lane RNG streams, a
@@ -1328,7 +1204,7 @@ pub(crate) fn solve_lanes_sharded_hooked<F>(
     sample_spread: bool,
     shards: usize,
     arena: &mut ShardedArena,
-    pool: &ShardPool,
+    pool: Option<&ShardPool>,
     mut hook: F,
 ) -> Option<Vec<MsropmSolution>>
 where
@@ -1353,6 +1229,10 @@ where
             hook,
         );
     }
+    let pool = match pool {
+        Some(pool) => pool,
+        None => crate::pool::global(),
+    };
     // Lockstep (and backend agreement) must hold across the *whole*
     // batch, not just within each shard, so a cross-shard mismatch
     // fails exactly like it does on the single-shard path.
@@ -1385,6 +1265,7 @@ where
         let task_lanes = lane_chunk.to_vec();
         let task_seeds = seed_chunk.to_vec();
         let shard_arena = std::mem::take(arena.shard_slot(idx));
+        let injected_panic = faultinject::take_panic_in_shard(pool, idx);
         pool.submit(Box::new(move || {
             let out = catch_unwind(AssertUnwindSafe(move || {
                 let mut run = ShardRun::init(
@@ -1397,7 +1278,7 @@ where
                     shard_arena,
                     idx,
                 );
-                run.run_stage(1);
+                run.run_stage(1, injected_panic);
                 run
             }));
             let _ = tx.send((idx, out));
@@ -1422,9 +1303,10 @@ where
         for (idx, mut run) in runs.into_iter().enumerate() {
             let tx = tx.clone();
             let next = stage + 1;
+            let injected_panic = faultinject::take_panic_in_shard(pool, idx);
             pool.submit(Box::new(move || {
                 let out = catch_unwind(AssertUnwindSafe(move || {
-                    run.run_stage(next);
+                    run.run_stage(next, injected_panic);
                     run
                 }));
                 let _ = tx.send((idx, out));
@@ -1445,7 +1327,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::Msropm;
+    use crate::machine::{Msropm, SolveOptions};
     use msropm_graph::generators;
 
     fn fast_config() -> MsropmConfig {
@@ -1455,12 +1337,39 @@ mod tests {
         }
     }
 
+    /// A stage-boundary hook that never intervenes.
+    fn no_hook(_: usize, _: &mut StageBoundary) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+
+    /// One lane range solved inline in `arena` (the 1-shard body).
+    fn solve_inline(
+        g: &Graph,
+        base: &MsropmConfig,
+        net: &PhaseNetwork,
+        lanes: &[LaneConfig],
+        seeds: &[u64],
+        arena: &mut BatchArena,
+    ) -> Vec<MsropmSolution> {
+        solve_lane_range_hooked(g, base, net, lanes, seeds, false, arena, no_hook)
+            .expect("hook never aborts")
+    }
+
+    /// `seeds.len()` default lanes through `Msropm::solve_lanes`,
+    /// `shards` wide on the global pool.
+    fn solve_default(machine: &Msropm, seeds: &[u64], shards: usize) -> Vec<MsropmSolution> {
+        let lanes = vec![LaneConfig::default(); seeds.len()];
+        machine
+            .solve_lanes(&lanes, seeds, SolveOptions::new().shards(shards))
+            .expect("no abort hook")
+    }
+
     #[test]
     fn batch_replicas_match_sequential_solves_bitwise() {
         let g = generators::kings_graph(4, 4);
         let machine = Msropm::new(&g, fast_config());
         let seeds: Vec<u64> = (100..108).collect();
-        let batch = machine.solve_batch(&seeds, 1);
+        let batch = solve_default(&machine, &seeds, 1);
         assert_eq!(batch.len(), seeds.len());
         for (r, &seed) in seeds.iter().enumerate() {
             let mut solo_machine = machine.clone();
@@ -1484,9 +1393,9 @@ mod tests {
         let g = generators::kings_graph(4, 4);
         let machine = Msropm::new(&g, fast_config());
         let seeds: Vec<u64> = (7..17).collect();
-        let one = machine.solve_batch(&seeds, 1);
-        let four = machine.solve_batch(&seeds, 4);
-        let many = machine.solve_batch(&seeds, 64);
+        let one = solve_default(&machine, &seeds, 1);
+        let four = solve_default(&machine, &seeds, 4);
+        let many = solve_default(&machine, &seeds, 64);
         for r in 0..seeds.len() {
             assert_eq!(one[r].coloring, four[r].coloring);
             assert_eq!(one[r].coloring, many[r].coloring);
@@ -1501,7 +1410,7 @@ mod tests {
         let g = generators::kings_graph(3, 3);
         let machine = Msropm::new(&g, fast_config().with_shil_ramp(true));
         let seeds = [41u64, 42];
-        let batch = machine.solve_batch(&seeds, 2);
+        let batch = solve_default(&machine, &seeds, 2);
         for (r, &seed) in seeds.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(seed);
             let solo = machine.clone().solve(&mut rng);
@@ -1515,7 +1424,7 @@ mod tests {
         let mut machine = Msropm::new(&g, fast_config());
         machine.set_oscillator_enabled(4, false);
         let seeds = [9u64, 10];
-        let batch = machine.solve_batch(&seeds, 1);
+        let batch = solve_default(&machine, &seeds, 1);
         for (r, &seed) in seeds.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(seed);
             let solo = machine.clone().solve(&mut rng);
@@ -1530,7 +1439,7 @@ mod tests {
     fn empty_seed_list_is_empty_batch() {
         let g = generators::path_graph(2);
         let machine = Msropm::new(&g, fast_config());
-        assert!(machine.solve_batch(&[], 4).is_empty());
+        assert!(solve_default(&machine, &[], 4).is_empty());
     }
 
     /// A lane's trajectory in a heterogeneous batch must be bit-identical
@@ -1542,7 +1451,9 @@ mod tests {
         seeds: &[u64],
     ) {
         let machine = Msropm::new(g, *base);
-        let batch = machine.solve_batch_lanes(lanes, seeds, 1);
+        let batch = machine
+            .solve_lanes(lanes, seeds, SolveOptions::new())
+            .expect("no abort hook");
         for (r, (&seed, lane)) in seeds.iter().zip(lanes).enumerate() {
             let mut solo_machine = Msropm::new(g, lane.resolve(base));
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1606,7 +1517,9 @@ mod tests {
         let seeds = [71u64, 72];
         let mut machine = Msropm::new(&g, base);
         machine.set_oscillator_enabled(2, false);
-        let batch = machine.solve_batch_lanes(&lanes, &seeds, 1);
+        let batch = machine
+            .solve_lanes(&lanes, &seeds, SolveOptions::new())
+            .expect("no abort hook");
         for (r, (&seed, lane)) in seeds.iter().zip(&lanes).enumerate() {
             let mut solo_machine = Msropm::new(&g, lane.resolve(&base));
             solo_machine.set_oscillator_enabled(2, false);
@@ -1636,11 +1549,10 @@ mod tests {
         ];
         // One arena reused across heterogeneously-shaped jobs vs a fresh
         // arena per job: bit-identical.
-        let mut warm = BatchArena::new();
+        let mut warm = BatchArena::default();
         for (lanes, seeds) in jobs {
-            let reused = solve_lanes_arena(&g, &base, &net, lanes, seeds, false, &mut warm);
-            let fresh =
-                solve_lanes_arena(&g, &base, &net, lanes, seeds, false, &mut BatchArena::new());
+            let reused = solve_inline(&g, &base, &net, lanes, seeds, &mut warm);
+            let fresh = solve_inline(&g, &base, &net, lanes, seeds, &mut BatchArena::default());
             for (a, b) in reused.iter().zip(&fresh) {
                 assert_eq!(a.coloring, b.coloring);
                 for (x, y) in a.final_phases.iter().zip(&b.final_phases) {
@@ -1658,8 +1570,12 @@ mod tests {
             .map(|i| LaneConfig::default().with_noise(0.05 + 0.05 * i as f64))
             .collect();
         let seeds: Vec<u64> = (90..96).collect();
-        let one = machine.solve_batch_lanes(&lanes, &seeds, 1);
-        let three = machine.solve_batch_lanes(&lanes, &seeds, 3);
+        let solve = |shards| {
+            machine
+                .solve_lanes(&lanes, &seeds, SolveOptions::new().shards(shards))
+                .expect("no abort hook")
+        };
+        let (one, three) = (solve(1), solve(3));
         for r in 0..seeds.len() {
             assert_eq!(one[r].coloring, three[r].coloring, "lane {r}");
         }
@@ -1672,7 +1588,7 @@ mod tests {
         let net = base.build_network(&g);
         let lanes = vec![LaneConfig::default(); 3];
         let mut fired = Vec::new();
-        let mut arena = BatchArena::new();
+        let mut arena = BatchArena::default();
         let out = solve_lane_range_hooked(
             &g,
             &base,
@@ -1700,7 +1616,7 @@ mod tests {
         let base = fast_config(); // 2 stages => the one boundary aborts
         let net = base.build_network(&g);
         let lanes = vec![LaneConfig::default(); 2];
-        let mut arena = BatchArena::new();
+        let mut arena = BatchArena::default();
         let out = solve_lane_range_hooked(
             &g,
             &base,
@@ -1714,16 +1630,8 @@ mod tests {
         assert!(out.is_none(), "broken run must yield no solutions");
         // The arena stays reusable and a subsequent full run is
         // bit-identical to one in a fresh arena.
-        let resumed = solve_lanes_arena(&g, &base, &net, &lanes, &[1, 2], false, &mut arena);
-        let fresh = solve_lanes_arena(
-            &g,
-            &base,
-            &net,
-            &lanes,
-            &[1, 2],
-            false,
-            &mut BatchArena::new(),
-        );
+        let resumed = solve_inline(&g, &base, &net, &lanes, &[1, 2], &mut arena);
+        let fresh = solve_inline(&g, &base, &net, &lanes, &[1, 2], &mut BatchArena::default());
         for (a, b) in resumed.iter().zip(&fresh) {
             assert_eq!(a.coloring, b.coloring);
             for (x, y) in a.final_phases.iter().zip(&b.final_phases) {
@@ -1738,7 +1646,7 @@ mod tests {
         let base = fast_config();
         let net = base.build_network(&g);
         let lanes = vec![LaneConfig::default(); 2];
-        let mut arena = BatchArena::new();
+        let mut arena = BatchArena::default();
         let sols = solve_lane_range_hooked(
             &g,
             &base,
@@ -1799,15 +1707,7 @@ mod tests {
             .collect();
         let seeds: Vec<u64> = (300..310).collect();
         let pool = ShardPool::new(2);
-        let reference = solve_lanes_arena(
-            &g,
-            &base,
-            &net,
-            &lanes,
-            &seeds,
-            false,
-            &mut BatchArena::new(),
-        );
+        let reference = solve_inline(&g, &base, &net, &lanes, &seeds, &mut BatchArena::default());
         for shards in [1usize, 2, 3, 4, 64] {
             let mut arena = ShardedArena::new();
             let sharded = solve_lanes_sharded_hooked(
@@ -1819,8 +1719,8 @@ mod tests {
                 false,
                 shards,
                 &mut arena,
-                &pool,
-                |_, _: &mut StageBoundary| ControlFlow::Continue(()),
+                Some(&pool),
+                no_hook,
             )
             .expect("uncancelled run completes");
             assert_solutions_bitwise_equal(&reference, &sharded);
@@ -1837,9 +1737,17 @@ mod tests {
         for round in 0..3u64 {
             let lanes = vec![LaneConfig::default(); 6];
             let seeds: Vec<u64> = (round * 10..round * 10 + 6).collect();
-            let no_hook = |_: usize, _: &mut StageBoundary| ControlFlow::Continue(());
             let reused = solve_lanes_sharded_hooked(
-                &g, &base, &net, &lanes, &seeds, false, 3, &mut warm, &pool, no_hook,
+                &g,
+                &base,
+                &net,
+                &lanes,
+                &seeds,
+                false,
+                3,
+                &mut warm,
+                Some(&pool),
+                no_hook,
             )
             .expect("completes");
             let fresh = solve_lanes_sharded_hooked(
@@ -1851,7 +1759,7 @@ mod tests {
                 false,
                 3,
                 &mut ShardedArena::new(),
-                &pool,
+                Some(&pool),
                 no_hook,
             )
             .expect("completes");
@@ -1869,7 +1777,7 @@ mod tests {
         let pool = ShardPool::new(2);
 
         // Reference: single shard, hook copies lane 0 onto lane 5.
-        let mut single = BatchArena::new();
+        let mut single = BatchArena::default();
         let reference = solve_lane_range_hooked(
             &g,
             &base,
@@ -1898,7 +1806,7 @@ mod tests {
             false,
             3,
             &mut arena,
-            &pool,
+            Some(&pool),
             |_, b| {
                 assert_eq!(b.num_lanes(), 6);
                 satisfied = (0..6).map(|r| b.satisfied_edges(r)).collect();
@@ -1929,13 +1837,12 @@ mod tests {
             false,
             2,
             &mut arena,
-            &pool,
+            Some(&pool),
             |_, _: &mut StageBoundary| ControlFlow::Break(()),
         );
         assert!(out.is_none(), "broken run must yield no solutions");
         // The shard arenas came back and the next run is bit-identical
         // to a fresh-arena run.
-        let no_hook = |_: usize, _: &mut StageBoundary| ControlFlow::Continue(());
         let resumed = solve_lanes_sharded_hooked(
             &g,
             &base,
@@ -1945,7 +1852,7 @@ mod tests {
             false,
             2,
             &mut arena,
-            &pool,
+            Some(&pool),
             no_hook,
         )
         .expect("completes");
@@ -1958,7 +1865,7 @@ mod tests {
             false,
             2,
             &mut ShardedArena::new(),
-            &pool,
+            Some(&pool),
             no_hook,
         )
         .expect("completes");
@@ -1980,10 +1887,34 @@ mod tests {
             false,
             4,
             &mut ShardedArena::new(),
-            &pool,
-            |_, _: &mut StageBoundary| ControlFlow::Continue(()),
+            Some(&pool),
+            no_hook,
         );
         assert_eq!(out.expect("trivially completes").len(), 0);
+    }
+
+    /// Runs `lanes` 2 shards wide on `pool`.
+    fn solve_two_shards(
+        g: &Graph,
+        base: &MsropmConfig,
+        net: &PhaseNetwork,
+        lanes: &[LaneConfig],
+        seeds: &[u64],
+        pool: &ShardPool,
+    ) -> Vec<MsropmSolution> {
+        solve_lanes_sharded_hooked(
+            g,
+            base,
+            net,
+            lanes,
+            seeds,
+            false,
+            2,
+            &mut ShardedArena::new(),
+            Some(pool),
+            no_hook,
+        )
+        .expect("completes")
     }
 
     #[test]
@@ -1992,48 +1923,39 @@ mod tests {
         let base = fast_config();
         let net = base.build_network(&g);
         let lanes = vec![LaneConfig::default(); 4];
+        let seeds = [1, 2, 3, 4];
         let pool = ShardPool::new(2);
-        crate::pool::faultinject::arm_panic_in_shard(1);
+        faultinject::arm_panic_in_shard(&pool, 1);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            solve_lanes_sharded_hooked(
-                &g,
-                &base,
-                &net,
-                &lanes,
-                &[1, 2, 3, 4],
-                false,
-                2,
-                &mut ShardedArena::new(),
-                &pool,
-                |_, _: &mut StageBoundary| ControlFlow::Continue(()),
-            )
+            solve_two_shards(&g, &base, &net, &lanes, &seeds, &pool)
         }));
-        crate::pool::faultinject::disarm();
+        faultinject::disarm(&pool);
         assert!(result.is_err(), "shard panic must unwind out of the solve");
         // The pool survives and a fresh solve matches the unsharded
         // reference.
-        let sharded = solve_lanes_sharded_hooked(
-            &g,
-            &base,
-            &net,
-            &lanes,
-            &[1, 2, 3, 4],
-            false,
-            2,
-            &mut ShardedArena::new(),
-            &pool,
-            |_, _: &mut StageBoundary| ControlFlow::Continue(()),
-        )
-        .expect("completes");
-        let reference = solve_lanes_arena(
-            &g,
-            &base,
-            &net,
-            &lanes,
-            &[1, 2, 3, 4],
-            false,
-            &mut BatchArena::new(),
-        );
+        let sharded = solve_two_shards(&g, &base, &net, &lanes, &seeds, &pool);
+        let reference = solve_inline(&g, &base, &net, &lanes, &seeds, &mut BatchArena::default());
         assert_solutions_bitwise_equal(&reference, &sharded);
+    }
+
+    #[test]
+    fn armed_shard_panic_stays_on_its_own_pool() {
+        let g = generators::kings_graph(3, 3);
+        let base = fast_config();
+        let net = base.build_network(&g);
+        let lanes = vec![LaneConfig::default(); 4];
+        let seeds = [5, 6, 7, 8];
+        let armed = ShardPool::new(1);
+        let other = ShardPool::new(2);
+        faultinject::arm_panic_in_shard(&armed, 1);
+        // A 2-shard solve on another pool dispatches a shard-1 task at
+        // every stage; none of them may take the other pool's fault.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            solve_two_shards(&g, &base, &net, &lanes, &seeds, &other)
+        }));
+        let still_armed = faultinject::is_armed(&armed);
+        faultinject::disarm(&armed);
+        assert!(result.is_ok(), "a fault armed on one pool fired on another");
+        assert!(still_armed, "the armed pool's fault was consumed elsewhere");
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! Keys are `(`[`msropm_graph::io::graph_hash`]`, config fingerprint,
 //! problem fingerprint)`. The problem fingerprint is `0` for plain
-//! graph-coloring submissions; compiled [`ProblemSpec`] submissions
+//! graph-coloring submissions; compiled `ProblemSpec` submissions
 //! (see the `msropm-problems` crate) carry their own domain digest so
 //! two different problems that *encode* onto the same graph and config
 //! (e.g. MIS vs max-cut on one topology) occupy distinct slots and the
@@ -147,7 +147,7 @@ impl ProblemCache {
 
     /// Like [`ProblemCache::lookup`], but scoped to one compiled
     /// problem: `problem_fingerprint` is the domain digest of the
-    /// submitted [`ProblemSpec`] (`0` for plain graph submissions), so
+    /// submitted `ProblemSpec` (`0` for plain graph submissions), so
     /// distinct problem classes sharing an encoding graph and config
     /// never alias each other's slots.
     pub fn lookup_problem(

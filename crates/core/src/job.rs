@@ -10,18 +10,17 @@
 //!
 //! # Determinism contract
 //!
-//! `report = job.run(&machine, &mut arena)` is a pure function of
+//! A completed `job.run(&machine, options)` is a pure function of
 //! `(graph, job)`: per-lane seeds come from a SplitMix64 stream over the
 //! job seed, each lane's trajectory is bit-identical to a standalone
 //! `Msropm::solve` at the lane's resolved config (see [`crate::batch`]),
 //! and the ranking is a stable sort on `(conflicts, lane)`. Neither the
-//! arena's history nor which worker thread of a pool executes the job
-//! can change a bit of the report — `msropm-server` property-tests this
-//! across 1 vs 4 workers.
+//! options (shard width, arena history, abort checks) nor which worker
+//! thread of a server executes the job can change a bit of the report —
+//! `msropm-server` property-tests this across workers and shard widths.
 
-use crate::batch::BatchArena;
 use crate::config::{LaneConfig, MsropmConfig, SweepSpec};
-use crate::machine::{Msropm, MsropmSolution};
+use crate::machine::{Msropm, MsropmSolution, SolveOptions};
 use msropm_graph::{graph_hash, Graph};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -130,110 +129,35 @@ impl BatchJob {
     }
 
     /// Runs the job on `machine` (which must be compiled from the graph
-    /// this job targets, at `self.config`) inside the caller's arena and
-    /// returns the ranked report.
+    /// this job targets, at `self.config`) through
+    /// [`Msropm::solve_lanes`] with `options`, and returns the ranked
+    /// report.
+    ///
+    /// The options' abort checks (cancel token, abort hook) run once
+    /// before the first stage and then at every non-final stage
+    /// boundary; when one fires the run is abandoned and `None` comes
+    /// back — no report exists, and none ever will for this run. This is
+    /// the hook the job server's cancellation and deadlines ride on. A
+    /// job that completes is **bit-identical** at any options: the
+    /// checks happen strictly between stages and cannot perturb the
+    /// trajectory.
     ///
     /// # Panics
     ///
     /// Panics if `machine.config() != &self.config` (the pairing is the
-    /// caller's responsibility — a mismatch means a cache-key bug) or if
-    /// a resolved lane configuration is invalid.
-    pub fn run(&self, machine: &Msropm, arena: &mut BatchArena) -> JobReport {
-        self.run_cancellable(machine, arena, &CancelToken::new())
-            .expect("a fresh token never cancels")
-    }
-
-    /// Like [`BatchJob::run`], but checking `cancel` before the first
-    /// stage and at every non-final stage boundary. Returns `None` when
-    /// the job was cancelled — no report exists, and none ever will for
-    /// this run. A job that completes is **bit-identical** to an
-    /// uncancellable [`BatchJob::run`]: the cooperative check happens
-    /// strictly between stages and cannot perturb the trajectory.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`BatchJob::run`].
-    pub fn run_cancellable(
-        &self,
-        machine: &Msropm,
-        arena: &mut BatchArena,
-        cancel: &CancelToken,
-    ) -> Option<JobReport> {
-        self.run_cancellable_with(machine, arena, || cancel.is_cancelled())
-    }
-
-    /// Generalized cooperative abort: `abort` is polled before the first
-    /// stage and at every non-final stage boundary; returning `true`
-    /// abandons the run (→ `None`). This is the hook the job server's
-    /// deadline enforcement rides on — a closure combining a
-    /// [`CancelToken`] with a wall-clock deadline check slots in here
-    /// without touching the solver. A run that completes is
-    /// **bit-identical** to [`BatchJob::run`]: the check happens
-    /// strictly between stages and cannot perturb the trajectory.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`BatchJob::run`].
-    pub fn run_cancellable_with<F>(
-        &self,
-        machine: &Msropm,
-        arena: &mut BatchArena,
-        mut abort: F,
-    ) -> Option<JobReport>
-    where
-        F: FnMut() -> bool,
-    {
+    /// caller's responsibility — a mismatch means a cache-key bug), if
+    /// a resolved lane configuration is invalid, or if a shard task
+    /// panicked.
+    pub fn run(&self, machine: &Msropm, mut options: SolveOptions<'_>) -> Option<JobReport> {
         assert!(
             machine.config() == &self.config,
             "job config does not match the machine it is paired with"
         );
-        if abort() {
+        if options.aborted() {
             return None;
         }
         let seeds = self.lane_seeds();
-        let solutions =
-            machine.solve_batch_lanes_arena_cancellable_with(&self.lanes, &seeds, arena, abort)?;
-        Some(JobReport::rank(machine.graph(), self, &seeds, solutions))
-    }
-
-    /// Like [`BatchJob::run_cancellable_with`], but sharding the lane
-    /// range across `shards` tasks on `pool` (see
-    /// [`crate::machine::Msropm::solve_batch_lanes_arena_sharded_cancellable_with`]).
-    /// The report is **bit-identical** at every shard width, and abort
-    /// checks fire at exactly the same cooperative points — this is the
-    /// job-server solve path when intra-job parallelism is on.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`BatchJob::run`], or if
-    /// `shards == 0` or a shard task panicked.
-    pub fn run_sharded_with<F>(
-        &self,
-        machine: &Msropm,
-        shards: usize,
-        arena: &mut crate::batch::ShardedArena,
-        pool: &crate::pool::ShardPool,
-        mut abort: F,
-    ) -> Option<JobReport>
-    where
-        F: FnMut() -> bool,
-    {
-        assert!(
-            machine.config() == &self.config,
-            "job config does not match the machine it is paired with"
-        );
-        if abort() {
-            return None;
-        }
-        let seeds = self.lane_seeds();
-        let solutions = machine.solve_batch_lanes_arena_sharded_cancellable_with(
-            &self.lanes,
-            &seeds,
-            shards,
-            arena,
-            pool,
-            abort,
-        )?;
+        let solutions = machine.solve_lanes(&self.lanes, &seeds, options)?;
         Some(JobReport::rank(machine.graph(), self, &seeds, solutions))
     }
 }
@@ -345,7 +269,9 @@ mod tests {
         let g = generators::kings_graph(4, 4);
         let machine = Msropm::new(&g, fast_config());
         let job = BatchJob::uniform(fast_config(), 8, 7);
-        let report = job.run(&machine, &mut BatchArena::new());
+        let report = job
+            .run(&machine, SolveOptions::new())
+            .expect("no abort check");
         assert_eq!(report.graph_hash, msropm_graph::graph_hash(&g));
         assert_eq!(report.ranked.len(), 8);
         for pair in report.ranked.windows(2) {
@@ -372,7 +298,9 @@ mod tests {
         assert_eq!(job.lanes.len(), 4);
         let g = generators::kings_graph(3, 3);
         let machine = Msropm::new(&g, fast_config());
-        let report = job.run(&machine, &mut BatchArena::new());
+        let report = job
+            .run(&machine, SolveOptions::new())
+            .expect("no abort check");
         assert_eq!(report.ranked.len(), 4);
     }
 
@@ -384,7 +312,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         assert!(job
-            .run_cancellable(&machine, &mut BatchArena::new(), &token)
+            .run(&machine, SolveOptions::new().cancel(&token))
             .is_none());
     }
 
@@ -393,15 +321,15 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         // The reference is the *independent* sequential scalar machine
-        // (`Msropm::solve` per lane), not `BatchJob::run` — `run` now
-        // delegates to `run_cancellable`, so comparing those two would
-        // be vacuous. This pins the cancellable hooked path (boundary
-        // check armed but never firing) to the gold trajectory.
+        // (`Msropm::solve` per lane), not another `BatchJob::run`. This
+        // pins the cancellable hooked path (boundary check armed but
+        // never firing) to the gold trajectory.
         let g = generators::kings_graph(4, 4);
         let machine = Msropm::new(&g, fast_config());
         let job = BatchJob::uniform(fast_config(), 4, 11);
+        let token = CancelToken::new();
         let report = job
-            .run_cancellable(&machine, &mut BatchArena::new(), &CancelToken::new())
+            .run(&machine, SolveOptions::new().cancel(&token))
             .expect("not cancelled");
         let seeds = job.lane_seeds();
         for entry in &report.ranked {
@@ -437,16 +365,15 @@ mod tests {
         // observations through the machine's own cancellable path.
         let lanes = vec![LaneConfig::default(); 2];
         let seeds = [3u64, 4];
-        let out = machine.solve_batch_lanes_arena_cancellable_with(
+        let out = machine.solve_lanes(
             &lanes,
             &seeds,
-            &mut BatchArena::new(),
-            || {
+            SolveOptions::new().abort_when(|| {
                 if countdown.fetch_sub(1, Ordering::Relaxed) == 1 {
                     token.cancel();
                 }
                 token.is_cancelled()
-            },
+            }),
         );
         assert!(out.is_none(), "cancel at the second boundary aborts");
     }
@@ -460,6 +387,6 @@ mod tests {
             noise: 0.999,
             ..fast_config()
         };
-        BatchJob::uniform(other, 2, 1).run(&machine, &mut BatchArena::new());
+        let _ = BatchJob::uniform(other, 2, 1).run(&machine, SolveOptions::new());
     }
 }

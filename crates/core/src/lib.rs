@@ -61,12 +61,12 @@ pub mod power;
 pub mod runner;
 pub mod schedule;
 
-pub use batch::{BatchArena, ShardedArena};
+pub use batch::ShardedArena;
 pub use cache::{CacheStats, ProblemCache};
 pub use circuit_machine::{CircuitMsropm, CircuitMsropmConfig, CircuitSolution};
 pub use config::{KernelBackend, LaneConfig, MsropmConfig, ReinitMode, SweepParam, SweepSpec};
 pub use job::{BatchJob, CancelToken, JobReport, RankedLane};
-pub use machine::{ArenaRef, Msropm, MsropmSolution, SolveOptions, SolveShardPolicy, StageRecord};
+pub use machine::{Msropm, MsropmSolution, SolveOptions, StageRecord};
 pub use metrics::{coloring_accuracy, max_cut_accuracy, search_space_label};
 pub use pool::{num_cores, ShardPool};
 pub use portfolio::{LaneOutcome, PortfolioReport, PortfolioRunner, RestartEvent};

@@ -4,11 +4,14 @@
 //! ([`msropm_osc::kernel`]): the machine recompiles the gating state at
 //! every window boundary (the only instants it can change) and steps each
 //! window with a reusable, allocation-free [`KernelIntegrator`]. The
-//! multi-replica entry point [`Msropm::solve_batch`] advances many
+//! one multi-replica entry point, [`Msropm::solve_lanes`], advances many
 //! independent iterations in one interleaved sweep (see
 //! [`crate::batch`]).
 
+use crate::batch::ShardedArena;
 use crate::config::{LaneConfig, MsropmConfig, ReinitMode};
+use crate::job::CancelToken;
+use crate::pool::ShardPool;
 use crate::schedule::{Schedule, Window, WindowKind};
 use msropm_graph::{Color, Coloring, Cut, EdgeMask, Graph};
 use msropm_osc::kernel::KernelIntegrator;
@@ -17,6 +20,7 @@ use msropm_osc::shil::{stage_shil_phase, Shil};
 use msropm_osc::PhaseNetwork;
 use rand::Rng;
 use std::f64::consts::TAU;
+use std::ops::ControlFlow;
 
 /// Readout record of one solution stage.
 #[derive(Debug, Clone)]
@@ -362,209 +366,38 @@ impl Msropm {
         }
     }
 
-    /// Solves `seeds.len()` independent replicas in one multi-replica
-    /// (SoA) sweep, sharded over at most `threads` worker threads.
-    ///
-    /// Replica `i` is **bit-identical** to
-    /// `self.clone().solve(&mut StdRng::seed_from_u64(seeds[i]))` — the
-    /// batch kernel interleaves the replicas but performs the same
-    /// floating-point operations on each, and every replica draws from
-    /// its own seeded RNG in sequential order. Consequently the result is
-    /// also independent of `threads` (replicas are sharded in disjoint
-    /// contiguous ranges).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn solve_batch(&self, seeds: &[u64], threads: usize) -> Vec<MsropmSolution> {
-        crate::batch::solve_batch_sharded(
-            &self.graph,
-            &self.config,
-            &self.network,
-            seeds,
-            false,
-            threads,
-        )
-    }
-
-    /// Solves one **heterogeneous** batch: lane `i` runs the machine's
-    /// configuration with `lanes[i]`'s overrides applied
-    /// (see [`crate::config::LaneConfig`]), seeded by `seeds[i]` — the
-    /// entry point for per-replica parameter sweeps.
+    /// Solves one **heterogeneous** batch — the one batch entry point:
+    /// lane `i` runs the machine's configuration with `lanes[i]`'s
+    /// overrides applied (see [`crate::config::LaneConfig`]), seeded by
+    /// `seeds[i]`. [`SolveOptions`] picks the shard width, the scratch
+    /// arena and pool to run on, and the cooperative abort checks.
     ///
     /// Lane `i` is **bit-identical** to
     /// `Msropm::new(graph, lanes[i].resolve(config)).solve(&mut
     /// StdRng::seed_from_u64(seeds[i]))` (with this machine's defective
-    /// rings carried over), and all-default lanes reproduce
-    /// [`Msropm::solve_batch`] exactly; both properties are tested in
-    /// `tests/lane_equivalence.rs`. Results are independent of
-    /// `threads`.
+    /// rings carried over), whatever the options: shards only partition
+    /// the lane range, arenas are fully re-initialized per solve, and
+    /// the abort checks fire strictly between stages, after all RNG
+    /// draws of the finished stage and before any of the next (tested
+    /// in `tests/lane_equivalence.rs` and `tests/batch_determinism.rs`).
+    /// Returns `None` only when an abort check fired at a stage
+    /// boundary.
     ///
     /// For ranked sweeps with population restarts between stages, see
     /// [`crate::portfolio::PortfolioRunner`].
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`, `lanes.len() != seeds.len()`, or a
-    /// resolved lane configuration is invalid.
-    pub fn solve_batch_lanes(
+    /// Panics if `lanes.len() != seeds.len()`, a resolved lane
+    /// configuration is invalid, or a shard task panicked.
+    pub fn solve_lanes(
         &self,
         lanes: &[LaneConfig],
         seeds: &[u64],
-        threads: usize,
-    ) -> Vec<MsropmSolution> {
-        self.solve_lanes(lanes, seeds, SolveOptions::new().threads(threads))
-            .expect("no cancel token => never None")
-    }
-
-    /// Like [`Msropm::solve_batch_lanes`] with `threads = 1`, but running
-    /// in the caller's long-lived [`crate::batch::BatchArena`]: repeated
-    /// calls reuse the integrator scratch and per-run state buffers, so a
-    /// worker solving many jobs back to back allocates (almost) nothing
-    /// per job. Results are bit-identical to [`Msropm::solve_batch_lanes`]
-    /// regardless of the arena's history — this is the job-server unit of
-    /// work (see [`crate::job::BatchJob::run`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes.len() != seeds.len()` or a resolved lane
-    /// configuration is invalid.
-    pub fn solve_batch_lanes_arena(
-        &self,
-        lanes: &[LaneConfig],
-        seeds: &[u64],
-        arena: &mut crate::batch::BatchArena,
-    ) -> Vec<MsropmSolution> {
-        self.solve_lanes(lanes, seeds, SolveOptions::new().arena(arena))
-            .expect("no cancel token => never None")
-    }
-
-    /// Like [`Msropm::solve_batch_lanes_arena`], but checking `cancel`
-    /// at every non-final stage boundary; returns `None` when the run
-    /// was abandoned there. Runs that complete are **bit-identical** to
-    /// the uncancellable entry (the check happens strictly between
-    /// stages, after all RNG draws of the finished stage and before any
-    /// of the next). This is the job-server cancellation path — see
-    /// [`crate::job::BatchJob::run_cancellable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes.len() != seeds.len()` or a resolved lane
-    /// configuration is invalid.
-    pub fn solve_batch_lanes_arena_cancellable(
-        &self,
-        lanes: &[LaneConfig],
-        seeds: &[u64],
-        arena: &mut crate::batch::BatchArena,
-        cancel: &crate::job::CancelToken,
+        mut options: SolveOptions<'_>,
     ) -> Option<Vec<MsropmSolution>> {
-        self.solve_lanes(
-            lanes,
-            seeds,
-            SolveOptions::new().arena(arena).cancel(cancel),
-        )
-    }
-
-    /// Generalized cancellable batch solve: `cancelled` is polled at
-    /// every non-final stage boundary; returning `true` abandons the
-    /// run (→ `None`). Backs [`Msropm::solve_batch_lanes_arena_cancellable`]
-    /// and lets tests and deadline-based policies (see
-    /// [`crate::job::BatchJob::run_cancellable_with`]) drive the
-    /// boundary check deterministically. Runs that complete are
-    /// **bit-identical** to the uncancellable entry regardless of what
-    /// the closure observes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes.len() != seeds.len()` or a resolved lane
-    /// configuration is invalid.
-    pub fn solve_batch_lanes_arena_cancellable_with<F>(
-        &self,
-        lanes: &[LaneConfig],
-        seeds: &[u64],
-        arena: &mut crate::batch::BatchArena,
-        mut cancelled: F,
-    ) -> Option<Vec<MsropmSolution>>
-    where
-        F: FnMut() -> bool,
-    {
-        self.config.validate();
-        if seeds.is_empty() {
-            return Some(Vec::new());
-        }
-        crate::batch::solve_lane_range_hooked(
-            &self.graph,
-            &self.config,
-            &self.network,
-            lanes,
-            seeds,
-            false,
-            arena,
-            |_, _| {
-                if cancelled() {
-                    std::ops::ControlFlow::Break(())
-                } else {
-                    std::ops::ControlFlow::Continue(())
-                }
-            },
-        )
-    }
-
-    /// Like [`Msropm::solve_batch_lanes_arena`], but sharding the lane
-    /// range across `shards` tasks on `pool` — the intra-job parallel
-    /// solve path. Results are **bit-identical** at every shard count
-    /// (lane seeds are per-lane; shards only partition the range — see
-    /// [`crate::batch`]'s determinism contract), and `shards = 1`
-    /// executes the exact unsharded path in `arena`'s first slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`, `lanes.len() != seeds.len()`, a
-    /// resolved lane configuration is invalid, or a shard task
-    /// panicked.
-    pub fn solve_batch_lanes_arena_sharded(
-        &self,
-        lanes: &[LaneConfig],
-        seeds: &[u64],
-        shards: usize,
-        arena: &mut crate::batch::ShardedArena,
-        pool: &crate::pool::ShardPool,
-    ) -> Vec<MsropmSolution> {
-        self.solve_lanes(
-            lanes,
-            seeds,
-            SolveOptions::new().sharded(shards, arena, pool),
-        )
-        .expect("no cancel token => never None")
-    }
-
-    /// Sharded counterpart of
-    /// [`Msropm::solve_batch_lanes_arena_cancellable_with`]: `cancelled`
-    /// is polled on the dispatching thread at every non-final stage
-    /// boundary — after all shards have joined, before any next-stage
-    /// task is dispatched — so cancellation semantics are identical at
-    /// any shard width. Returns `None` when the run was abandoned.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`Msropm::solve_batch_lanes_arena_sharded`].
-    pub fn solve_batch_lanes_arena_sharded_cancellable_with<F>(
-        &self,
-        lanes: &[LaneConfig],
-        seeds: &[u64],
-        shards: usize,
-        arena: &mut crate::batch::ShardedArena,
-        pool: &crate::pool::ShardPool,
-        mut cancelled: F,
-    ) -> Option<Vec<MsropmSolution>>
-    where
-        F: FnMut() -> bool,
-    {
-        self.config.validate();
-        if seeds.is_empty() {
-            return Some(Vec::new());
-        }
+        let mut scratch = ShardedArena::new();
+        let arena = options.arena.take().unwrap_or(&mut scratch);
         crate::batch::solve_lanes_sharded_hooked(
             &self.graph,
             &self.config,
@@ -572,186 +405,23 @@ impl Msropm {
             lanes,
             seeds,
             false,
-            shards,
+            options.shards,
             arena,
-            pool,
+            options.pool,
             |_, _| {
-                if cancelled() {
-                    std::ops::ControlFlow::Break(())
+                if options.aborted() {
+                    ControlFlow::Break(())
                 } else {
-                    std::ops::ControlFlow::Continue(())
+                    ControlFlow::Continue(())
                 }
             },
         )
     }
-
-    /// Unified heterogeneous batch solve: one entry point behind which
-    /// every `solve_batch_lanes*` variant now lives. The execution
-    /// strategy is picked by [`SolveOptions`] — scratch reuse via
-    /// `arena`, cooperative abort via `cancel_token`, and parallelism
-    /// via `shard_policy` — while the result contract stays the same:
-    /// a completed solve is **bit-identical** across every valid
-    /// option combination (tested in `tests/lane_equivalence.rs` and
-    /// below). Returns `None` only when a cancel token fired at a
-    /// stage boundary.
-    ///
-    /// The named legacy entry points ([`Msropm::solve_batch_lanes`],
-    /// [`Msropm::solve_batch_lanes_arena`],
-    /// [`Msropm::solve_batch_lanes_arena_cancellable`],
-    /// [`Msropm::solve_batch_lanes_arena_sharded`]) forward here; the
-    /// `*_with` closure variants remain as the lower-level hooked API
-    /// (deadline policies poll arbitrary closures, not tokens).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes.len() != seeds.len()`, a resolved lane
-    /// configuration is invalid, or the options combine strategies that
-    /// do not compose (see [`SolveOptions`]): thread-sharding with an
-    /// arena or cancel token, a [`ShardedArena`] without a shard pool,
-    /// a [`BatchArena`] with one, or `threads == 0` / `shards == 0`.
-    pub fn solve_lanes(
-        &self,
-        lanes: &[LaneConfig],
-        seeds: &[u64],
-        options: SolveOptions<'_>,
-    ) -> Option<Vec<MsropmSolution>> {
-        let SolveOptions {
-            arena,
-            cancel_token,
-            shard_policy,
-            backend,
-        } = options;
-        // A backend override is expressed through the lane layer so it
-        // flows unchanged through every execution strategy below.
-        let lanes_overridden: Vec<LaneConfig>;
-        let lanes = match backend {
-            Some(b) if b != self.config.backend => {
-                lanes_overridden = lanes
-                    .iter()
-                    .map(|lane| {
-                        let mut lane = *lane;
-                        lane.backend.get_or_insert(b);
-                        lane
-                    })
-                    .collect();
-                &lanes_overridden[..]
-            }
-            _ => lanes,
-        };
-        match shard_policy {
-            SolveShardPolicy::Threads(threads) => {
-                assert!(threads > 0, "threads must be >= 1");
-                if threads > 1 {
-                    assert!(
-                        arena.is_none() && cancel_token.is_none(),
-                        "thread-sharded solves take neither an arena nor a cancel \
-                         token; use SolveShardPolicy::Pool for cancellable parallelism"
-                    );
-                    return Some(crate::batch::solve_lanes_sharded(
-                        &self.graph,
-                        &self.config,
-                        &self.network,
-                        lanes,
-                        seeds,
-                        false,
-                        threads,
-                    ));
-                }
-                let cancelled = || cancel_token.is_some_and(|t| t.is_cancelled());
-                match arena {
-                    None => {
-                        if cancel_token.is_none() {
-                            // Matches the historical `solve_batch_lanes(_, _, 1)`
-                            // path exactly (bit-identical to the arena path).
-                            return Some(crate::batch::solve_lanes_sharded(
-                                &self.graph,
-                                &self.config,
-                                &self.network,
-                                lanes,
-                                seeds,
-                                false,
-                                1,
-                            ));
-                        }
-                        let mut scratch = crate::batch::BatchArena::new();
-                        self.solve_batch_lanes_arena_cancellable_with(
-                            lanes,
-                            seeds,
-                            &mut scratch,
-                            cancelled,
-                        )
-                    }
-                    Some(ArenaRef::Batch(arena)) => self
-                        .solve_batch_lanes_arena_cancellable_with(lanes, seeds, arena, cancelled),
-                    Some(ArenaRef::Sharded(_)) => {
-                        panic!("a ShardedArena requires SolveShardPolicy::Pool")
-                    }
-                }
-            }
-            SolveShardPolicy::Pool { shards, pool } => {
-                let cancelled = || cancel_token.is_some_and(|t| t.is_cancelled());
-                match arena {
-                    None => {
-                        let mut scratch = crate::batch::ShardedArena::new();
-                        self.solve_batch_lanes_arena_sharded_cancellable_with(
-                            lanes,
-                            seeds,
-                            shards,
-                            &mut scratch,
-                            pool,
-                            cancelled,
-                        )
-                    }
-                    Some(ArenaRef::Sharded(arena)) => self
-                        .solve_batch_lanes_arena_sharded_cancellable_with(
-                            lanes, seeds, shards, arena, pool, cancelled,
-                        ),
-                    Some(ArenaRef::Batch(_)) => {
-                        panic!("a BatchArena cannot back a pool-sharded solve; use a ShardedArena")
-                    }
-                }
-            }
-        }
-    }
 }
 
-/// A borrowed solver scratch arena for [`Msropm::solve_lanes`]: either
-/// the single-task [`crate::batch::BatchArena`] or the
-/// [`crate::batch::ShardedArena`] that backs pool-sharded solves. The
-/// variant must match the [`SolveShardPolicy`] (`Batch` with
-/// [`SolveShardPolicy::Threads`]`(1)`, `Sharded` with
-/// [`SolveShardPolicy::Pool`]); `solve_lanes` panics on a mismatch
-/// rather than silently copying buffers.
-pub enum ArenaRef<'a> {
-    /// Scratch for a single-task solve.
-    Batch(&'a mut crate::batch::BatchArena),
-    /// Per-shard scratch for a pool-sharded solve.
-    Sharded(&'a mut crate::batch::ShardedArena),
-}
-
-/// How [`Msropm::solve_lanes`] spreads lanes over execution resources.
-/// Every policy yields **bit-identical** completed results; only
-/// wall-clock and allocation behaviour differ.
-pub enum SolveShardPolicy<'a> {
-    /// Shard lanes over `n` ephemeral threads (`1` = solve inline on
-    /// the caller's thread). Thread sharding predates arenas and
-    /// cancellation and composes with neither; pass an arena or cancel
-    /// token only with `Threads(1)` or [`SolveShardPolicy::Pool`].
-    Threads(usize),
-    /// Shard lanes over `shards` work-stealing tasks on a persistent
-    /// [`crate::pool::ShardPool`] — the job-server parallel solve path.
-    Pool {
-        /// Number of lane shards (must be `>= 1`).
-        shards: usize,
-        /// The persistent worker pool to run shard tasks on.
-        pool: &'a crate::pool::ShardPool,
-    },
-}
-
-/// Options for [`Msropm::solve_lanes`], the unified batch entry point.
-/// The default is the simplest strategy: solve inline on the caller's
-/// thread with throwaway scratch and no cancellation — equivalent to
-/// the legacy `solve_batch_lanes(lanes, seeds, 1)`.
+/// Options for [`Msropm::solve_lanes`]. The default is the simplest
+/// strategy: one shard, solved inline on the caller's thread with
+/// throwaway scratch and no abort checks.
 ///
 /// ```
 /// use msropm_core::{LaneConfig, Msropm, MsropmConfig, SolveOptions};
@@ -762,75 +432,83 @@ pub enum SolveShardPolicy<'a> {
 /// let lanes = vec![LaneConfig::default(); 2];
 /// let sols = m
 ///     .solve_lanes(&lanes, &[1, 2], SolveOptions::new())
-///     .expect("no cancel token => never None");
+///     .expect("no abort check => never None");
 /// assert_eq!(sols.len(), 2);
 /// ```
-#[derive(Default)]
 pub struct SolveOptions<'a> {
-    /// Long-lived solver scratch to reuse; `None` allocates throwaway
-    /// scratch for this call.
-    pub arena: Option<ArenaRef<'a>>,
-    /// Cooperative abort token, polled at every non-final stage
-    /// boundary; `None` never cancels.
-    pub cancel_token: Option<&'a crate::job::CancelToken>,
-    /// Execution strategy (defaults to inline single-task).
-    pub shard_policy: SolveShardPolicy<'a>,
-    /// Kernel backend to run the lanes on; `None` keeps the machine
-    /// configuration's backend. Lanes that pin their own
-    /// [`LaneConfig::backend`](crate::LaneConfig) keep it (a batch must
-    /// still end up single-backend).
-    pub backend: Option<crate::KernelBackend>,
+    shards: usize,
+    arena: Option<&'a mut ShardedArena>,
+    pool: Option<&'a ShardPool>,
+    cancel: Option<&'a CancelToken>,
+    abort: Option<Box<dyn FnMut() -> bool + 'a>>,
 }
 
-impl Default for SolveShardPolicy<'_> {
+impl Default for SolveOptions<'_> {
     fn default() -> Self {
-        SolveShardPolicy::Threads(1)
+        SolveOptions {
+            shards: 1,
+            arena: None,
+            pool: None,
+            cancel: None,
+            abort: None,
+        }
     }
 }
 
 impl<'a> SolveOptions<'a> {
-    /// The default strategy: inline, throwaway scratch, uncancellable.
+    /// The default strategy: one inline shard, throwaway scratch, no
+    /// abort checks.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Shard lanes over `threads` ephemeral threads.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.shard_policy = SolveShardPolicy::Threads(threads);
+    /// Splits the lanes into `shards` contiguous ranges, each stage of
+    /// each range one task on the process-wide [`crate::pool::global`]
+    /// pool. Width 1 (the default) runs inline and never touches a
+    /// pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards == 0`.
+    pub fn shards(mut self, shards: usize) -> Self {
+        assert!(shards > 0, "need at least one shard");
+        self.shards = shards;
         self
     }
 
-    /// Reuse the caller's [`crate::batch::BatchArena`] scratch.
-    pub fn arena(mut self, arena: &'a mut crate::batch::BatchArena) -> Self {
-        self.arena = Some(ArenaRef::Batch(arena));
+    /// Like [`SolveOptions::shards`], on `pool` and reusing the caller's
+    /// long-lived `arena` scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards == 0`.
+    pub fn sharded(self, shards: usize, arena: &'a mut ShardedArena, pool: &'a ShardPool) -> Self {
+        SolveOptions {
+            arena: Some(arena),
+            pool: Some(pool),
+            ..self.shards(shards)
+        }
+    }
+
+    /// Polls `cancel` at every non-final stage boundary;
+    /// [`Msropm::solve_lanes`] returns `None` if it fired.
+    pub fn cancel(mut self, cancel: &'a CancelToken) -> Self {
+        self.cancel = Some(cancel);
         self
     }
 
-    /// Shard over `shards` tasks on `pool`, reusing `arena` scratch.
-    pub fn sharded(
-        mut self,
-        shards: usize,
-        arena: &'a mut crate::batch::ShardedArena,
-        pool: &'a crate::pool::ShardPool,
-    ) -> Self {
-        self.arena = Some(ArenaRef::Sharded(arena));
-        self.shard_policy = SolveShardPolicy::Pool { shards, pool };
+    /// Polls `abort` wherever the cancel token is polled (for example a
+    /// deadline check); answering `true` abandons the run.
+    pub fn abort_when(mut self, abort: impl FnMut() -> bool + 'a) -> Self {
+        self.abort = Some(Box::new(abort));
         self
     }
 
-    /// Poll `cancel` at stage boundaries; `solve_lanes` returns `None`
-    /// if it fires.
-    pub fn cancel(mut self, cancel: &'a crate::job::CancelToken) -> Self {
-        self.cancel_token = Some(cancel);
-        self
-    }
-
-    /// Run the lanes on `backend`, overriding the machine
-    /// configuration's default (lanes that pin their own backend keep
-    /// it).
-    pub fn backend(mut self, backend: crate::KernelBackend) -> Self {
-        self.backend = Some(backend);
-        self
+    /// Runs the abort checks: `true` when the cancel token fired or the
+    /// abort hook answered `true`.
+    pub(crate) fn aborted(&mut self) -> bool {
+        self.cancel.is_some_and(CancelToken::is_cancelled)
+            || self.abort.as_mut().is_some_and(|abort| abort())
     }
 }
 
@@ -1094,32 +772,37 @@ mod tests {
             .solve_lanes(&lanes, &seeds, SolveOptions::new())
             .expect("uncancellable");
 
-        let threaded = m
-            .solve_lanes(&lanes, &seeds, SolveOptions::new().threads(2))
+        let on_global_pool = m
+            .solve_lanes(&lanes, &seeds, SolveOptions::new().shards(2))
             .expect("uncancellable");
-        let mut arena = crate::batch::BatchArena::new();
+        let pool = crate::pool::ShardPool::new(2);
+        let mut arena = ShardedArena::new();
         let in_arena = m
-            .solve_lanes(&lanes, &seeds, SolveOptions::new().arena(&mut arena))
+            .solve_lanes(
+                &lanes,
+                &seeds,
+                SolveOptions::new().sharded(1, &mut arena, &pool),
+            )
             .expect("uncancellable");
         let token = crate::job::CancelToken::new();
         let cancellable = m
             .solve_lanes(
                 &lanes,
                 &seeds,
-                SolveOptions::new().arena(&mut arena).cancel(&token),
+                SolveOptions::new()
+                    .sharded(1, &mut arena, &pool)
+                    .cancel(&token),
             )
             .expect("token never fired");
-        let pool = crate::pool::ShardPool::new(2);
-        let mut sharena = crate::batch::ShardedArena::new();
         let pooled = m
             .solve_lanes(
                 &lanes,
                 &seeds,
-                SolveOptions::new().sharded(2, &mut sharena, &pool),
+                SolveOptions::new().sharded(2, &mut arena, &pool),
             )
             .expect("uncancellable");
 
-        for other in [&threaded, &in_arena, &cancellable, &pooled] {
+        for other in [&on_global_pool, &in_arena, &cancellable, &pooled] {
             assert_eq!(base.len(), other.len());
             for (a, b) in base.iter().zip(other.iter()) {
                 assert_eq!(a.coloring, b.coloring);
@@ -1137,36 +820,5 @@ mod tests {
         assert!(m
             .solve_lanes(&lanes, &[1, 2], SolveOptions::new().cancel(&token))
             .is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "neither an arena nor a cancel")]
-    fn solve_lanes_rejects_threads_with_arena() {
-        let g = generators::path_graph(2);
-        let m = Msropm::new(&g, fast_config());
-        let mut arena = crate::batch::BatchArena::new();
-        let _ = m.solve_lanes(
-            &[LaneConfig::default()],
-            &[1],
-            SolveOptions::new().arena(&mut arena).threads(2),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "requires SolveShardPolicy::Pool")]
-    fn solve_lanes_rejects_sharded_arena_without_pool() {
-        let g = generators::path_graph(2);
-        let m = Msropm::new(&g, fast_config());
-        let mut arena = crate::batch::ShardedArena::new();
-        let _ = m.solve_lanes(
-            &[LaneConfig::default()],
-            &[1],
-            SolveOptions {
-                arena: Some(ArenaRef::Sharded(&mut arena)),
-                cancel_token: None,
-                shard_policy: SolveShardPolicy::Threads(1),
-                backend: None,
-            },
-        );
     }
 }

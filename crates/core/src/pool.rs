@@ -15,9 +15,10 @@
 //! how many concurrent jobs oversubscribe it: every queued task is
 //! runnable by any thread that touches the pool.
 //!
-//! One process-wide pool ([`global`]) sized to [`num_cores`] backs the
-//! job server and the portfolio runner; tests build private pools to
-//! exercise width edge cases.
+//! One process-wide pool ([`global`]) sized to [`num_cores`] backs every
+//! sharded solve that names no pool of its own — the job server,
+//! `Msropm::solve_lanes`, the experiment runner and the portfolio
+//! runner; tests build private pools to exercise width edge cases.
 
 use crossbeam::deque::{Injector, Stealer, Worker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,7 +29,7 @@ use std::time::Duration;
 
 /// Number of logical cores available to this process (1 when detection
 /// fails). The single source of core-count truth for the workspace: the
-/// pool's default width, `ExperimentRunner`'s default thread cap and
+/// global pool's width, `ExperimentRunner`'s default shard count and
 /// the bench bins all route here.
 pub fn num_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -89,6 +90,9 @@ impl PoolShared {
 pub struct ShardPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
+    /// The shard armed by [`faultinject::arm_panic_in_shard`], or
+    /// `u64::MAX` when disarmed.
+    panic_shard: AtomicU64,
 }
 
 impl std::fmt::Debug for ShardPool {
@@ -128,7 +132,11 @@ impl ShardPool {
                     .expect("spawn shard worker")
             })
             .collect();
-        ShardPool { shared, workers }
+        ShardPool {
+            shared,
+            workers,
+            panic_shard: AtomicU64::new(u64::MAX),
+        }
     }
 
     /// Number of pool workers (excluding helping coordinators).
@@ -226,42 +234,41 @@ pub fn global() -> &'static ShardPool {
 
 /// Runtime-armed fault injection for shard execution, mirroring the
 /// server crate's `faultinject` idiom: the disarmed fast path is a
-/// single relaxed atomic load, so production solves pay nothing.
+/// single relaxed atomic load, so production solves pay nothing. The
+/// armed fault belongs to one [`ShardPool`], so it can only fire in a
+/// solve dispatched on that pool.
 pub mod faultinject {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use super::ShardPool;
+    use std::sync::atomic::Ordering;
 
-    /// `u64::MAX` = disarmed; otherwise the shard index that panics at
-    /// its next stage entry.
-    static PANIC_SHARD: AtomicU64 = AtomicU64::new(u64::MAX);
-
-    /// Arms a one-shot panic inside shard `shard`'s next stage task —
-    /// on the pool worker (or helping coordinator) executing that
-    /// shard, not on the thread that dispatched the job.
-    pub fn arm_panic_in_shard(shard: usize) {
-        PANIC_SHARD.store(shard as u64, Ordering::Release);
+    /// Arms a one-shot panic inside shard `shard`'s next stage task
+    /// dispatched on `pool` — on the pool worker (or helping
+    /// coordinator) executing that shard, not on the thread that
+    /// dispatched the job.
+    pub fn arm_panic_in_shard(pool: &ShardPool, shard: usize) {
+        pool.panic_shard.store(shard as u64, Ordering::Release);
     }
 
-    /// Disarms the shard panic (tests call this from a drop guard so a
-    /// failing assertion cannot leak an armed fault).
-    pub fn disarm() {
-        PANIC_SHARD.store(u64::MAX, Ordering::Release);
+    /// Disarms `pool`'s shard panic (tests call this from a drop guard
+    /// so a failing assertion cannot leak an armed fault).
+    pub fn disarm(pool: &ShardPool) {
+        pool.panic_shard.store(u64::MAX, Ordering::Release);
     }
 
-    /// Check point called by every shard stage task.
-    ///
-    /// # Panics
-    ///
-    /// Panics (once) when armed for `shard`.
-    pub fn maybe_panic_in_shard(shard: usize) {
-        if PANIC_SHARD.load(Ordering::Relaxed) == u64::MAX {
-            return;
-        }
-        if PANIC_SHARD
-            .compare_exchange(shard as u64, u64::MAX, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            panic!("injected shard panic (shard {shard})");
-        }
+    /// `true` while a shard panic is armed on `pool` and has not fired.
+    pub fn is_armed(pool: &ShardPool) -> bool {
+        pool.panic_shard.load(Ordering::Acquire) != u64::MAX
+    }
+
+    /// Check point called once per shard stage task dispatched on
+    /// `pool`: `true` (once) when the fault is armed for `shard`,
+    /// consuming it.
+    pub(crate) fn take_panic_in_shard(pool: &ShardPool, shard: usize) -> bool {
+        pool.panic_shard.load(Ordering::Relaxed) != u64::MAX
+            && pool
+                .panic_shard
+                .compare_exchange(shard as u64, u64::MAX, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
     }
 }
 

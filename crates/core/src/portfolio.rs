@@ -209,7 +209,7 @@ impl PortfolioRunner {
             false,
             self.shards,
             &mut arena,
-            crate::pool::global(),
+            None,
             |stage, boundary: &mut StageBoundary| {
                 Self::restart_worst(stage, boundary, restart_fraction, &mut restarts);
                 ControlFlow::Continue(())
@@ -286,7 +286,9 @@ mod tests {
             .run(&g);
         assert!(report.restarts.is_empty());
         let machine = crate::machine::Msropm::new(&g, base);
-        let batch = machine.solve_batch_lanes(&sweep.lanes(), &[40, 41, 42], 1);
+        let batch = machine
+            .solve_lanes(&sweep.lanes(), &[40, 41, 42], crate::SolveOptions::new())
+            .expect("no abort check");
         for (o, s) in report.lanes.iter().zip(&batch) {
             assert_eq!(o.solution.coloring, s.coloring);
         }

@@ -4,18 +4,21 @@
 //! §4: *"40 iterations (i.e. repeated runs) are performed for each problem,
 //! allowing the MSROPM to explore the solution space"*; the best solution
 //! among iterations is the reported answer. Iterations are independent;
-//! the runner advances them as interleaved multi-replica batches (one SoA
-//! sweep per worker thread, see [`crate::batch`]), which is bit-identical
-//! to — and much faster than — the sequential per-iteration loop that
+//! the runner advances them as one interleaved multi-replica batch,
+//! sharded across the process-wide [`crate::pool`] (see
+//! [`crate::batch`]), which is bit-identical to — and much faster than —
+//! the sequential per-iteration loop that
 //! [`ExperimentRunner::run_sequential`] retains as the reference.
 
-use crate::config::MsropmConfig;
+use crate::batch::{solve_lanes_sharded_hooked, ShardedArena};
+use crate::config::{LaneConfig, MsropmConfig};
 use crate::machine::{Msropm, MsropmSolution};
 use crate::metrics::max_cut_accuracy;
 use msropm_graph::metrics::{pairwise_hamming, pearson, Summary};
 use msropm_graph::{Coloring, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::ControlFlow;
 
 /// Where the stage-1 max-cut normalizer (Fig. 5(b) denominator) comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +119,7 @@ pub struct ExperimentRunner {
     iterations: usize,
     base_seed: u64,
     cut_reference: CutReference,
-    threads: usize,
+    shards: usize,
 }
 
 impl ExperimentRunner {
@@ -128,7 +131,7 @@ impl ExperimentRunner {
             iterations: 40,
             base_seed: 0x5EED,
             cut_reference: CutReference::Auto,
-            threads: crate::pool::num_cores(),
+            shards: crate::pool::num_cores(),
         }
     }
 
@@ -155,14 +158,17 @@ impl ExperimentRunner {
         self
     }
 
-    /// Caps worker threads (default: available parallelism).
+    /// Sets the shard count: the iterations split into `shards`
+    /// contiguous ranges that run as tasks on the process-wide
+    /// [`crate::pool`] (default: one per core; 1 runs inline on the
+    /// calling thread). Results are **bit-identical** at every width.
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`.
-    pub fn threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one thread");
-        self.threads = threads;
+    /// Panics if `shards == 0`.
+    pub fn shards(mut self, shards: usize) -> Self {
+        assert!(shards > 0, "need at least one shard");
+        self.shards = shards;
         self
     }
 
@@ -233,20 +239,31 @@ impl ExperimentRunner {
 
     /// Runs the experiment on `g` and aggregates the report.
     ///
-    /// Iterations are advanced as multi-replica batches sharded over the
-    /// configured thread count — results are bit-identical to
-    /// [`ExperimentRunner::run_sequential`] regardless of `threads`.
+    /// Iterations are advanced as one multi-replica batch sharded over
+    /// the configured shard count — results are bit-identical to
+    /// [`ExperimentRunner::run_sequential`] regardless of `shards`.
     pub fn run(&self, g: &Graph) -> ExperimentReport {
         self.config.validate();
         let reference = self.resolve_cut_reference(g);
-        let threads = self.threads.min(self.iterations).max(1);
         // The no-spread base network; per-replica frequency offsets are
         // sampled inside the batch driver from each replica's own RNG,
         // matching `Msropm::with_frequency_spread` + `solve`.
         let network = self.config.build_network(g);
         let seeds = self.seeds();
-        let solutions =
-            crate::batch::solve_batch_sharded(g, &self.config, &network, &seeds, true, threads);
+        let lanes = vec![LaneConfig::default(); seeds.len()];
+        let solutions = solve_lanes_sharded_hooked(
+            g,
+            &self.config,
+            &network,
+            &lanes,
+            &seeds,
+            true,
+            self.shards,
+            &mut ShardedArena::new(),
+            None,
+            |_, _| ControlFlow::Continue(()),
+        )
+        .expect("experiment runs are never cancelled");
         self.assemble_report(g, reference, solutions)
     }
 
@@ -288,7 +305,7 @@ mod tests {
         let runner = ExperimentRunner::new(fast_config())
             .iterations(6)
             .base_seed(17)
-            .threads(3);
+            .shards(3);
         let batched = runner.run(&g);
         let sequential = runner.run_sequential(&g);
         assert_eq!(batched.accuracies(), sequential.accuracies());
@@ -328,7 +345,7 @@ mod tests {
             ExperimentRunner::new(fast_config())
                 .iterations(4)
                 .base_seed(7)
-                .threads(2)
+                .shards(2)
                 .run(&g)
                 .accuracies()
         };
@@ -338,11 +355,11 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let g = generators::kings_graph(3, 3);
-        let run = |threads| {
+        let run = |shards| {
             ExperimentRunner::new(fast_config())
                 .iterations(6)
                 .base_seed(3)
-                .threads(threads)
+                .shards(shards)
                 .run(&g)
                 .accuracies()
         };

@@ -17,7 +17,8 @@
 //! keeps every replica's phase trajectory **bit-identical** to the same
 //! replica integrated alone with the scalar
 //! [`CoupledKernel`](crate::kernel::CoupledKernel) — the property that
-//! lets the batch solver shard replicas across threads deterministically.
+//! lets the batch solver shard replicas across the shard pool
+//! deterministically.
 //!
 //! The same lane treatment extends to every control parameter, so the
 //! replicas need not be identical machines: per-replica coupling
@@ -29,7 +30,7 @@
 //! speed with no per-step branching.
 //!
 //! Noise is drawn through
-//! [`fill_normal_batch`](msropm_ode::sde::fill_normal_batch) from one
+//! [`fill_normal_batch`] from one
 //! seeded RNG **per replica**, in the same per-replica order a sequential
 //! run would draw, completing the bit-identity argument.
 //!

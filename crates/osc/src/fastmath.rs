@@ -15,9 +15,9 @@
 //! (that arrived with SSE4.1), so `y.round()` lowers to an out-of-line
 //! libm `round` call — one per element, and a call inside the loop stops
 //! it from vectorizing. The quadrant is instead found with the `1.5·2^52`
-//! shifter (see [`round_half_away`]), which rounds with two additions
+//! shifter (see `round_half_away`), which rounds with two additions
 //! and yields the quadrant bits for free. Keep `.round()` (and
-//! saturating `as i64` casts) out of [`sin_core`]: on the default target
+//! saturating `as i64` casts) out of `sin_core`: on the default target
 //! either one puts scalar code back in the hottest loop of the solver.
 //! The shifter form is bit-for-bit equal to `y.round()`, so the choice
 //! never changes a result.
@@ -150,7 +150,7 @@ fn sin_core(x: f64) -> f64 {
 /// This is the shape the kernels use: a contiguous buffer of phase
 /// differences with no gather/scatter inside the loop. A cheap range
 /// scan first decides whether every element can take the branchless
-/// [`sin_core`] path — when it can (always, for phase dynamics), the
+/// `sin_core` path — when it can (always, for phase dynamics), the
 /// main loop contains no branches and no calls, and LLVM auto-vectorizes
 /// it: 2 lanes of f64 on the default SSE2 target (wider only when the
 /// build enables AVX). Results are bitwise identical to calling

@@ -79,7 +79,7 @@
 //!
 //! [`FxBatchIntegrator`] draws one `f64` standard-normal deviate per
 //! oscillator per step through the exact
-//! [`fill_normal_batch`](msropm_ode::sde::fill_normal_batch) stream the
+//! [`fill_normal_batch`] stream the
 //! float backend consumes (same RNG, same order — a lane's seed means
 //! the same thing under either backend), then quantizes: the deviate is
 //! rounded to Q16 and multiplied by a per-lane integer gain

@@ -21,7 +21,7 @@
 //!   rings already zeroed out.
 //!
 //! The hot path is three passes over contiguous buffers — gather phase
-//! differences, [`sin_slice`](crate::fastmath::sin_slice) (branchless,
+//! differences, [`sin_slice`] (branchless,
 //! auto-vectorized), scatter — which measures ~4× faster than the CSR
 //! walk on the paper's 2116-node King's graph (see
 //! `crates/bench/src/bin/bench_phase_step.rs`).

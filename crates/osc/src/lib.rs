@@ -54,7 +54,7 @@
 //!   independent replicas interleaved replica-minor per node, advanced by
 //!   one sweep per step with per-replica weight lanes for gating and
 //!   per-replica RNGs for noise — bit-identical to M scalar runs, and the
-//!   unit the experiment runner shards across threads.
+//!   unit every batch solve shards across the shard pool.
 //! - [`fxkernel::FxBatchKernel`] is the fixed-point twin of the batch
 //!   kernel: phases as wrapping `i32` binary turns, every rate quantized
 //!   to per-step turn counts at build time, sine from a quarter-wave

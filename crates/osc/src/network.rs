@@ -3,7 +3,7 @@
 //! [`PhaseNetwork`] owns the gating state and the **reference** CSR drift
 //! implementation ([`OdeSystem::eval`]); all integration entry points
 //! (`relax`/`anneal`/…) compile the current gating into a
-//! [`CoupledKernel`](crate::kernel::CoupledKernel) and run on that, which
+//! [`CoupledKernel`] and run on that, which
 //! is ~4× faster on paper-sized problems while agreeing with the
 //! reference to < 1e-12 (property-tested).
 

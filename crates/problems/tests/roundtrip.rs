@@ -13,7 +13,7 @@
 //!    repair reliably reaches it; everything here is bit-deterministic,
 //!    so a pass is a pass forever).
 
-use msropm_core::{BatchArena, BatchJob, Msropm, MsropmConfig};
+use msropm_core::{BatchJob, Msropm, MsropmConfig, SolveOptions};
 use msropm_graph::{generators, Graph};
 use msropm_problems::{Cnf, Ising, Lit, ObjectiveSense, ProblemReport, ProblemSpec, Qubo};
 
@@ -28,8 +28,9 @@ fn solve_roundtrip(spec: &ProblemSpec, replicas: usize, seed: u64) -> ProblemRep
         lanes: compiled.lanes.clone(),
         seed,
     };
-    let mut arena = BatchArena::new();
-    let report = job.run(&machine, &mut arena);
+    let report = job
+        .run(&machine, SolveOptions::new())
+        .expect("no abort check");
     let decoded = compiled.decoder.decode_report(&report);
     // Consistency: each lane's objective is earned by its solution.
     for lane in &decoded.ranked {

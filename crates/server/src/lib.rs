@@ -2,17 +2,18 @@
 //!
 //! The paper's Potts machine is a throughput device: many independent
 //! annealing replicas answering coloring/max-cut queries. This crate
-//! wraps the workspace's batch solver
-//! ([`msropm_core::Msropm::solve_batch_lanes`]-family) as the unit of
-//! work behind a request interface, in the spirit of the ASIC-emulated
-//! accelerator framing where the oscillator fabric sits behind a job
-//! queue:
+//! wraps the workspace's batch solver ([`msropm_core::BatchJob::run`]
+//! over [`msropm_core::Msropm::solve_lanes`]) as the unit of work behind
+//! a request interface, in the spirit of the ASIC-emulated accelerator
+//! framing where the oscillator fabric sits behind a job queue:
 //!
 //! - a **bounded MPMC job queue** ([`queue::BoundedQueue`]) admits
 //!   requests and applies backpressure once full;
 //! - **N worker threads** drain it, each owning a long-lived
-//!   [`msropm_core::BatchArena`] so back-to-back jobs reuse the
+//!   [`msropm_core::ShardedArena`] so back-to-back jobs reuse the
 //!   integrator scratch and state buffers instead of reallocating;
+//! - each job's lanes shard across the process-wide
+//!   [`msropm_core::pool`] at a width [`ShardPolicy`] picks per job;
 //! - a shared **problem cache** ([`msropm_core::ProblemCache`], keyed by
 //!   [`msropm_graph::io::graph_hash`] + config fingerprint) interns
 //!   compiled machines, so repeat topologies skip network/schedule
@@ -23,12 +24,12 @@
 //!
 //! ## Determinism
 //!
-//! A job is executed by exactly one worker, single-threaded, and
+//! A job is picked up by exactly one worker, and a completed
 //! `BatchJob::run` is a pure function of `(graph, job)` — so the same
 //! job + seed produces a **bit-identical** report whether the server
-//! runs 1 worker or 40, hot cache or cold, fresh arena or reused
-//! (property-tested in `tests/determinism.rs`). Only completion *order*
-//! across different jobs depends on scheduling.
+//! runs 1 worker or 40, at any shard width, hot cache or cold, fresh
+//! arena or reused (property-tested in `tests/determinism.rs`). Only
+//! completion *order* across different jobs depends on scheduling.
 //!
 //! ## Example: submit → await → ranked report
 //!
@@ -83,7 +84,7 @@ pub use session::WireConfig;
 
 use msropm_core::{
     num_cores, BatchJob, CacheStats, CancelToken, JobReport, KernelBackend, ProblemCache,
-    ShardedArena,
+    ShardedArena, SolveOptions,
 };
 use msropm_graph::Graph;
 use queue::BoundedQueue;
@@ -772,7 +773,7 @@ impl JobServer {
 
     /// Jobs that died without a report since boot: caught solve panics,
     /// expired deadlines, and worker thread deaths (the last counted by
-    /// the session layer via [`JobServer::count_failed_job`]).
+    /// the session layer via `JobServer::count_failed_job`).
     pub fn jobs_failed(&self) -> u64 {
         self.shared.jobs_failed.load(Ordering::Relaxed)
     }
@@ -1135,17 +1136,16 @@ fn worker_loop(shared: &Shared) {
             // cancellation with the job's deadline — both land at stage
             // boundaries only (cross-shard joins on the sharded path),
             // so completed runs stay bit-identical at any width.
-            envelope.job.run_sharded_with(
+            envelope.job.run(
                 &machine,
-                shards,
-                &mut arena,
-                msropm_core::pool::global(),
-                || {
-                    envelope.cancel.is_cancelled()
-                        || envelope
+                SolveOptions::new()
+                    .sharded(shards, &mut arena, msropm_core::pool::global())
+                    .cancel(&envelope.cancel)
+                    .abort_when(|| {
+                        envelope
                             .deadline
                             .is_some_and(|deadline| Instant::now() >= deadline)
-                },
+                    }),
             )
         }));
         let completion = match result {

@@ -4,8 +4,9 @@
 //! `capacity` jobs are waiting (backpressure on producers instead of
 //! unbounded memory growth), `pop` blocks until work or shutdown. The
 //! queue is deliberately tiny and dependency-free — the vendored
-//! `crossbeam` shim only provides scoped threads, and `std::sync::mpsc`
-//! is single-consumer, so neither fits a pool of competing workers.
+//! `crossbeam` shim only provides work-stealing deques, which never
+//! block, and `std::sync::mpsc` is single-consumer, so neither fits a
+//! pool of competing workers.
 
 use crate::lock_unpoisoned;
 use std::collections::VecDeque;

@@ -8,7 +8,7 @@
 //! codec's incremental decoder, and a write buffer flushed on writable
 //! readiness. An idle connection costs one registered fd and a few
 //! hundred bytes; *all* per-tenant quota, registry, and drain semantics
-//! come from the shared [`crate::session::SessionCore`].
+//! come from the shared `SessionCore`.
 //!
 //! # Codecs
 //!
@@ -34,7 +34,7 @@
 //! the owning loop's inbox, addressed to the connection's slot and
 //! generation, and the loop is woken through the poller's
 //! eventfd/pipe notifier; an HTTP job's frame goes into a
-//! [`TerminalStore`] shared by all loops, so a job submitted on one
+//! `TerminalStore` shared by all loops, so a job submitted on one
 //! loop is pollable from a connection on another. Cancelled jobs
 //! deliver no frame (the wire contract: **a cancelled job never
 //! streams a report**).

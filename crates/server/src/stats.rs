@@ -18,7 +18,7 @@
 //!   (Prometheus text) off [`Registry::iter`].
 //!
 //! Adding a counter is now one [`SCHEMA`] row plus one value in
-//! [`crate::session::SessionCore`]'s snapshot — the renderers pick it
+//! `SessionCore`'s snapshot — the renderers pick it
 //! up for free. (The binary frame still needs its codec line, which the
 //! `schema_matches_wire_frame` test pins against the schema.)
 

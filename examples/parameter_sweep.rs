@@ -6,9 +6,9 @@
 //! strength/ramp, noise amplitude and re-init mode. This example sweeps
 //! a (K, σ) grid over a King's graph two ways:
 //!
-//! 1. a plain heterogeneous batch (`Msropm::solve_batch_lanes`) — every
-//!    grid point runs independently, bit-identical to a standalone
-//!    machine at that point;
+//! 1. a plain heterogeneous batch (`Msropm::solve_lanes`, four shards
+//!    on the shard pool) — every grid point runs independently,
+//!    bit-identical to a standalone machine at that point;
 //! 2. a `PortfolioRunner` with population restarts — at each stage
 //!    boundary the worst lanes are re-seeded from the best survivors'
 //!    partition state.
@@ -45,8 +45,8 @@ fn main() {
     // --- 1. Plain heterogeneous sweep: one batch, 16 operating points.
     let machine = Msropm::new(&g, base);
     let solutions = machine
-        .solve_lanes(&lanes, &seeds, SolveOptions::new().threads(4))
-        .expect("no cancel token => never None");
+        .solve_lanes(&lanes, &seeds, SolveOptions::new().shards(4))
+        .expect("no abort check => never None");
     println!("independent sweep (accuracy per grid point):");
     println!("         sigma=0.100 sigma=0.167 sigma=0.233 sigma=0.300");
     for row in 0..4 {

@@ -2,9 +2,9 @@
 # CI gate for the MSROPM workspace, structured as named stages:
 #
 #   fmt    rustfmt check
-#   lint   clippy over all targets, deny warnings
+#   lint   clippy over all targets and rustdoc, deny warnings
 #   test   full test suite, plus the CNF-repair proptest in release
-#   build  release build incl. examples
+#   build  release build incl. examples and the perfbench benchmark
 #   smoke  job-server determinism smoke + wire smoke (real TCP loopback:
 #          boot msropm_serve on an ephemeral port, run solve_remote
 #          submit/status/cancel against it under a hard timeout) + HTTP
@@ -46,6 +46,9 @@ stage_lint() {
     # The vendored epoll/poll shim carries the workspace's only unsafe
     # (FFI) code; hold it to the same deny-warnings bar explicitly.
     cargo clippy -p polling --all-targets -- -D warnings
+    # Broken intra-doc links (for example to deleted or private items)
+    # fail the gate instead of rotting silently.
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 }
 
 stage_test() {
@@ -61,6 +64,10 @@ stage_test() {
 stage_build() {
     cargo build --release
     cargo build --release --examples
+    # perfbench is a workspace of its own, so the builds above never
+    # compile it; an API change in the crates it uses must not break
+    # the benchmark unseen.
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 stage_smoke() {

@@ -14,7 +14,9 @@
 //! in `osc::fxkernel`), so the digest is computed over recovered words
 //! rather than float bits — it pins the integer state itself.
 
-use msropm::core::{KernelBackend, LaneConfig, Msropm, MsropmConfig, ShardPool, ShardedArena};
+use msropm::core::{
+    KernelBackend, LaneConfig, Msropm, MsropmConfig, ShardPool, ShardedArena, SolveOptions,
+};
 use msropm::graph::generators;
 use msropm::osc::fxkernel::phase_to_turns;
 
@@ -59,9 +61,14 @@ fn fx_phase_words_match_committed_golden_hash() {
     let seeds: Vec<u64> = (100..108).collect();
     let lanes = vec![LaneConfig::default(); seeds.len()];
 
-    let digest = phase_digest(&machine.solve_batch_lanes(&lanes, &seeds, 1));
+    let solve = || {
+        machine
+            .solve_lanes(&lanes, &seeds, SolveOptions::new())
+            .expect("no abort check")
+    };
+    let digest = phase_digest(&solve());
     // Run-to-run: the digest is a pure function of (graph, config, seeds).
-    let again = phase_digest(&machine.solve_batch_lanes(&lanes, &seeds, 1));
+    let again = phase_digest(&solve());
     assert_eq!(digest, again, "fx solve is not reproducible run-to-run");
 
     assert_eq!(
@@ -83,8 +90,13 @@ fn fx_golden_hash_is_shard_width_invariant() {
     // specializes plus the generic fallback.
     for shards in [1usize, 2, 4, 8] {
         let mut arena = ShardedArena::new();
-        let sols =
-            machine.solve_batch_lanes_arena_sharded(&lanes, &seeds, shards, &mut arena, &pool);
+        let sols = machine
+            .solve_lanes(
+                &lanes,
+                &seeds,
+                SolveOptions::new().sharded(shards, &mut arena, &pool),
+            )
+            .expect("no abort check");
         assert_eq!(
             phase_digest(&sols),
             GOLDEN_KINGS_6X6,
@@ -114,8 +126,13 @@ fn fx_complete_graph_digest_matches_at_every_shard_width() {
     // Per-shard lane counts 3 (generic fallback), then 2 and 1.
     for shards in [1usize, 2] {
         let mut arena = ShardedArena::new();
-        let sols =
-            machine.solve_batch_lanes_arena_sharded(&lanes, &seeds, shards, &mut arena, &pool);
+        let sols = machine
+            .solve_lanes(
+                &lanes,
+                &seeds,
+                SolveOptions::new().sharded(shards, &mut arena, &pool),
+            )
+            .expect("no abort check");
         let digest = phase_digest(&sols);
         assert_eq!(
             digest, GOLDEN_COMPLETE_40,

@@ -2,9 +2,8 @@
 //! the two references it must reproduce bit for bit:
 //!
 //! 1. a heterogeneous batch whose lanes all carry **identical**
-//!    parameters is indistinguishable from the homogeneous
-//!    `Msropm::solve_batch` of a machine configured at that operating
-//!    point, and
+//!    parameters is indistinguishable from a batch of default lanes on a
+//!    machine configured at that operating point, and
 //! 2. a **single-lane** sweep entry equals a sequential `Msropm::solve`
 //!    over the lane's resolved config.
 //!
@@ -13,7 +12,7 @@
 //! lane of every sweep is transitively pinned to the scalar reference
 //! machine.
 
-use msropm::core::{LaneConfig, Msropm, MsropmConfig, ReinitMode};
+use msropm::core::{LaneConfig, Msropm, MsropmConfig, MsropmSolution, ReinitMode, SolveOptions};
 use msropm::graph::generators;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,6 +23,19 @@ fn fast_config() -> MsropmConfig {
         dt: 0.02,
         ..MsropmConfig::paper_default()
     }
+}
+
+/// `lanes` through `Msropm::solve_lanes`, `shards` wide on the global
+/// shard pool.
+fn solve(
+    machine: &Msropm,
+    lanes: &[LaneConfig],
+    seeds: &[u64],
+    shards: usize,
+) -> Vec<MsropmSolution> {
+    machine
+        .solve_lanes(lanes, seeds, SolveOptions::new().shards(shards))
+        .expect("no abort check")
 }
 
 /// Strategy: an arbitrary lane override. Each knob is independently
@@ -93,10 +105,10 @@ proptest! {
 
         let het_machine = Msropm::new(&g, base);
         let lanes = vec![lane; num_lanes];
-        let het = het_machine.solve_batch_lanes(&lanes, &seeds, 1);
+        let het = solve(&het_machine, &lanes, &seeds, 1);
 
         let hom_machine = Msropm::new(&g, lane.resolve(&base));
-        let hom = hom_machine.solve_batch(&seeds, 1);
+        let hom = solve(&hom_machine, &vec![LaneConfig::default(); num_lanes], &seeds, 1);
 
         prop_assert_eq!(het.len(), hom.len());
         for (r, (a, b)) in het.iter().zip(&hom).enumerate() {
@@ -115,7 +127,7 @@ proptest! {
         let base = fast_config();
 
         let machine = Msropm::new(&g, base);
-        let batch = machine.solve_batch_lanes(&[lane], &[seed], 1);
+        let batch = solve(&machine, &[lane], &[seed], 1);
 
         let mut solo_machine = Msropm::new(&g, lane.resolve(&base));
         let mut rng = StdRng::seed_from_u64(seed);
@@ -137,7 +149,7 @@ proptest! {
         let seeds: Vec<u64> = (0..lanes.len() as u64).map(|i| base_seed + i).collect();
 
         let machine = Msropm::new(&g, base);
-        let batch = machine.solve_batch_lanes(&lanes, &seeds, 1);
+        let batch = solve(&machine, &lanes, &seeds, 1);
 
         for (r, (lane, &seed)) in lanes.iter().zip(&seeds).enumerate() {
             let mut solo_machine = Msropm::new(&g, lane.resolve(&base));
@@ -148,19 +160,19 @@ proptest! {
     }
 }
 
-/// All-default lanes are the homogeneous batch, bitwise, across thread
-/// counts (the wrapper really is a wrapper).
+/// All-default lanes are the homogeneous batch, bitwise, across shard
+/// widths.
 #[test]
 fn default_lanes_are_the_homogeneous_batch() {
     let g = generators::kings_graph(4, 4);
     let machine = Msropm::new(&g, fast_config());
     let seeds: Vec<u64> = (500..508).collect();
     let lanes = vec![LaneConfig::default(); seeds.len()];
-    for threads in [1usize, 3] {
-        let het = machine.solve_batch_lanes(&lanes, &seeds, threads);
-        let hom = machine.solve_batch(&seeds, threads);
+    let hom = solve(&machine, &lanes, &seeds, 1);
+    for shards in [1usize, 3] {
+        let het = solve(&machine, &lanes, &seeds, shards);
         for (r, (a, b)) in het.iter().zip(&hom).enumerate() {
-            assert_solutions_bit_identical(a, b, &format!("replica {r}, {threads} threads"));
+            assert_solutions_bit_identical(a, b, &format!("replica {r}, {shards} shards"));
         }
     }
 }
