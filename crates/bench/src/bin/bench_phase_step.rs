@@ -11,6 +11,9 @@
 //!   ([`FxBatchKernel`] at one replica): i32 binary-turn phases,
 //!   Q-format weights, table-driven sine (the acceptance metric is
 //!   `fx_speedup = kernel/fx` > 1 on the 2116-node board);
+//! - `batch1_eval`: one RHS evaluation via [`BatchKernel`] at one
+//!   replica on the same all-live graph — the width `CoupledKernel`
+//!   callers would run, tracked next to `kernel_eval`;
 //! - `fx_batch_eval`: the fixed-point RHS at two replicas, the lane
 //!   width a sharded serving job runs per shard, reported per replica;
 //! - `batch_eval`: one 40-replica SoA RHS sweep ([`BatchKernel`]),
@@ -22,9 +25,10 @@
 //!   `paper_2116` job runs on each of two cores) gated by **real**
 //!   stage-1 cuts — each lane's couplings across its own stage-1
 //!   partition cut, as the solver does at the stage transition —
-//!   reported per replica. Edges cut in every lane leave the sweep, so
-//!   this is the stage-2 cost the live-edge sweep targets
-//!   (`stage2_live_frac` is the share of edges still swept);
+//!   reported per replica. Only the (edge, lane) couplings that still
+//!   conduct are swept, so this is the stage-2 cost the live-pair sweep
+//!   targets (`stage2_live_frac` is the share of edges that conduct in
+//!   at least one lane);
 //! - `anneal_naive` / `anneal_kernel` / `anneal_batch`: a 1 ns
 //!   Euler–Maruyama annealing window (100 steps) through the same three
 //!   paths (batch reported per replica).
@@ -95,6 +99,8 @@ struct Row {
     naive_eval_ns: f64,
     kernel_eval_ns: f64,
     kernel_speedup: f64,
+    /// One `BatchKernel` RHS evaluation at M = 1, all edges live.
+    batch1_eval_ns: f64,
     /// One fixed-point RHS evaluation (integer phases, LUT sine).
     fx_eval_ns: f64,
     /// Compiled f64 kernel vs fixed-point kernel: `kernel/fx`.
@@ -108,7 +114,7 @@ struct Row {
     sweep_eval_ns_per_replica: f64,
     /// 4-lane SoA RHS under real stage-1 cuts, per replica.
     batch_stage2_eval_ns: f64,
-    /// Share of the edges the stage-2 sweep still visits.
+    /// Share of the edges that conduct in some stage-2 lane.
     stage2_live_frac: f64,
     anneal_naive_us: f64,
     anneal_kernel_us: f64,
@@ -141,6 +147,18 @@ fn bench_side(g: &Graph, side: usize, cuts: &[Cut], eval_budget: f64, anneal_bud
         * time_per_call(
             || {
                 kernel.drift_into(std::hint::black_box(&phases), &mut dydt, &mut scratch);
+                std::hint::black_box(&dydt);
+            },
+            3,
+            eval_budget,
+        );
+
+    // --- The batch kernel at one replica, same phases. ---
+    let batch1 = BatchKernel::new(&net, 1);
+    let batch1_eval_ns = 1e9
+        * time_per_call(
+            || {
+                batch1.drift_into(std::hint::black_box(&phases), &mut dydt, &mut scratch);
                 std::hint::black_box(&dydt);
             },
             3,
@@ -291,6 +309,7 @@ fn bench_side(g: &Graph, side: usize, cuts: &[Cut], eval_budget: f64, anneal_bud
         naive_eval_ns,
         kernel_eval_ns,
         kernel_speedup: naive_eval_ns / kernel_eval_ns,
+        batch1_eval_ns,
         fx_eval_ns,
         fx_speedup: kernel_eval_ns / fx_eval_ns,
         fx_batch_eval_ns_per_replica,
@@ -313,6 +332,7 @@ fn best_of(a: Row, b: Row) -> Row {
     let mut r = Row {
         naive_eval_ns: a.naive_eval_ns.min(b.naive_eval_ns),
         kernel_eval_ns: a.kernel_eval_ns.min(b.kernel_eval_ns),
+        batch1_eval_ns: a.batch1_eval_ns.min(b.batch1_eval_ns),
         fx_eval_ns: a.fx_eval_ns.min(b.fx_eval_ns),
         fx_batch_eval_ns_per_replica: a
             .fx_batch_eval_ns_per_replica
@@ -336,9 +356,10 @@ fn best_of(a: Row, b: Row) -> Row {
 /// Tracked ns/op columns for the `--baseline` CI perf gate: the compiled
 /// hot paths. `naive_eval_ns` is the uncompiled reference (tracked too —
 /// it regressing usually means the whole build got slower).
-const TRACKED: [&str; 9] = [
+const TRACKED: [&str; 10] = [
     "naive_eval_ns",
     "kernel_eval_ns",
+    "batch1_eval_ns",
     "fx_eval_ns",
     "fx_batch_eval_ns_per_replica",
     "batch_eval_ns_per_replica",
@@ -349,10 +370,11 @@ const TRACKED: [&str; 9] = [
 ];
 
 /// Every timing a row carries, for output validation.
-fn row_timings(r: &Row) -> [(&'static str, f64); 12] {
+fn row_timings(r: &Row) -> [(&'static str, f64); 13] {
     [
         ("naive_eval_ns", r.naive_eval_ns),
         ("kernel_eval_ns", r.kernel_eval_ns),
+        ("batch1_eval_ns", r.batch1_eval_ns),
         ("fx_eval_ns", r.fx_eval_ns),
         ("fx_speedup", r.fx_speedup),
         (
@@ -404,9 +426,9 @@ fn main() {
             bench_side(&g, side, &cuts, eval_budget, anneal_budget),
         );
         println!(
-            "kings {:>2}x{:<2} n={:<5} m={:<6} eval naive {:>9.1} ns | kernel {:>9.1} ns ({:>4.2}x) | fx {:>9.1} ns ({:>4.2}x) | fx{}/rep {:>9.1} ns | batch/rep {:>9.1} ns ({:>4.2}x) | sweep/rep {:>9.1} ns | stage2/rep {:>9.1} ns ({:>4.1}% live) | anneal1ns naive {:>8.1} us | kernel {:>8.1} us | batch/rep {:>8.1} us",
+            "kings {:>2}x{:<2} n={:<5} m={:<6} eval naive {:>9.1} ns | kernel {:>9.1} ns ({:>4.2}x) | batch1 {:>9.1} ns | fx {:>9.1} ns ({:>4.2}x) | fx{}/rep {:>9.1} ns | batch/rep {:>9.1} ns ({:>4.2}x) | sweep/rep {:>9.1} ns | stage2/rep {:>9.1} ns ({:>4.1}% live) | anneal1ns naive {:>8.1} us | kernel {:>8.1} us | batch/rep {:>8.1} us",
             row.side, row.side, row.nodes, row.edges,
-            row.naive_eval_ns, row.kernel_eval_ns, row.kernel_speedup,
+            row.naive_eval_ns, row.kernel_eval_ns, row.kernel_speedup, row.batch1_eval_ns,
             row.fx_eval_ns, row.fx_speedup,
             FX_SHARD_LANES, row.fx_batch_eval_ns_per_replica,
             row.batch_eval_ns_per_replica, row.batch_speedup,
@@ -452,7 +474,7 @@ fn main() {
             json,
             "    {{\"graph\": \"kings_{side}x{side}\", \"nodes\": {nodes}, \"edges\": {edges}, \
              \"naive_eval_ns\": {naive:.2}, \"kernel_eval_ns\": {kern:.2}, \
-             \"kernel_speedup\": {speed:.3}, \
+             \"kernel_speedup\": {speed:.3}, \"batch1_eval_ns\": {b1:.2}, \
              \"fx_eval_ns\": {fx:.2}, \"fx_speedup\": {fxs:.3}, \
              \"fx_batch_eval_ns_per_replica\": {fxb:.2}, \
              \"batch_eval_ns_per_replica\": {batch:.2}, \"batch_speedup\": {bspeed:.3}, \
@@ -466,6 +488,7 @@ fn main() {
             naive = r.naive_eval_ns,
             kern = r.kernel_eval_ns,
             speed = r.kernel_speedup,
+            b1 = r.batch1_eval_ns,
             fx = r.fx_eval_ns,
             fxs = r.fx_speedup,
             fxb = r.fx_batch_eval_ns_per_replica,

@@ -37,9 +37,9 @@
 //! - every replica draws noise, initial phases and (optionally) frequency
 //!   offsets from its **own** `StdRng`, in the order a sequential run
 //!   would;
-//! - the interleaved drift sweep visits edges in the same (edge-id) order
-//!   as the scalar compiled kernel, and gated lanes contribute exact
-//!   IEEE `±0` terms;
+//! - the interleaved drift sweep visits each lane's conducting edges in
+//!   the same (edge-id) order as the scalar compiled kernel, and gated
+//!   lanes contribute nothing;
 //! - per-lane coupling weights are **copied** from a lane-resolved
 //!   network, never rescaled, so a swept lane carries exactly the
 //!   weights a standalone machine at that operating point would;

@@ -5,24 +5,21 @@
 //! best solution. Run sequentially, every iteration re-walks the same
 //! topology while the previous iteration's phases fall out of cache.
 //! [`BatchKernel`] lays the replica phases out *replica-minor per node*
-//! (`y[i*M + r]`), so one pass over the edge list advances all replicas:
-//! the per-edge inner loop over `M` contiguous lanes is the textbook
-//! auto-vectorization shape, and the topology arrays are read once per
-//! step instead of once per step **per replica**.
+//! (`y[i*M + r]`), so one sweep advances all replicas while their phases
+//! share the cache, and the bias, SHIL, noise and update passes run over
+//! `M` contiguous lanes per node.
 //!
 //! Replicas differ in their gating state after stage 1 (each replica cuts
-//! its own partition's couplings), so gating is represented as a
-//! per-replica **weight lane** (`0.0` = gated): the sweep stays uniform
-//! and branch-free. Adding a `±0` term is exact in IEEE arithmetic, which
-//! keeps every replica's phase trajectory **bit-identical** to the same
-//! replica integrated alone with the scalar
-//! [`CoupledKernel`](crate::kernel::CoupledKernel) — the property that
-//! lets the batch solver shard replicas across the shard pool
+//! its own partition's couplings), so gating is a per-(edge, replica)
+//! bit, compiled into the sweep below. Every replica's phase trajectory
+//! stays **bit-identical** to the same replica integrated alone with the
+//! scalar [`CoupledKernel`](crate::kernel::CoupledKernel) — the property
+//! that lets the batch solver shard replicas across the shard pool
 //! deterministically.
 //!
-//! The same lane treatment extends to every control parameter, so the
-//! replicas need not be identical machines: per-replica coupling
-//! strengths ride in the weight lanes ([`BatchKernel::from_lanes`]),
+//! Every control parameter is a lane, so the replicas need not be
+//! identical machines: per-replica coupling strengths ride in the
+//! weight lanes ([`BatchKernel::from_lanes`]),
 //! per-replica noise amplitudes in σ-lanes, per-replica SHIL strengths
 //! in the dense SHIL table, and per-replica OIM ramps in a SHIL-scale
 //! lane — all resolved to flat per-(element, replica) tables before the
@@ -34,18 +31,30 @@
 //! seeded RNG **per replica**, in the same per-replica order a sequential
 //! run would draw, completing the bit-identity argument.
 //!
-//! **Live-edge sweep.** Weight lanes keep the sweep uniform *within* an
-//! edge, but an edge gated in **every** lane still costs a gather, a sine
-//! and a scatter per lane for nothing. After stage 1 each lane has cut
-//! roughly 70% of its couplings, and across a shard of a few lanes about
-//! 40–47% of the edges are dead in all of them. The drift therefore
-//! sweeps only the *live* edges — those that conduct in at least one
-//! lane — in ascending edge id. Skipping an all-gated edge drops only
-//! exact `±0` terms, so each lane keeps its accumulation order and its
-//! bits (the argument the scalar kernel's flat active-edge list already
-//! rests on). The list is internal state: any gating change that
-//! flips an `(edge, lane)` bit invalidates it, and the next drift
-//! rebuilds it in one O(m·M) pass. Gating changes only at stage
+//! **Live-pair sweep.** After stage 1 each lane has cut its own
+//! partition's couplings, so one lane of a `paper_2116` shard conducts
+//! about 28% of the edges while some lane of the shard conducts 58.5%
+//! of them. The drift therefore sweeps a compiled **live-pair list**:
+//! one entry per conducting `(edge, lane)`, in (edge id, lane) order,
+//! stored as flat state indices of both endpoints and that lane's
+//! weight. The sweep is [`CoupledKernel`](crate::kernel::CoupledKernel)'s
+//! flat gather → `sin_slice` → scatter over pairs, so every lane gets
+//! exactly the scalar kernel's arithmetic in the same order: its
+//! conducting edges, ascending, and no gated term at all.
+//!
+//! One case keeps the per-edge **row body** (M contiguous lanes per
+//! live edge): a shard of at least 8 lanes in which
+//! every live edge conducts in every lane — stage 1 of a wide
+//! experiment shard, or a 40-lane microbenchmark. There a pair list
+//! only repeats the endpoints M times over, and was measured slower
+//! (by about 13% at M = 40 and 5% at M = 8 on King's 46×46). Because
+//! every visited lane conducts, the row body
+//! reads the ungated weights directly and stays bit-identical too. The
+//! choice follows from the lane count and the gating alone.
+//!
+//! The compiled sweep is internal state: any gating change that flips
+//! an `(edge, lane)` bit invalidates it, and the next drift rebuilds it
+//! at exact capacity in one O(m·M) pass. Gating changes only at stage
 //! transitions, portfolio re-seeds and [`BatchKernel::enable_all_edges`],
 //! so the rebuild runs a few times per solve, never per step.
 
@@ -56,10 +65,29 @@ use msropm_ode::sde::fill_normal_batch;
 use rand::Rng;
 use std::cell::OnceCell;
 
+/// Fewest lanes at which a shard whose live edges conduct in every lane
+/// sweeps per-edge rows instead of pairs (see the module docs).
+const ROW_MIN_LANES: usize = 8;
+
+/// What one drift sweeps, compiled from the gating.
+#[derive(Debug, Clone)]
+enum Sweep {
+    /// Ids of the live edges, ascending, when each conducts in every
+    /// lane of a shard of at least [`ROW_MIN_LANES`] lanes.
+    Rows(Vec<u32>),
+    /// One entry per conducting `(edge, lane)` in (edge id, lane) order:
+    /// the state indices `u·M + r` and `v·M + r` and the lane's weight.
+    Pairs {
+        u: Vec<u32>,
+        v: Vec<u32>,
+        w: Vec<f64>,
+    },
+}
+
 /// A compiled multi-replica coupling kernel (see the module docs).
 ///
 /// Unlike the scalar kernel, gating is mutable in place (per-replica
-/// weight lanes) because each replica's `P_EN`/`SHIL_SEL` state evolves
+/// gating bits) because each replica's `P_EN`/`SHIL_SEL` state evolves
 /// independently across solution stages; recompiling per window would
 /// cost O(n·M + m·M) for no benefit.
 ///
@@ -78,13 +106,11 @@ pub struct BatchKernel {
     edge_v: Vec<u32>,
     /// Ungated physical weight lanes `[e*M + r]` (per-replica `K`).
     base_weight: Vec<f64>,
-    /// Effective weight lanes `[e*M + r]`; `0.0` encodes a gated edge.
-    weight: Vec<f64>,
-    /// Bookkeeping mirror of the gating (weights may legitimately be 0).
+    /// Gating `[e*M + r]`: `true` where the edge conducts in that lane.
     edge_on: Vec<bool>,
-    /// Ids of the edges that conduct in at least one lane, ascending;
-    /// emptied by any gating change and rebuilt by the next drift.
-    live: OnceCell<Vec<u32>>,
+    /// The compiled sweep; emptied by any gating change and rebuilt by
+    /// the next drift.
+    sweep: OnceCell<Sweep>,
     node_enabled: Vec<bool>,
     /// Per-(node, replica) frequency offsets `[i*M + r]`.
     bias: Vec<f64>,
@@ -110,7 +136,8 @@ impl BatchKernel {
     ///
     /// # Panics
     ///
-    /// Panics if `replicas == 0`.
+    /// Panics if `replicas == 0` or the state vector (`n·M`) does not fit
+    /// 32-bit indices.
     pub fn new(net: &PhaseNetwork, replicas: usize) -> Self {
         assert!(replicas > 0, "need at least one replica");
         Self::build(net, replicas, None)
@@ -131,8 +158,9 @@ impl BatchKernel {
     ///
     /// # Panics
     ///
-    /// Panics if `nets` is empty or the networks disagree on topology,
-    /// node enables, or the global coupling/SHIL enables.
+    /// Panics if `nets` is empty, the networks disagree on topology,
+    /// node enables, or the global coupling/SHIL enables, or the state
+    /// vector (`n·M`) does not fit 32-bit indices.
     pub fn from_lanes(nets: &[PhaseNetwork]) -> Self {
         assert!(!nets.is_empty(), "need at least one lane network");
         let base = &nets[0];
@@ -169,6 +197,10 @@ impl BatchKernel {
         let n = net.num_nodes();
         let m = net.num_edges();
         let lane_net = |r: usize| lanes.map_or(net, |nets| &nets[r]);
+        assert!(
+            u32::try_from(n * replicas).is_ok(),
+            "state vector of {n}x{replicas} exceeds 32-bit indices"
+        );
         let mut edge_u = Vec::with_capacity(m);
         let mut edge_v = Vec::with_capacity(m);
         for &(u, v) in net.edge_endpoints() {
@@ -188,9 +220,8 @@ impl BatchKernel {
             edge_u,
             edge_v,
             base_weight,
-            weight: vec![0.0; m * replicas],
             edge_on: vec![false; m * replicas],
-            live: OnceCell::new(),
+            sweep: OnceCell::new(),
             node_enabled,
             bias: vec![0.0; n * replicas],
             shil_m: vec![0.0; n * replicas],
@@ -235,8 +266,13 @@ impl BatchKernel {
     }
 
     /// Index of node `i`, replica `r` in the interleaved state vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replica` is out of range.
     #[inline(always)]
     pub fn idx(&self, node: usize, replica: usize) -> usize {
+        assert!(replica < self.replicas, "replica out of range");
         node * self.replicas + replica
     }
 
@@ -252,33 +288,72 @@ impl BatchKernel {
         let live = on && self.node_enabled[u] && self.node_enabled[v];
         let lane = edge * self.replicas + replica;
         if self.edge_on[lane] != live {
-            self.live.take();
+            self.sweep.take();
         }
         self.edge_on[lane] = live;
-        self.weight[lane] = if live { self.base_weight[lane] } else { 0.0 };
     }
 
     /// Returns `true` if `edge` conducts for `replica`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edge` or `replica` is out of range.
     pub fn edge_enabled(&self, edge: usize, replica: usize) -> bool {
+        assert!(replica < self.replicas, "replica out of range");
         self.edge_on[edge * self.replicas + replica]
     }
 
-    /// The edges the drift sweeps: those that conduct in at least one
-    /// lane, in ascending edge id (rebuilt here after a gating change).
-    fn live_edges(&self) -> &[u32] {
-        self.live.get_or_init(|| {
+    /// The sweep the drift runs (compiled here after a gating change):
+    /// per-edge rows when every live edge conducts in every lane of a
+    /// wide shard, else the live-pair list, both at exact capacity.
+    fn sweep(&self) -> &Sweep {
+        self.sweep.get_or_init(|| {
             let rr = self.replicas;
-            (0..self.edge_u.len())
-                .filter(|&e| self.edge_on[e * rr..(e + 1) * rr].contains(&true))
-                .map(|e| e as u32)
-                .collect()
+            let m = self.edge_u.len();
+            let lanes = |e: usize| &self.edge_on[e * rr..(e + 1) * rr];
+            let (mut pairs, mut live, mut uniform) = (0, 0, true);
+            for e in 0..m {
+                let on = lanes(e).iter().filter(|&&b| b).count();
+                pairs += on;
+                live += usize::from(on > 0);
+                uniform &= on == 0 || on == rr;
+            }
+            if uniform && rr >= ROW_MIN_LANES {
+                let mut ids = Vec::with_capacity(live);
+                ids.extend((0..m).filter(|&e| lanes(e)[0]).map(|e| e as u32));
+                return Sweep::Rows(ids);
+            }
+            let mut u = Vec::with_capacity(pairs);
+            let mut v = Vec::with_capacity(pairs);
+            let mut w = Vec::with_capacity(pairs);
+            for e in 0..m {
+                let (eu, ev) = (self.edge_u[e] as usize * rr, self.edge_v[e] as usize * rr);
+                for r in (0..rr).filter(|&r| lanes(e)[r]) {
+                    u.push((eu + r) as u32);
+                    v.push((ev + r) as u32);
+                    w.push(self.base_weight[e * rr + r]);
+                }
+            }
+            Sweep::Pairs { u, v, w }
         })
     }
 
-    /// Number of edges the drift sweeps: those that conduct in at least
-    /// one lane. Edges gated in every lane are skipped.
+    /// Number of edges that conduct in at least one lane.
     pub fn num_live_edges(&self) -> usize {
-        self.live_edges().len()
+        let rr = self.replicas;
+        self.edge_on
+            .chunks_exact(rr)
+            .filter(|lanes| lanes.contains(&true))
+            .count()
+    }
+
+    /// Number of `(edge, lane)` couplings the drift sweeps.
+    #[cfg(test)]
+    fn num_live_pairs(&self) -> usize {
+        match self.sweep() {
+            Sweep::Rows(ids) => ids.len() * self.replicas,
+            Sweep::Pairs { w, .. } => w.len(),
+        }
     }
 
     /// Raises every replica's `P_EN` on every edge — the start-of-run
@@ -294,7 +369,12 @@ impl BatchKernel {
 
     /// Sets the frequency offset of node `i` in `replica` (used for
     /// per-replica process-variation sampling). Defective rings stay 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `replica` is out of range.
     pub fn set_bias(&mut self, node: usize, replica: usize, delta_omega: f64) {
+        assert!(replica < self.replicas, "replica out of range");
         let v = if self.node_enabled[node] {
             delta_omega
         } else {
@@ -305,7 +385,12 @@ impl BatchKernel {
 
     /// Assigns (or clears) the SHIL source of node `i` in `replica` —
     /// that replica's `SHIL_SEL` value. Defective rings keep `Ks = 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `replica` is out of range.
     pub fn set_shil(&mut self, node: usize, replica: usize, shil: Option<Shil>) {
+        assert!(replica < self.replicas, "replica out of range");
         let k = node * self.replicas + replica;
         match shil {
             Some(s) if self.node_enabled[node] => {
@@ -322,7 +407,12 @@ impl BatchKernel {
     }
 
     /// Frequency offset of node `i` in `replica`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `replica` is out of range.
     pub fn bias_of(&self, node: usize, replica: usize) -> f64 {
+        assert!(replica < self.replicas, "replica out of range");
         self.bias[node * self.replicas + replica]
     }
 
@@ -412,14 +502,16 @@ impl BatchKernel {
         self.noise_amp[replica]
     }
 
-    /// Writes the interleaved drift into `dydt` (`scratch` holds the
-    /// per-(live edge, replica) sin pass; resized once, reused forever).
+    /// Writes the interleaved drift into `dydt` (`scratch` holds the sin
+    /// pass; resized once per sweep shape, reused forever).
     ///
     /// Per replica the arithmetic is bit-identical to the scalar
-    /// [`CoupledKernel`](crate::kernel::CoupledKernel): edges are visited
-    /// in the same (edge-id) order, gated lanes of a live edge contribute
-    /// an exact `±0`, and edges gated in every lane are skipped (see the
-    /// module docs on the live-edge sweep).
+    /// [`CoupledKernel`](crate::kernel::CoupledKernel) compiled from that
+    /// replica's gating: its conducting edges are visited in ascending
+    /// edge id, each as `s = w·sin(θu − θv)`, `dydt[u] −= s`,
+    /// `dydt[v] += s`, and gated lanes add nothing. The live-pair sweep
+    /// and the row body (see the module docs) differ only in how the
+    /// lanes are laid out in the sin pass.
     ///
     /// # Panics
     ///
@@ -430,33 +522,9 @@ impl BatchKernel {
         let rr = self.replicas;
         dydt.copy_from_slice(&self.bias);
         if self.couplings_on {
-            let live = self.live_edges();
-            let len = live.len() * rr;
-            scratch.resize(len, 0.0);
-            // Pass 1: gather phase differences, M contiguous lanes per edge.
-            for (row, &e) in scratch[..len].chunks_exact_mut(rr).zip(live) {
-                let e = e as usize;
-                let (u, v) = (self.edge_u[e] as usize * rr, self.edge_v[e] as usize * rr);
-                for ((d, yu), yv) in row.iter_mut().zip(&y[u..u + rr]).zip(&y[v..v + rr]) {
-                    *d = yu - yv;
-                }
-            }
-            // Pass 2: branchless vectorized sin over the whole buffer.
-            sin_slice(&mut scratch[..len]);
-            // Pass 3: scatter ±w·s — every live (edge, replica) once.
-            // `u != v`, so the two rows are disjoint and updating one
-            // before the other leaves every element's update sequence
-            // (and bits) unchanged.
-            for (srow, &e) in scratch[..len].chunks_exact(rr).zip(live) {
-                let e = e as usize;
-                let (u, v) = (self.edge_u[e] as usize * rr, self.edge_v[e] as usize * rr);
-                let wrow = &self.weight[e * rr..(e + 1) * rr];
-                for ((d, w), s) in dydt[u..u + rr].iter_mut().zip(wrow).zip(srow) {
-                    *d -= w * s;
-                }
-                for ((d, w), s) in dydt[v..v + rr].iter_mut().zip(wrow).zip(srow) {
-                    *d += w * s;
-                }
+            match self.sweep() {
+                Sweep::Pairs { u, v, w } => pair_drift(u, v, w, y, dydt, scratch),
+                Sweep::Rows(live) => self.row_drift(live, y, dydt, scratch),
             }
         }
         if self.shil_on {
@@ -479,6 +547,60 @@ impl BatchKernel {
                 }
             }
         }
+    }
+
+    /// The row body: gather, sin and scatter `M` contiguous lanes per
+    /// live edge. Only runs when every lane of a live edge conducts, so
+    /// the ungated weights are the effective ones.
+    fn row_drift(&self, live: &[u32], y: &[f64], dydt: &mut [f64], scratch: &mut Vec<f64>) {
+        let rr = self.replicas;
+        let len = live.len() * rr;
+        scratch.resize(len, 0.0);
+        for (row, &e) in scratch[..len].chunks_exact_mut(rr).zip(live) {
+            let e = e as usize;
+            let (u, v) = (self.edge_u[e] as usize * rr, self.edge_v[e] as usize * rr);
+            for ((d, yu), yv) in row.iter_mut().zip(&y[u..u + rr]).zip(&y[v..v + rr]) {
+                *d = yu - yv;
+            }
+        }
+        sin_slice(&mut scratch[..len]);
+        // `u != v`, so the two rows are disjoint and updating one before
+        // the other leaves each element's update sequence unchanged.
+        for (srow, &e) in scratch[..len].chunks_exact(rr).zip(live) {
+            let e = e as usize;
+            let (u, v) = (self.edge_u[e] as usize * rr, self.edge_v[e] as usize * rr);
+            let wrow = &self.base_weight[e * rr..(e + 1) * rr];
+            for ((d, w), s) in dydt[u..u + rr].iter_mut().zip(wrow).zip(srow) {
+                *d -= w * s;
+            }
+            for ((d, w), s) in dydt[v..v + rr].iter_mut().zip(wrow).zip(srow) {
+                *d += w * s;
+            }
+        }
+    }
+}
+
+/// The live-pair body: `CoupledKernel`'s gather → `sin_slice` → scatter
+/// over one entry per conducting `(edge, lane)`, state indices `u`, `v`
+/// and weight `w`.
+fn pair_drift(
+    u: &[u32],
+    v: &[u32],
+    w: &[f64],
+    y: &[f64],
+    dydt: &mut [f64],
+    scratch: &mut Vec<f64>,
+) {
+    let len = w.len();
+    scratch.resize(len, 0.0);
+    for ((d, &iu), &iv) in scratch[..len].iter_mut().zip(u).zip(v) {
+        *d = y[iu as usize] - y[iv as usize];
+    }
+    sin_slice(&mut scratch[..len]);
+    for ((s, w), (&iu, &iv)) in scratch[..len].iter().zip(w).zip(u.iter().zip(v)) {
+        let s = w * s;
+        dydt[iu as usize] -= s;
+        dydt[iv as usize] += s;
     }
 }
 
@@ -795,7 +917,12 @@ mod tests {
             for e in 0..k.edge_u.len() {
                 let (u, v) = (k.edge_u[e] as usize * rr, k.edge_v[e] as usize * rr);
                 for r in 0..rr {
-                    let s = k.weight[e * rr + r] * crate::fastmath::sin_fast(y[u + r] - y[v + r]);
+                    let w = if k.edge_on[e * rr + r] {
+                        k.base_weight[e * rr + r]
+                    } else {
+                        0.0
+                    };
+                    let s = w * crate::fastmath::sin_fast(y[u + r] - y[v + r]);
                     dydt[u + r] -= s;
                     dydt[v + r] += s;
                 }
@@ -822,7 +949,7 @@ mod tests {
             // transition-style bulk cuts and `enable_all_edges`, with
             // one scratch buffer reused throughout: after every change
             // the drift must equal the full sweep bit for bit, and the
-            // sweep must cover exactly the edges live in some lane.
+            // sweep must cover exactly the conducting (edge, lane) slots.
             let g = generators::kings_graph(rows, cols);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut net = PhaseNetwork::builder(&g)
@@ -867,10 +994,99 @@ mod tests {
                     .filter(|&edge| (0..lanes).any(|r| kernel.edge_enabled(edge, r)))
                     .count();
                 proptest::prop_assert_eq!(kernel.num_live_edges(), live);
+                let conducting = (0..m)
+                    .flat_map(|edge| (0..lanes).map(move |r| (edge, r)))
+                    .filter(|&(edge, r)| kernel.edge_enabled(edge, r))
+                    .count();
+                proptest::prop_assert_eq!(kernel.num_live_pairs(), conducting);
                 kernel.drift_into(&y, &mut dydt, &mut scratch);
                 let reference = full_sweep_drift(&kernel, &y);
                 for (k, (got, want)) in dydt.iter().zip(&reference).enumerate() {
                     proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "slot {}", k);
+                }
+            }
+        }
+    }
+
+    /// `lanes` networks on `g`, each with its own coupling strength,
+    /// frequency offsets, edge weights and SHIL phase. When `gated`,
+    /// lane 1 cuts every edge and the other lanes cut each edge with
+    /// probability ½; `defective` disables that ring in every lane.
+    fn lane_networks(
+        g: &msropm_graph::Graph,
+        lanes: usize,
+        gated: bool,
+        defective: Option<usize>,
+        rng: &mut StdRng,
+    ) -> Vec<PhaseNetwork> {
+        (0..lanes)
+            .map(|r| {
+                let mut net = PhaseNetwork::builder(g)
+                    .coupling_strength(0.5 + rng.gen::<f64>())
+                    .noise(0.1)
+                    .frequency_spread(0.2)
+                    .build_with_spread(rng);
+                for e in 0..g.num_edges() {
+                    if rng.gen_bool(0.3) {
+                        net.set_edge_weight(e, rng.gen_range(-2.0f64..2.0));
+                    }
+                    if gated && (r == 1 || rng.gen_bool(0.5)) {
+                        net.set_edge_enabled(e, false);
+                    }
+                }
+                if let Some(node) = defective {
+                    net.set_node_enabled(node, false);
+                }
+                net.set_shil_all(Shil::order2(rng.gen::<f64>(), 0.5 + rng.gen::<f64>()));
+                net.set_shil_enabled(true);
+                net
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_lane_matches_its_coupled_kernel(
+            lanes in 1usize..=10,
+            complete in proptest::prelude::any::<bool>(),
+            gated in proptest::prelude::any::<bool>(),
+            defective in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000_000,
+        ) {
+            // Both sweep bodies (pairs, and rows at ≥ 8 all-live lanes),
+            // per-lane weights, biases and SHIL, random per-lane gating
+            // with one lane cut entirely, and a defective ring: each
+            // lane's drift equals the scalar kernel compiled from that
+            // lane's own network, bit for bit.
+            let g = if complete {
+                generators::complete_graph(9)
+            } else {
+                generators::kings_graph(4, 5)
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dead = defective.then(|| rng.gen_range(0..g.num_nodes()));
+            let nets = lane_networks(&g, lanes, gated, dead, &mut rng);
+            let kernel = BatchKernel::from_lanes(&nets);
+            let rows = matches!(kernel.sweep(), Sweep::Rows(_));
+            proptest::prop_assert_eq!(rows, lanes >= ROW_MIN_LANES && !gated);
+            let n = g.num_nodes();
+            let y: Vec<f64> = (0..n * lanes).map(|_| rng.gen::<f64>() * TAU).collect();
+            let mut dydt = vec![0.0; n * lanes];
+            kernel.drift_into(&y, &mut dydt, &mut Vec::new());
+            for (r, net) in nets.iter().enumerate() {
+                let solo_y: Vec<f64> = (0..n).map(|i| y[i * lanes + r]).collect();
+                let mut solo = vec![0.0; n];
+                net.compile_kernel().drift_into(&solo_y, &mut solo, &mut Vec::new());
+                for (i, want) in solo.iter().enumerate() {
+                    proptest::prop_assert_eq!(
+                        dydt[i * lanes + r].to_bits(),
+                        want.to_bits(),
+                        "node {} lane {}",
+                        i,
+                        r
+                    );
                 }
             }
         }
@@ -888,10 +1104,69 @@ mod tests {
             g.num_edges(),
             "lane 1 still conducts"
         );
+        assert_eq!(kernel.num_live_pairs(), 2 * g.num_edges() - 1);
         kernel.set_edge_enabled(0, 1, false);
         assert_eq!(kernel.num_live_edges(), g.num_edges() - 1);
+        assert_eq!(kernel.num_live_pairs(), 2 * g.num_edges() - 2);
         kernel.enable_all_edges();
         assert_eq!(kernel.num_live_edges(), g.num_edges());
+    }
+
+    #[test]
+    fn wide_all_live_shards_sweep_rows_until_a_lane_is_gated() {
+        let g = generators::kings_graph(3, 3);
+        let mut net = PhaseNetwork::builder(&g).coupling_strength(1.0).build();
+        net.set_node_enabled(4, false);
+        let mut kernel = BatchKernel::new(&net, ROW_MIN_LANES);
+        assert!(matches!(kernel.sweep(), Sweep::Rows(_)));
+        let live = kernel.num_live_edges();
+        assert!(
+            live < g.num_edges(),
+            "the dead ring's edges leave the sweep"
+        );
+        assert_eq!(kernel.num_live_pairs(), live * ROW_MIN_LANES);
+        kernel.set_edge_enabled(0, 3, false);
+        assert!(matches!(kernel.sweep(), Sweep::Pairs { .. }));
+        assert_eq!(kernel.num_live_pairs(), live * ROW_MIN_LANES - 1);
+        assert!(matches!(
+            BatchKernel::new(&net, ROW_MIN_LANES - 1).sweep(),
+            Sweep::Pairs { .. }
+        ));
+    }
+
+    fn two_lane_path() -> BatchKernel {
+        let g = generators::path_graph(2);
+        BatchKernel::new(&PhaseNetwork::builder(&g).build(), 2)
+    }
+
+    #[test]
+    #[should_panic(expected = "replica out of range")]
+    fn set_bias_rejects_out_of_range_replica() {
+        two_lane_path().set_bias(0, 2, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "replica out of range")]
+    fn set_shil_rejects_out_of_range_replica() {
+        two_lane_path().set_shil(0, 2, Some(Shil::order2(0.0, 1.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "replica out of range")]
+    fn bias_of_rejects_out_of_range_replica() {
+        two_lane_path().bias_of(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "replica out of range")]
+    fn edge_enabled_rejects_out_of_range_replica() {
+        two_lane_path().edge_enabled(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "replica out of range")]
+    fn idx_rejects_out_of_range_replica() {
+        two_lane_path().idx(0, 2);
     }
 
     #[test]

@@ -384,8 +384,13 @@ impl FxBatchKernel {
     }
 
     /// Index of node `i`, replica `r` in the interleaved state vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replica` is out of range.
     #[inline(always)]
     pub fn idx(&self, node: usize, replica: usize) -> usize {
+        assert!(replica < self.replicas, "replica out of range");
         node * self.replicas + replica
     }
 
@@ -410,7 +415,12 @@ impl FxBatchKernel {
     }
 
     /// Returns `true` if `edge` conducts for `replica`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edge` or `replica` is out of range.
     pub fn edge_enabled(&self, edge: usize, replica: usize) -> bool {
+        assert!(replica < self.replicas, "replica out of range");
         self.edge_on[edge * self.replicas + replica]
     }
 
@@ -427,7 +437,12 @@ impl FxBatchKernel {
     /// Sets the frequency offset of node `i` in `replica` (radians per
     /// unit time; quantized to per-step turn counts). Defective rings
     /// stay 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `replica` is out of range.
     pub fn set_bias(&mut self, node: usize, replica: usize, delta_omega: f64) {
+        assert!(replica < self.replicas, "replica out of range");
         let v = if self.node_enabled[node] {
             quantize_step(self.dt * delta_omega)
         } else {
@@ -438,14 +453,24 @@ impl FxBatchKernel {
 
     /// Per-step bias increment of node `i` in `replica`, in turn counts
     /// (for the mixed-reinit drift loop that advances lanes by hand).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `replica` is out of range.
     pub fn bias_step_of(&self, node: usize, replica: usize) -> i32 {
+        assert!(replica < self.replicas, "replica out of range");
         self.bias_q[node * self.replicas + replica]
     }
 
     /// Assigns (or clears) the SHIL source of node `i` in `replica`,
     /// quantizing its phase to turns and its strength to per-step turn
     /// counts. Defective rings keep strength 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `replica` is out of range.
     pub fn set_shil(&mut self, node: usize, replica: usize, shil: Option<Shil>) {
+        assert!(replica < self.replicas, "replica out of range");
         let k = node * self.replicas + replica;
         match shil {
             Some(s) if self.node_enabled[node] => {
@@ -1253,5 +1278,40 @@ mod tests {
             let want = ((gain * (xi * 65_536.0).round() as i64) >> 32) as i32;
             assert_eq!(noise_increment(gain, xi), want, "increment {xi:e}");
         }
+    }
+
+    fn two_lane_path() -> FxBatchKernel {
+        let g = generators::path_graph(2);
+        FxBatchKernel::new(&PhaseNetwork::builder(&g).build(), 2, 0.01)
+    }
+
+    #[test]
+    #[should_panic(expected = "replica out of range")]
+    fn set_bias_rejects_out_of_range_replica() {
+        two_lane_path().set_bias(0, 2, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "replica out of range")]
+    fn set_shil_rejects_out_of_range_replica() {
+        two_lane_path().set_shil(0, 2, Some(Shil::order2(0.0, 1.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "replica out of range")]
+    fn bias_step_of_rejects_out_of_range_replica() {
+        two_lane_path().bias_step_of(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "replica out of range")]
+    fn edge_enabled_rejects_out_of_range_replica() {
+        two_lane_path().edge_enabled(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "replica out of range")]
+    fn idx_rejects_out_of_range_replica() {
+        two_lane_path().idx(0, 2);
     }
 }

@@ -52,8 +52,8 @@
 //!   runtime scalar, not a recompile.
 //! - [`batch::BatchKernel`] is the multi-replica (SoA) variant: M
 //!   independent replicas interleaved replica-minor per node, advanced by
-//!   one sweep per step with per-replica weight lanes for gating and
-//!   per-replica RNGs for noise — bit-identical to M scalar runs, and the
+//!   one sweep per step over the (edge, replica) couplings that conduct
+//!   and per-replica RNGs for noise — bit-identical to M scalar runs, and the
 //!   unit every batch solve shards across the shard pool.
 //! - [`fxkernel::FxBatchKernel`] is the fixed-point twin of the batch
 //!   kernel: phases as wrapping `i32` binary turns, every rate quantized

@@ -2,7 +2,8 @@
 # CI gate for the MSROPM workspace, structured as named stages:
 #
 #   fmt    rustfmt check
-#   lint   clippy over all targets and rustdoc, deny warnings
+#   lint   clippy over all targets and rustdoc, deny warnings; bash -n
+#          over scripts/*.sh
 #   test   full test suite, plus the CNF-repair proptest in release
 #   build  release build incl. examples and the perfbench benchmark
 #   smoke  job-server determinism smoke + wire smoke (real TCP loopback:
@@ -49,6 +50,10 @@ stage_lint() {
     # Broken intra-doc links (for example to deleted or private items)
     # fail the gate instead of rotting silently.
     RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+    # Syntax check of every shell script, the ones CI never runs too.
+    for script in scripts/*.sh; do
+        bash -n "$script"
+    done
 }
 
 stage_test() {
