@@ -38,7 +38,7 @@
 //!   offsets from its **own** `StdRng`, in the order a sequential run
 //!   would;
 //! - the interleaved drift sweep visits each lane's conducting edges in
-//!   the same (edge-id) order as the scalar compiled kernel, and gated
+//!   the same (edge-id) order as a one-lane kernel, and gated
 //!   lanes contribute nothing;
 //! - per-lane coupling weights are **copied** from a lane-resolved
 //!   network, never rescaled, so a swept lane carries exactly the
@@ -677,7 +677,7 @@ fn run_one_stage_f64(
     }
     kernel.set_shil_enabled(true);
     if any_ramped {
-        integrator.integrate_ramped_lanes(
+        integrator.integrate_ramped(
             kernel,
             phases,
             w_lock.t_start,
@@ -686,6 +686,7 @@ fn run_one_stage_f64(
             rngs,
             |f| f,
             ramped,
+            |_, _| {},
         );
     } else {
         integrator.integrate(kernel, phases, w_lock.t_start, w_lock.t_end(), dt, rngs);
@@ -858,7 +859,7 @@ fn run_one_stage_fx(
     }
     kernel.set_shil_enabled(true);
     if any_ramped {
-        integrator.integrate_ramped_lanes(
+        integrator.integrate_ramped(
             kernel,
             phases,
             w_lock.t_start,
@@ -1432,6 +1433,11 @@ mod tests {
                 batch[r].coloring, solo.coloring,
                 "replica {r} with dead ring"
             );
+            // Couplings that touch the dead ring never conduct, on either
+            // path.
+            for (bs, ss) in batch[r].stages.iter().zip(&solo.stages) {
+                assert_eq!(bs.active_edges, ss.active_edges, "replica {r}");
+            }
         }
     }
 

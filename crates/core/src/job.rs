@@ -320,7 +320,7 @@ mod tests {
     fn uncancelled_job_matches_solo_reference_solves_bitwise() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        // The reference is the *independent* sequential scalar machine
+        // The reference is the *independent* sequential machine
         // (`Msropm::solve` per lane), not another `BatchJob::run`. This
         // pins the cancellable hooked path (boundary check armed but
         // never firing) to the gold trajectory.

@@ -1,23 +1,23 @@
 //! The multi-stage Potts machine itself.
 //!
-//! Integration runs on the compiled coupling kernel
-//! ([`msropm_osc::kernel`]): the machine recompiles the gating state at
-//! every window boundary (the only instants it can change) and steps each
-//! window with a reusable, allocation-free [`KernelIntegrator`]. The
-//! one multi-replica entry point, [`Msropm::solve_lanes`], advances many
-//! independent iterations in one interleaved sweep (see
-//! [`crate::batch`]).
+//! A single run integrates on a one-lane [`BatchKernel`]: the machine
+//! rewrites the kernel's gating in place at every window boundary (the
+//! only instants it can change) and steps each window with a reusable,
+//! allocation-free [`BatchIntegrator`]. The one multi-replica entry
+//! point, [`Msropm::solve_lanes`], advances many independent iterations
+//! on the same kernel at wider lane counts (see [`crate::batch`]).
+//!
+//! [`BatchKernel`]: msropm_osc::BatchKernel
 
 use crate::batch::ShardedArena;
 use crate::config::{LaneConfig, MsropmConfig, ReinitMode};
 use crate::job::CancelToken;
 use crate::pool::ShardPool;
 use crate::schedule::{Schedule, Window, WindowKind};
-use msropm_graph::{Color, Coloring, Cut, EdgeMask, Graph};
-use msropm_osc::kernel::KernelIntegrator;
+use msropm_graph::{Color, Coloring, Cut, Graph};
 use msropm_osc::lock::phase_to_spin;
 use msropm_osc::shil::{stage_shil_phase, Shil};
-use msropm_osc::PhaseNetwork;
+use msropm_osc::{BatchIntegrator, BatchKernel, PhaseNetwork};
 use rand::Rng;
 use std::f64::consts::TAU;
 use std::ops::ControlFlow;
@@ -92,7 +92,7 @@ pub struct Msropm {
     network: PhaseNetwork,
     /// Reusable stepper scratch (drift + edge buffers), hoisted out of the
     /// per-window loop so a full run allocates nothing while integrating.
-    integrator: KernelIntegrator,
+    integrator: BatchIntegrator,
 }
 
 impl Msropm {
@@ -108,7 +108,7 @@ impl Msropm {
             graph: graph.clone(),
             config,
             network,
-            integrator: KernelIntegrator::new(),
+            integrator: BatchIntegrator::new(),
         }
     }
 
@@ -125,7 +125,7 @@ impl Msropm {
             graph: graph.clone(),
             config,
             network,
-            integrator: KernelIntegrator::new(),
+            integrator: BatchIntegrator::new(),
         }
     }
 
@@ -162,8 +162,8 @@ impl Msropm {
 
     /// Executes one complete multi-stage run.
     ///
-    /// With [`KernelBackend::F64`](crate::KernelBackend::F64) this is
-    /// the scalar reference path (and the anchor of the batch engine's
+    /// With [`KernelBackend::F64`](crate::KernelBackend::F64) the run
+    /// steps a one-lane kernel (and anchors the batch engine's
     /// bit-identity contract). With
     /// [`KernelBackend::Fixed`](crate::KernelBackend::Fixed) the run
     /// executes as a one-lane fixed-point batch: one `u64` is drawn
@@ -185,11 +185,13 @@ impl Msropm {
     /// Executes one run, invoking `observe(t_ns, window, phases)` at every
     /// integration step — the hook used to dump Fig. 3-style waveforms.
     ///
-    /// Each window compiles the current gating state into a
-    /// [`msropm_osc::CoupledKernel`] (compilation is O(n + m); the windows
-    /// integrate thousands of steps) and runs on the machine's reusable
+    /// The run builds one one-lane [`BatchKernel`] from the machine's
+    /// network and gates it in place at every window boundary and stage
+    /// transition; the windows step on the machine's reusable
     /// integrator, so the whole multi-stage run performs no per-window
-    /// heap allocation beyond the readout records it returns.
+    /// heap allocation beyond the readout records it returns. The
+    /// machine's own network is never modified, so an observer that
+    /// panics leaves the machine as it was.
     ///
     /// # Panics
     ///
@@ -213,16 +215,15 @@ impl Msropm {
         let k = self.config.num_stages();
         let dt = self.config.dt;
         let schedule = self.schedule();
+        let rngs = &mut [rng];
 
         // Startup: "ROSCs are initially turned on at random time instances"
         // => i.i.d. uniform phases before the first drift window.
-        let mut phases = self.network.random_phases(rng);
+        let mut phases = self.network.random_phases(&mut rngs[0]);
         // SHIL_SEL state: accumulated group id per node.
         let mut groups = vec![0usize; n];
-        // P_EN state: all couplings initially enabled.
-        let mut mask = EdgeMask::all_enabled(&self.graph);
-        self.network.apply_edge_mask(&mask);
-        self.network.set_shil_enabled(false);
+        // P_EN state: all couplings initially enabled, as in the network.
+        let mut kernel = BatchKernel::new(&self.network, 1);
 
         let mut stages = Vec::with_capacity(k);
         let mut windows = schedule.windows().iter();
@@ -236,42 +237,39 @@ impl Msropm {
             // ---- Randomize window (couplings off, SHIL off) ----
             let w_init = windows.next().expect("schedule has init window");
             debug_assert_eq!(w_init.kind, WindowKind::Randomize);
-            self.network.set_couplings_enabled(false);
-            self.network.set_shil_enabled(false);
+            kernel.set_couplings_enabled(false);
+            kernel.set_shil_enabled(false);
             match self.config.reinit {
                 ReinitMode::UniformRandom => {
-                    phases = self.network.random_phases(rng);
+                    phases = self.network.random_phases(&mut rngs[0]);
                     observe(w_init.t_end(), w_init, &phases);
                 }
                 ReinitMode::JitterDrift { sigma } => {
-                    let saved = self.network.noise_amplitude();
-                    self.network.set_noise(sigma);
-                    let kernel = self.network.compile_kernel();
+                    kernel.set_noise_amplitude(sigma);
                     self.integrator.integrate_observed(
                         &kernel,
                         &mut phases,
                         w_init.t_start,
                         w_init.t_end(),
                         dt,
-                        rng,
+                        rngs,
                         |t, y| observe(t, w_init, y),
                     );
-                    self.network.set_noise(saved);
+                    kernel.set_noise_amplitude(self.network.noise_amplitude());
                 }
             }
 
             // ---- Anneal window (couplings on, SHIL off) ----
             let w_anneal = windows.next().expect("schedule has anneal window");
             debug_assert_eq!(w_anneal.kind, WindowKind::Anneal);
-            self.network.set_couplings_enabled(true);
-            let kernel = self.network.compile_kernel();
+            kernel.set_couplings_enabled(true);
             self.integrator.integrate_observed(
                 &kernel,
                 &mut phases,
                 w_anneal.t_start,
                 w_anneal.t_end(),
                 dt,
-                rng,
+                rngs,
                 |t, y| observe(t, w_anneal, y),
             );
 
@@ -285,10 +283,9 @@ impl Msropm {
                 }),
             );
             for i in 0..n {
-                self.network.set_shil_node(i, Some(stage_shils[groups[i]]));
+                kernel.set_shil(i, 0, Some(stage_shils[groups[i]]));
             }
-            self.network.set_shil_enabled(true);
-            let mut kernel = self.network.compile_kernel();
+            kernel.set_shil_enabled(true);
             if self.config.shil_ramp {
                 // Gradual discretization (OIM-style annealed SHIL), with
                 // the observer threaded through the segmented ramp so
@@ -299,8 +296,9 @@ impl Msropm {
                     w_lock.t_start,
                     w_lock.t_end(),
                     dt,
-                    rng,
+                    rngs,
                     |f| f,
+                    &[true],
                     |t, y| observe(t, w_lock, y),
                 );
             } else {
@@ -310,7 +308,7 @@ impl Msropm {
                     w_lock.t_start,
                     w_lock.t_end(),
                     dt,
-                    rng,
+                    rngs,
                     |t, y| observe(t, w_lock, y),
                 );
             }
@@ -329,7 +327,7 @@ impl Msropm {
             let mut cut_value = 0usize;
             let mut active_edges = 0usize;
             for (e, u, v) in self.graph.edges() {
-                if mask.is_enabled(e) {
+                if kernel.edge_enabled(e.index(), 0) {
                     active_edges += 1;
                     if bits[u.index()] != bits[v.index()] {
                         cut_value += 1;
@@ -350,11 +348,10 @@ impl Msropm {
             }
             for (e, u, v) in self.graph.edges() {
                 if groups[u.index()] != groups[v.index()] {
-                    mask.disable(e);
+                    kernel.set_edge_enabled(e.index(), 0, false);
                 }
             }
-            self.network.apply_edge_mask(&mask);
-            self.network.set_shil_enabled(false);
+            kernel.set_shil_enabled(false);
         }
 
         let coloring: Coloring = groups.iter().map(|&g| Color(g as u16)).collect();
@@ -696,6 +693,27 @@ mod tests {
         assert!((last_t - 60.0).abs() < 1e-9);
         assert_eq!(kinds.len(), 6, "all six windows observed");
         assert!(sol.coloring.is_proper(&g));
+    }
+
+    #[test]
+    fn panicking_observer_leaves_machine_reusable() {
+        // The jitter window runs at its own σ; a panic out of the
+        // observer there must not leave that σ behind for later runs.
+        let g = generators::kings_graph(3, 3);
+        let mut m = Msropm::new(&g, fast_config());
+        assert!(matches!(m.config().reinit, ReinitMode::JitterDrift { .. }));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.solve_observed(&mut StdRng::seed_from_u64(1), |_, w, _| {
+                assert_ne!(w.kind, WindowKind::Randomize, "observer fails");
+            })
+        }));
+        assert!(unwound.is_err(), "the observer must have panicked");
+        let after = m.solve(&mut StdRng::seed_from_u64(9));
+        let fresh = Msropm::new(&g, fast_config()).solve(&mut StdRng::seed_from_u64(9));
+        let pairs = after.final_phases.iter().zip(&fresh.final_phases);
+        for (i, (a, b)) in pairs.enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "node {i}");
+        }
     }
 
     #[test]

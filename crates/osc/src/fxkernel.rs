@@ -735,9 +735,9 @@ impl FxBatchIntegrator {
     }
 
     /// Integrates `[t0, t1]` while ramping the SHIL scale of the lanes
-    /// marked in `ramped`, on the same step-indexed
-    /// [`RampSchedule`](crate::kernel) as the float integrators — the
-    /// step sequence is exactly the plain [`FxBatchIntegrator::integrate`]
+    /// marked in `ramped`, on the same step-indexed ramp schedule as
+    /// [`BatchIntegrator::integrate_ramped`](crate::batch::BatchIntegrator::integrate_ramped) —
+    /// the step sequence is exactly the plain [`FxBatchIntegrator::integrate`]
     /// sequence, so ramped and plain lanes mix freely. All scales are
     /// restored to 1 on return.
     ///
@@ -747,7 +747,7 @@ impl FxBatchIntegrator {
     /// step, `ramped.len()` differs from the replica count, or the ramp
     /// returns a negative or non-finite scale.
     #[allow(clippy::too_many_arguments)]
-    pub fn integrate_ramped_lanes<R: Rng>(
+    pub fn integrate_ramped<R: Rng>(
         &mut self,
         kernel: &mut FxBatchKernel,
         y: &mut [i32],
@@ -768,7 +768,7 @@ impl FxBatchIntegrator {
             kernel.num_replicas(),
             "need one ramp flag per replica"
         );
-        let schedule = crate::kernel::RampSchedule::new(t0, t1, dt);
+        let schedule = crate::batch::RampSchedule::new(t0, t1, dt);
         let mut cur_seg = usize::MAX;
         for step in 0..kernel.steps_for(t0, t1) {
             let s = schedule.seg_of(step);

@@ -42,19 +42,18 @@
 //!   rings) and implements the drift as a branchy CSR walk — the
 //!   **reference** implementation that everything else is property-tested
 //!   against.
-//! - [`kernel::CoupledKernel`] is an immutable **compiled snapshot** of
-//!   that gating state: a flat active-edge list visited once per step
-//!   (`sin(θ_u−θ_v)` evaluated a single time, `±w·s` scattered to both
-//!   endpoints), a dense SHIL torque table, and zeroed bias/noise for
-//!   defective rings. [`kernel::KernelIntegrator`] owns all scratch, so
-//!   stepping is allocation- and branch-free. Integration windows
-//!   recompile on gating changes (cheap: O(n + m)); the SHIL ramp is a
-//!   runtime scalar, not a recompile.
-//! - [`batch::BatchKernel`] is the multi-replica (SoA) variant: M
-//!   independent replicas interleaved replica-minor per node, advanced by
-//!   one sweep per step over the (edge, replica) couplings that conduct
-//!   and per-replica RNGs for noise — bit-identical to M scalar runs, and the
-//!   unit every batch solve shards across the shard pool.
+//! - [`batch::BatchKernel`] is the one float kernel: M independent
+//!   replicas interleaved replica-minor per node, advanced by one sweep
+//!   per step over the (edge, replica) couplings that conduct (each
+//!   `sin(θ_u−θ_v)` evaluated once, `±w·s` scattered to both endpoints),
+//!   a dense SHIL torque table, zeroed bias/noise for defective rings,
+//!   and per-replica RNGs for noise. Every lane is bit-identical to the
+//!   same replica run alone at `M = 1`, which is how a single run is
+//!   stepped; wider kernels are the unit every batch solve shards across
+//!   the shard pool. Gating is rewritten in place at window boundaries,
+//!   and the SHIL ramp is a runtime scale per lane.
+//!   [`batch::BatchIntegrator`] owns all scratch, so stepping is
+//!   allocation-free.
 //! - [`fxkernel::FxBatchKernel`] is the fixed-point twin of the batch
 //!   kernel: phases as wrapping `i32` binary turns, every rate quantized
 //!   to per-step turn counts at build time, sine from a quarter-wave
@@ -83,7 +82,6 @@
 pub mod batch;
 pub mod fastmath;
 pub mod fxkernel;
-pub mod kernel;
 pub mod landscape;
 pub mod lock;
 pub mod network;
@@ -92,7 +90,6 @@ pub mod waveform;
 
 pub use batch::{BatchIntegrator, BatchKernel};
 pub use fxkernel::{FxBatchIntegrator, FxBatchKernel};
-pub use kernel::{CoupledKernel, KernelIntegrator};
 pub use lock::{binarize_phases, nearest_stable_phase, order_parameter, phase_to_spin};
 pub use network::{PhaseNetwork, PhaseNetworkBuilder};
 pub use shil::{stage_shil_phase, Shil};

@@ -1,15 +1,15 @@
 //! The coupled-oscillator phase network: drift, noise, energy, relaxation.
 //!
 //! [`PhaseNetwork`] owns the gating state and the **reference** CSR drift
-//! implementation ([`OdeSystem::eval`]); all integration entry points
-//! (`relax`/`anneal`/…) compile the current gating into a
-//! [`CoupledKernel`] and run on that, which
-//! is ~4× faster on paper-sized problems while agreeing with the
-//! reference to < 1e-12 (property-tested).
+//! implementation ([`OdeSystem::eval`]). [`PhaseNetwork::relax`]
+//! integrates that reference drift directly; the stochastic anneals
+//! build a one-lane [`BatchKernel`] from the current gating and step it
+//! with a [`BatchIntegrator`], the kernel every run goes through, which
+//! agrees with the reference to < 1e-12 (property-tested).
 
-use crate::kernel::{CoupledKernel, KernelIntegrator};
+use crate::batch::{BatchIntegrator, BatchKernel};
 use crate::shil::Shil;
-use msropm_graph::{EdgeMask, Graph};
+use msropm_graph::Graph;
 use msropm_ode::fixed::{FixedStepper, Rk4};
 use msropm_ode::system::{OdeSystem, SdeSystem};
 use rand::Rng;
@@ -206,23 +206,6 @@ impl PhaseNetwork {
         self.edge_enabled[edge]
     }
 
-    /// Applies a whole [`EdgeMask`] at once (the stage-transition `P_EN`
-    /// write).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask length differs from the edge count.
-    pub fn apply_edge_mask(&mut self, mask: &EdgeMask) {
-        assert_eq!(
-            mask.len(),
-            self.edge_enabled.len(),
-            "mask/network size mismatch"
-        );
-        for e in 0..self.edge_enabled.len() {
-            self.edge_enabled[e] = mask.is_enabled(msropm_graph::EdgeId::new(e));
-        }
-    }
-
     /// Sets the coupling magnitude `K_c` for **every** edge, replacing
     /// any per-edge weight overrides — the same recipe as
     /// [`PhaseNetworkBuilder::coupling_strength`] (all weights become
@@ -263,12 +246,6 @@ impl PhaseNetwork {
     /// visit order of the compiled kernels.
     pub fn edge_endpoints(&self) -> &[(u32, u32)] {
         &self.endpoints
-    }
-
-    /// Compiles the current gating state into a flat, edge-visited-once
-    /// [`CoupledKernel`] (see `crate::kernel` for the architecture).
-    pub fn compile_kernel(&self) -> CoupledKernel {
-        CoupledKernel::compile(self)
     }
 
     /// Globally enables/disables SHIL injection (the `SHIL_EN` gate).
@@ -399,18 +376,18 @@ impl PhaseNetwork {
     }
 
     /// Deterministic relaxation (gradient descent) for `duration` ns with
-    /// RK4 steps of `dt` ns, via the compiled kernel. Used for noiseless
+    /// RK4 steps of `dt` ns on the reference drift. Used for noiseless
     /// analysis and tests.
     pub fn relax(&mut self, phases: &mut [f64], duration: f64, dt: f64) {
-        let kernel = self.compile_kernel();
-        Rk4::new().integrate(&kernel, phases, 0.0, duration, dt);
+        Rk4::new().integrate(&*self, phases, 0.0, duration, dt);
     }
 
     /// Stochastic annealing for `duration` ns with Euler–Maruyama steps of
     /// `dt` ns, drawing jitter from `rng`. This is the paper's
-    /// "self-annealing" window. Runs on the compiled kernel; callers that
-    /// integrate many windows should compile once and hold a
-    /// [`KernelIntegrator`] instead (as `msropm-core` does).
+    /// "self-annealing" window. Runs on a one-lane [`BatchKernel`] built
+    /// from the current gating; callers that integrate many windows
+    /// should hold the kernel and a [`BatchIntegrator`] instead (as
+    /// `msropm-core` does).
     pub fn anneal<R: Rng + ?Sized>(
         &mut self,
         phases: &mut [f64],
@@ -418,8 +395,7 @@ impl PhaseNetwork {
         dt: f64,
         rng: &mut R,
     ) {
-        let kernel = self.compile_kernel();
-        KernelIntegrator::new().integrate(&kernel, phases, 0.0, duration, dt, rng);
+        self.anneal_observed(phases, duration, dt, rng, |_, _| {});
     }
 
     /// Stochastic annealing that records `(t, θ)` samples via `observe`.
@@ -431,9 +407,16 @@ impl PhaseNetwork {
         rng: &mut R,
         observe: impl FnMut(f64, &[f64]),
     ) {
-        let kernel = self.compile_kernel();
-        KernelIntegrator::new()
-            .integrate_observed(&kernel, phases, 0.0, duration, dt, rng, observe);
+        let kernel = BatchKernel::new(self, 1);
+        BatchIntegrator::new().integrate_observed(
+            &kernel,
+            phases,
+            0.0,
+            duration,
+            dt,
+            &mut [rng],
+            observe,
+        );
     }
 
     /// Stochastic annealing with a **SHIL-strength ramp**: every assigned
@@ -444,7 +427,7 @@ impl PhaseNetwork {
     /// gradually instead of being quenched.
     ///
     /// The network's configured SHIL strengths are never modified; the
-    /// ramp only scales the compiled kernel's torque table.
+    /// ramp only scales the one-lane kernel's torque table.
     ///
     /// # Panics
     ///
@@ -480,15 +463,16 @@ impl PhaseNetwork {
         observe: impl FnMut(f64, &[f64]),
     ) {
         assert!(duration >= 0.0, "duration must be non-negative");
-        let mut kernel = self.compile_kernel();
-        KernelIntegrator::new().integrate_ramped(
+        let mut kernel = BatchKernel::new(self, 1);
+        BatchIntegrator::new().integrate_ramped(
             &mut kernel,
             phases,
             0.0,
             duration,
             dt,
-            rng,
+            &mut [rng],
             ramp,
+            &[true],
             observe,
         );
     }
@@ -804,6 +788,15 @@ mod tests {
             (phases[0] - 1.0).abs() < 1e-9,
             "zero-scaled SHIL moved the phase"
         );
+    }
+
+    #[test]
+    fn random_phases_uniform_start() {
+        let g = Graph::empty(512);
+        let net = PhaseNetwork::builder(&g).build();
+        let mut rng = StdRng::seed_from_u64(1);
+        let y = net.random_phases(&mut rng);
+        assert!(y.iter().all(|&p| (0.0..TAU).contains(&p)));
     }
 
     #[test]

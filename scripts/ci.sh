@@ -64,6 +64,10 @@ stage_test() {
     # The lane-width-specialized fixed-point drift and step against their
     # generic reference loops, bit for bit, likewise in release.
     PROPTEST_CASES=2000 cargo test -q --release -p msropm-osc --lib drift_and_step_match_reference
+    # Every lane of the f64 batch kernel, both sweep bodies, against a
+    # one-lane kernel built from that lane's network, bit for bit — the
+    # width check on the float kernel every run steps, likewise in release.
+    PROPTEST_CASES=2000 cargo test -q --release -p msropm-osc --lib every_lane_matches_its_solo_kernel
 }
 
 stage_build() {

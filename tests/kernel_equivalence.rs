@@ -1,13 +1,14 @@
 //! Property tests pinning the compiled coupling kernel to the naive
 //! reference drift: for *any* gating state (edge gates, defective rings,
 //! global enables, SHIL assignments, weight overrides, frequency spread),
-//! `CoupledKernel` must agree with `PhaseNetwork::eval` to ≤ 1e-12, and
-//! the kernel's two evaluation paths (scratch three-pass vs. trait
-//! single-pass) must agree bitwise.
+//! a one-lane `BatchKernel` — the kernel a single run steps — must agree
+//! with `PhaseNetwork::eval` to ≤ 1e-12, and one `BatchIntegrator` step
+//! must agree with Euler–Maruyama on the reference network, noise
+//! included.
 
 use msropm::graph::{Graph, GraphBuilder};
 use msropm::osc::shil::Shil;
-use msropm::osc::{CoupledKernel, PhaseNetwork};
+use msropm::osc::{BatchIntegrator, BatchKernel, PhaseNetwork};
 use msropm_ode::system::OdeSystem;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -88,7 +89,7 @@ proptest! {
         let mut naive = vec![0.0; n];
         net.eval(0.0, &phases, &mut naive);
 
-        let kernel = net.compile_kernel();
+        let kernel = BatchKernel::new(&net, 1);
         let mut compiled = vec![0.0; n];
         let mut scratch = Vec::new();
         kernel.drift_into(&phases, &mut compiled, &mut scratch);
@@ -98,28 +99,12 @@ proptest! {
     }
 
     #[test]
-    fn kernel_trait_path_is_bitwise_identical(g in arb_graph(24), seed in 0u64..100_000) {
-        // The allocation-free three-pass path and the OdeSystem trait path
-        // must be the *same* arithmetic, not merely close.
-        let (net, phases) = random_gated_network(&g, seed);
-        let kernel = net.compile_kernel();
-        let n = g.num_nodes();
-        let mut three_pass = vec![0.0; n];
-        kernel.drift_into(&phases, &mut three_pass, &mut Vec::new());
-        let mut one_pass = vec![0.0; n];
-        kernel.eval(0.0, &phases, &mut one_pass);
-        for i in 0..n {
-            prop_assert_eq!(three_pass[i].to_bits(), one_pass[i].to_bits(), "node {}", i);
-        }
-    }
-
-    #[test]
     fn recompile_tracks_gating_changes(g in arb_graph(20), seed in 0u64..100_000) {
         // Mutating the network after compilation must not affect the old
         // kernel; recompiling must match the new state.
         let (mut net, phases) = random_gated_network(&g, seed);
-        let before = net.compile_kernel();
-        let edges_before = before.num_active_edges();
+        let before = BatchKernel::new(&net, 1);
+        let edges_before = before.num_live_edges();
 
         net.set_couplings_enabled(true);
         for e in 0..g.num_edges() {
@@ -128,10 +113,10 @@ proptest! {
         for i in 0..g.num_nodes() {
             net.set_node_enabled(i, true);
         }
-        prop_assert_eq!(before.num_active_edges(), edges_before, "compiled kernel mutated");
+        prop_assert_eq!(before.num_live_edges(), edges_before, "compiled kernel mutated");
 
-        let after = net.compile_kernel();
-        prop_assert_eq!(after.num_active_edges(), g.num_edges());
+        let after = BatchKernel::new(&net, 1);
+        prop_assert_eq!(after.num_live_edges(), g.num_edges());
 
         let mut naive = vec![0.0; g.num_nodes()];
         net.eval(0.0, &phases, &mut naive);
@@ -142,13 +127,20 @@ proptest! {
 
     #[test]
     fn compiled_diffusion_matches_naive(g in arb_graph(20), seed in 0u64..100_000) {
-        use msropm_ode::system::SdeSystem;
+        // One step from the same seed: the kernel must apply the
+        // network's σ to every ring (0 on defective ones) and consume
+        // the deviates in the same node order as Euler–Maruyama on the
+        // reference network.
+        use msropm_ode::sde::{EulerMaruyama, SdeStepper};
         let (net, phases) = random_gated_network(&g, seed);
-        let n = g.num_nodes();
-        let (mut naive, mut compiled) = (vec![0.0; n], vec![0.0; n]);
-        net.diffusion(0.0, &phases, &mut naive);
-        net.compile_kernel().diffusion(0.0, &phases, &mut compiled);
-        prop_assert_eq!(naive, compiled);
+        let mut naive = phases.clone();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        EulerMaruyama::new().step(&net, 0.0, &mut naive, 0.01, &mut rng);
+        let mut compiled = phases;
+        let rngs = &mut [StdRng::seed_from_u64(seed ^ 0x5eed)];
+        BatchIntegrator::new().step(&BatchKernel::new(&net, 1), &mut compiled, 0.01, rngs);
+        let err = max_abs_diff(&naive, &compiled);
+        prop_assert!(err <= 1e-12, "kernel vs Euler–Maruyama step diverged: {err:e}");
     }
 }
 
@@ -163,8 +155,8 @@ fn kernel_matches_naive_on_paper_sized_kings_graph() {
     let phases = net.random_phases(&mut rng);
     let mut naive = vec![0.0; g.num_nodes()];
     net.eval(0.0, &phases, &mut naive);
-    let kernel = CoupledKernel::compile(&net);
-    assert_eq!(kernel.num_active_edges(), g.num_edges());
+    let kernel = BatchKernel::new(&net, 1);
+    assert_eq!(kernel.num_live_edges(), g.num_edges());
     let mut compiled = vec![0.0; g.num_nodes()];
     kernel.drift_into(&phases, &mut compiled, &mut Vec::new());
     let err = max_abs_diff(&naive, &compiled);

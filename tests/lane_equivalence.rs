@@ -9,7 +9,7 @@
 //!
 //! Together these close the loop: homogeneous batches were already
 //! pinned to sequential solves (`tests/batch_determinism.rs`), so every
-//! lane of every sweep is transitively pinned to the scalar reference
+//! lane of every sweep is transitively pinned to the sequential reference
 //! machine.
 
 use msropm::core::{LaneConfig, Msropm, MsropmConfig, MsropmSolution, ReinitMode, SolveOptions};
