@@ -9,10 +9,12 @@
 //!
 //! and CI re-runs them with `--baseline <committed json>`: any tracked
 //! ns/op column more than [`DEFAULT_TOLERANCE`] above the committed
-//! value fails the gate (nonzero exit). The parser below handles exactly
-//! this format — flat result objects whose values are numbers or strings
-//! (the first string-valued field labels the row) — which keeps the
-//! workspace free of a JSON dependency; it is not a general JSON reader.
+//! value fails the gate (nonzero exit), and so does a tracked column the
+//! run measured but the matching baseline row lacks. The parser below
+//! handles exactly this format — flat result objects whose values are
+//! numbers or strings (the first string-valued field labels the row) —
+//! which keeps the workspace free of a JSON dependency; it is not a
+//! general JSON reader.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -133,38 +135,71 @@ fn parse_row(body: &str) -> Result<BenchRow, String> {
     })
 }
 
-/// Compares `current` against `baseline` on the `tracked` columns.
+/// Every tracked `(label, column, baseline, current)` value pair: rows
+/// matched by label, columns by name.
 ///
-/// Rows are matched by label and columns by name; rows or columns
-/// present on only one side are skipped (so `--quick` runs compare the
-/// subset they measured). A column regresses when
-/// `current > baseline * (1 + tolerance)`.
-pub fn find_regressions(
-    current: &[BenchRow],
+/// Rows only one side has are skipped, so `--quick` runs compare the
+/// subset they measured, and so are tracked columns the current row did
+/// not measure.
+///
+/// # Errors
+///
+/// Names the row and column when the current row measured a tracked
+/// column that its baseline row lacks: a baseline edit that drops a
+/// key must not ungate that column silently.
+fn tracked_pairs<'a>(
+    current: &'a [BenchRow],
     baseline: &[BenchRow],
-    tracked: &[&str],
-    tolerance: f64,
-) -> Vec<Regression> {
+    tracked: &[&'a str],
+) -> Result<Vec<(&'a str, &'a str, f64, f64)>, String> {
     let mut out = Vec::new();
     for cur in current {
         let Some(base) = baseline.iter().find(|b| b.label == cur.label) else {
             continue;
         };
         for &col in tracked {
-            let (Some(&c), Some(&b)) = (cur.values.get(col), base.values.get(col)) else {
+            let Some(&c) = cur.values.get(col) else {
                 continue;
             };
-            if b > 0.0 && c > b * (1.0 + tolerance) {
-                out.push(Regression {
-                    label: cur.label.clone(),
-                    column: col.to_string(),
-                    baseline: b,
-                    current: c,
-                });
-            }
+            let Some(&b) = base.values.get(col) else {
+                return Err(format!(
+                    "baseline row {:?} lacks tracked column {col:?} that the current run measured",
+                    cur.label
+                ));
+            };
+            out.push((cur.label.as_str(), col, b, c));
         }
     }
-    out
+    Ok(out)
+}
+
+/// Compares `current` against `baseline` on the `tracked` columns.
+///
+/// Rows are matched by label and columns by name; rows present on only
+/// one side are skipped (so `--quick` runs compare the subset they
+/// measured). A column regresses when
+/// `current > baseline * (1 + tolerance)`.
+///
+/// # Errors
+///
+/// When a matched baseline row lacks a tracked column the current row
+/// measured.
+pub fn find_regressions(
+    current: &[BenchRow],
+    baseline: &[BenchRow],
+    tracked: &[&str],
+    tolerance: f64,
+) -> Result<Vec<Regression>, String> {
+    Ok(tracked_pairs(current, baseline, tracked)?
+        .into_iter()
+        .filter(|&(_, _, b, c)| b > 0.0 && c > b * (1.0 + tolerance))
+        .map(|(label, column, baseline, current)| Regression {
+            label: label.to_string(),
+            column: column.to_string(),
+            baseline,
+            current,
+        })
+        .collect())
 }
 
 /// The whole gate: parses both documents, prints a per-column
@@ -173,7 +208,8 @@ pub fn find_regressions(
 ///
 /// # Errors
 ///
-/// Returns a printable report of every regression (or a parse error).
+/// Returns a printable report of every regression, a parse error, or
+/// the missing-column error of [`find_regressions`].
 pub fn enforce_gate(
     current_json: &str,
     baseline_json: &str,
@@ -182,32 +218,23 @@ pub fn enforce_gate(
 ) -> Result<String, String> {
     let current = parse_rows(current_json)?;
     let baseline = parse_rows(baseline_json)?;
-    let mut table = String::new();
-    let mut compared = 0usize;
-    for cur in &current {
-        let Some(base) = baseline.iter().find(|b| b.label == cur.label) else {
-            continue;
-        };
-        for &col in tracked {
-            let (Some(&c), Some(&b)) = (cur.values.get(col), base.values.get(col)) else {
-                continue;
-            };
-            compared += 1;
-            let _ = writeln!(
-                table,
-                "  {:<14} {:<32} base {:>12.2}  now {:>12.2}  ({:+6.1}%)",
-                cur.label,
-                col,
-                b,
-                c,
-                (c / b - 1.0) * 100.0,
-            );
-        }
-    }
-    if compared == 0 {
+    let pairs = tracked_pairs(&current, &baseline, tracked)?;
+    if pairs.is_empty() {
         return Err("baseline gate compared 0 columns — label/column mismatch?".to_string());
     }
-    let regressions = find_regressions(&current, &baseline, tracked, tolerance);
+    let mut table = String::new();
+    for (label, col, b, c) in pairs {
+        let _ = writeln!(
+            table,
+            "  {:<14} {:<32} base {:>12.2}  now {:>12.2}  ({:+6.1}%)",
+            label,
+            col,
+            b,
+            c,
+            (c / b - 1.0) * 100.0,
+        );
+    }
+    let regressions = find_regressions(&current, &baseline, tracked, tolerance)?;
     if regressions.is_empty() {
         Ok(table)
     } else {
@@ -289,6 +316,7 @@ mod tests {
     const SAMPLE: &str = r#"{
   "suite": "phase_step",
   "unix_time": 123,
+  "sin_tier": "Avx512",
   "results": [
     {"graph": "kings_7x7", "nodes": 49, "kernel_eval_ns": 1000.0, "batch_eval_ns_per_replica": 800.5},
     {"graph": "kings_20x20", "nodes": 400, "kernel_eval_ns": 14000.0, "batch_eval_ns_per_replica": 11000.0}
@@ -304,6 +332,8 @@ mod tests {
         assert_eq!(rows[1].values["batch_eval_ns_per_replica"], 11000.0);
         // Non-tracked numeric fields are still available.
         assert_eq!(rows[1].values["nodes"], 400.0);
+        // Top-level keys such as the sine tier label no row.
+        assert!(rows.iter().all(|r| !r.values.contains_key("sin_tier")));
     }
 
     #[test]
@@ -311,18 +341,26 @@ mod tests {
         let baseline = parse_rows(SAMPLE).unwrap();
         let faster = SAMPLE.replace("1000.0", "900.0");
         let current = parse_rows(&faster).unwrap();
-        assert!(find_regressions(&current, &baseline, &["kernel_eval_ns"], 0.15).is_empty());
+        assert!(
+            find_regressions(&current, &baseline, &["kernel_eval_ns"], 0.15)
+                .unwrap()
+                .is_empty()
+        );
 
         let slower = SAMPLE.replace("\"kernel_eval_ns\": 1000.0", "\"kernel_eval_ns\": 1200.0");
         let current = parse_rows(&slower).unwrap();
-        let regs = find_regressions(&current, &baseline, &["kernel_eval_ns"], 0.15);
+        let regs = find_regressions(&current, &baseline, &["kernel_eval_ns"], 0.15).unwrap();
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].label, "kings_7x7");
         assert!((regs[0].ratio() - 1.2).abs() < 1e-12);
         // Inside tolerance: 1.10x is fine at 15%.
         let mild = SAMPLE.replace("\"kernel_eval_ns\": 1000.0", "\"kernel_eval_ns\": 1100.0");
         let current = parse_rows(&mild).unwrap();
-        assert!(find_regressions(&current, &baseline, &["kernel_eval_ns"], 0.15).is_empty());
+        assert!(
+            find_regressions(&current, &baseline, &["kernel_eval_ns"], 0.15)
+                .unwrap()
+                .is_empty()
+        );
     }
 
     #[test]
@@ -330,7 +368,11 @@ mod tests {
         let baseline = parse_rows(SAMPLE).unwrap();
         let quick = r#"{"results": [{"graph": "kings_7x7", "kernel_eval_ns": 1001.0}]}"#;
         let current = parse_rows(quick).unwrap();
-        assert!(find_regressions(&current, &baseline, &["kernel_eval_ns"], 0.15).is_empty());
+        assert!(
+            find_regressions(&current, &baseline, &["kernel_eval_ns"], 0.15)
+                .unwrap()
+                .is_empty()
+        );
         let report = enforce_gate(quick, SAMPLE, &["kernel_eval_ns"], 0.15).unwrap();
         assert!(report.contains("kings_7x7"));
         assert!(!report.contains("kings_20x20"));
@@ -347,6 +389,22 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("0 columns"));
         assert!(parse_rows("{}").is_err());
+    }
+
+    #[test]
+    fn baseline_missing_a_measured_column_is_an_error() {
+        // The baseline's 20x20 row lost its kernel_eval_ns key.
+        let edited = SAMPLE.replace("\"kernel_eval_ns\": 14000.0, ", "");
+        let baseline = parse_rows(&edited).unwrap();
+        let current = parse_rows(SAMPLE).unwrap();
+        let err = find_regressions(&current, &baseline, &["kernel_eval_ns"], 0.15).unwrap_err();
+        assert!(err.contains("kings_20x20"), "{err}");
+        assert!(err.contains("kernel_eval_ns"), "{err}");
+        let err = enforce_gate(SAMPLE, &edited, &["kernel_eval_ns"], 0.15).unwrap_err();
+        assert!(err.contains("kings_20x20") && err.contains("kernel_eval_ns"));
+        // A quick run that never measured that row still passes.
+        let quick = r#"{"results": [{"graph": "kings_7x7", "kernel_eval_ns": 1001.0}]}"#;
+        assert!(enforce_gate(quick, &edited, &["kernel_eval_ns"], 0.15).is_ok());
     }
 
     #[test]

@@ -34,6 +34,9 @@
 //! Results are written as JSON to `BENCH_phase_step.json` at the
 //! repository root (override with `--out PATH`; `--quick` restricts to
 //! the 49-node board) so successive PRs can track the perf trajectory.
+//! The header line and the top-level `"sin_tier"` key record the vector
+//! tier the f64 kernels' sine ran at ([`sin_tier`]), which sets every
+//! f64 column.
 //!
 //! Run with: `cargo run --release -p msropm-bench --bin bench_phase_step`
 
@@ -41,6 +44,7 @@ use msropm_core::{LaneConfig, Msropm, MsropmConfig, SolveOptions};
 use msropm_graph::{generators, Cut, Graph};
 use msropm_ode::system::OdeSystem;
 use msropm_osc::batch::{BatchIntegrator, BatchKernel};
+use msropm_osc::fastmath::sin_tier;
 use msropm_osc::fxkernel::{phase_to_turns, FxBatchKernel};
 use msropm_osc::PhaseNetwork;
 use rand::rngs::StdRng;
@@ -392,6 +396,8 @@ fn main() {
         .unwrap_or_else(|| msropm_bench::baseline::default_out_path("BENCH_phase_step.json"));
     let sides: &[usize] = if quick { &[7] } else { &[7, 20, 32, 46] };
     let (eval_budget, anneal_budget) = if quick { (0.05, 0.1) } else { (0.3, 0.6) };
+    let tier = sin_tier();
+    println!("bench_phase_step: f64 sine tier {tier:?}");
 
     let mut rows = Vec::new();
     for &side in sides {
@@ -444,6 +450,7 @@ fn main() {
     let _ = writeln!(json, "  \"suite\": \"phase_step\",");
     let _ = writeln!(json, "  \"unix_time\": {unix_time},");
     let _ = writeln!(json, "  \"batch_replicas\": {BATCH_REPLICAS},");
+    let _ = writeln!(json, "  \"sin_tier\": \"{tier:?}\",");
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(

@@ -10,17 +10,33 @@
 //! calls, which LLVM vectorizes when applied over a contiguous buffer
 //! (see [`sin_slice`]).
 //!
-//! **No `f64::round` in the reduction.** The workspace builds for
-//! baseline x86-64, which is SSE2 only. SSE2 has no `roundsd`
-//! (that arrived with SSE4.1), so `y.round()` lowers to an out-of-line
-//! libm `round` call — one per element, and a call inside the loop stops
-//! it from vectorizing. The quadrant is instead found with the `1.5·2^52`
-//! shifter (see `round_half_away`), which rounds with two additions
-//! and yields the quadrant bits for free. Keep `.round()` (and
-//! saturating `as i64` casts) out of `sin_core`: on the default target
-//! either one puts scalar code back in the hottest loop of the solver.
-//! The shifter form is bit-for-bit equal to `y.round()`, so the choice
-//! never changes a result.
+//! **Vector width chosen at run time.** The workspace builds for
+//! baseline x86-64, where LLVM can only vectorize the polynomial 2 f64
+//! lanes wide (SSE2). [`sin_slice`] therefore compiles its one loop body
+//! three times: at the build target's width, inside an
+//! `#[target_feature(enable = "avx2")]` wrapper (4 lanes) and inside an
+//! `#[target_feature(enable = "avx512f")]` wrapper (8 lanes), and runs
+//! the widest [`SinTier`] the CPU reports through std's cached
+//! `is_x86_feature_detected!`. The build itself is not raised with
+//! `-C target-cpu`: a binary built that way dies with SIGILL on an older
+//! host, while the dispatch degrades to the baseline loop. The tiers
+//! cannot differ by a bit. Rust never contracts a multiply and an add
+//! into an FMA, so every vector lane performs the same IEEE operations,
+//! in the same order, as the scalar code; only the number of lanes per
+//! instruction changes. The call into a wide tier is the crate's one
+//! audited `unsafe`, guarded by the CPU check.
+//!
+//! **No `f64::round` in the reduction.** The baseline x86-64 target is
+//! SSE2 only. SSE2 has no `roundsd` (that arrived with SSE4.1), so
+//! `y.round()` lowers to an out-of-line libm `round` call — one per
+//! element, and a call inside the loop stops it from vectorizing. The
+//! quadrant is instead found with the `1.5·2^52` shifter (see
+//! `round_half_away`), which rounds with two additions and yields the
+//! quadrant bits for free. Keep `.round()` (and saturating `as i64`
+//! casts) out of `sin_core`: on the baseline tier either one puts scalar
+//! code back in the hottest loop of the solver. The shifter form is
+//! bit-for-bit equal to `y.round()`, so the choice never changes a
+//! result.
 //!
 //! Accuracy: max absolute error < 4e-15 for |x| ≤ 64 (phase differences
 //! in this workspace stay within a few tens of radians), growing slowly
@@ -145,18 +161,79 @@ fn sin_core(x: f64) -> f64 {
     f64::from_bits(v.to_bits() ^ ((qbits & 2) << 62))
 }
 
-/// Applies [`sin_fast`] in place over a slice.
+/// The vector width [`sin_slice`] runs at: one loop body compiled for
+/// the build target and for two wider x86-64 feature sets. Ordered by
+/// width, so `tier <= sin_tier()` means the CPU can run `tier`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SinTier {
+    /// The build target's own width: 2 f64 lanes on baseline x86-64.
+    Base,
+    /// AVX2: 4 f64 lanes.
+    Avx2,
+    /// AVX-512F: 8 f64 lanes.
+    Avx512,
+}
+
+/// The widest [`SinTier`] this CPU runs; [`SinTier::Base`] on targets
+/// other than x86-64. The feature probe is std's, cached after the
+/// first call, so this costs a relaxed load.
+pub fn sin_tier() -> SinTier {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::is_x86_feature_detected!("avx512f") {
+            return SinTier::Avx512;
+        }
+        if std::is_x86_feature_detected!("avx2") {
+            return SinTier::Avx2;
+        }
+    }
+    SinTier::Base
+}
+
+/// Applies [`sin_fast`] in place over a slice, at the widest
+/// [`SinTier`] the CPU supports.
 ///
 /// This is the shape the kernels use: a contiguous buffer of phase
 /// differences with no gather/scatter inside the loop. A cheap range
 /// scan first decides whether every element can take the branchless
 /// `sin_core` path — when it can (always, for phase dynamics), the
 /// main loop contains no branches and no calls, and LLVM auto-vectorizes
-/// it: 2 lanes of f64 on the default SSE2 target (wider only when the
-/// build enables AVX). Results are bitwise identical to calling
-/// [`sin_fast`] per element either way.
+/// it at the tier's width. Results are bitwise identical to calling
+/// [`sin_fast`] per element, at every tier.
 #[inline]
 pub fn sin_slice(xs: &mut [f64]) {
+    sin_slice_at(sin_tier(), xs);
+}
+
+/// Runs the [`sin_slice`] loop compiled for `tier`.
+///
+/// # Panics
+///
+/// If the CPU cannot run `tier` (`tier > sin_tier()`).
+#[inline]
+#[allow(unsafe_code)]
+fn sin_slice_at(tier: SinTier, xs: &mut [f64]) {
+    assert!(tier <= sin_tier(), "{tier:?} sine on a CPU without it");
+    #[cfg(target_arch = "x86_64")]
+    match tier {
+        SinTier::Base => sin_slice_body(xs),
+        // SAFETY: `sin_slice_avx2` is the safe body compiled with AVX2
+        // enabled and nothing more, and the assert above has just
+        // checked that the running CPU supports AVX2.
+        SinTier::Avx2 => unsafe { sin_slice_avx2(xs) },
+        // SAFETY: likewise, `sin_slice_avx512` only enables AVX-512F,
+        // which the assert has checked the CPU supports.
+        SinTier::Avx512 => unsafe { sin_slice_avx512(xs) },
+    }
+    // Off x86-64 the assert leaves only `Base`.
+    #[cfg(not(target_arch = "x86_64"))]
+    sin_slice_body(xs);
+}
+
+/// The one [`sin_slice`] loop, inlined into each tier's wrapper so that
+/// every tier compiles the same source.
+#[inline(always)]
+fn sin_slice_body(xs: &mut [f64]) {
     let mut all_in_range = true;
     for &x in xs.iter() {
         // `!(|x| <= L)` also catches NaN.
@@ -171,6 +248,20 @@ pub fn sin_slice(xs: &mut [f64]) {
             *x = sin_fast(*x);
         }
     }
+}
+
+/// [`sin_slice_body`] vectorized 4 f64 lanes wide.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sin_slice_avx2(xs: &mut [f64]) {
+    sin_slice_body(xs);
+}
+
+/// [`sin_slice_body`] vectorized 8 f64 lanes wide.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn sin_slice_avx512(xs: &mut [f64]) {
+    sin_slice_body(xs);
 }
 
 #[cfg(test)]
@@ -310,5 +401,64 @@ mod tests {
         for (x, y) in xs.iter().zip(&ys) {
             assert_eq!(y.to_bits(), sin_fast(*x).to_bits());
         }
+    }
+
+    /// Every tier this CPU runs against the baseline loop, bit for bit.
+    /// Meaningful in release only: a debug build vectorizes no tier.
+    #[test]
+    fn every_tier_matches_base_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let tiers: Vec<SinTier> = [SinTier::Avx2, SinTier::Avx512]
+            .into_iter()
+            .filter(|&t| t <= sin_tier())
+            .collect();
+        let check = |xs: &[f64], what: &str| {
+            let mut base = xs.to_vec();
+            sin_slice_at(SinTier::Base, &mut base);
+            for &tier in &tiers {
+                let mut wide = xs.to_vec();
+                sin_slice_at(tier, &mut wide);
+                for (i, (b, w)) in base.iter().zip(&wide).enumerate() {
+                    assert_eq!(
+                        b.to_bits(),
+                        w.to_bits(),
+                        "{tier:?} vs Base, {what}, len {}, x[{i}] = {:e}",
+                        xs.len(),
+                        xs[i]
+                    );
+                }
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(0x71e5);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1_048_576.0,
+            -1_048_576.0,
+            f64::MIN_POSITIVE / 4.0,
+            3.0e6,
+        ];
+        // Every length up to 70 hits every vector-tail remainder.
+        for len in 0..70usize {
+            for bound in [64.0, 2000.0] {
+                let xs: Vec<f64> = (0..len)
+                    .map(|_| (rng.gen::<f64>() * 2.0 - 1.0) * bound)
+                    .collect();
+                check(&xs, "in range");
+                // One special value forces the `sin_fast` fallback loop.
+                if len > 0 {
+                    for &s in &specials {
+                        let mut ys = xs.clone();
+                        ys[rng.gen_range(0..len)] = s;
+                        check(&ys, "with a special value");
+                    }
+                }
+            }
+        }
+        check(&specials, "all specials");
     }
 }

@@ -60,7 +60,16 @@
 //!   integer LUT — the hardware-faithful (and fastest) RHS path,
 //!   selected per solve through the core crate's `KernelBackend`.
 //! - [`fastmath::sin_fast`] is the branchless polynomial `sin` those
-//!   kernels vectorize over (< 4e-15 absolute error).
+//!   kernels vectorize over (< 4e-15 absolute error), and
+//!   [`fastmath::sin_slice`] applies it over a buffer at the widest
+//!   vector tier the CPU runs ([`fastmath::SinTier`]).
+//!
+//! # Unsafe code
+//!
+//! The crate denies `unsafe_code` and allows it in one audited item:
+//! the private dispatch inside [`fastmath::sin_slice`], which calls the
+//! AVX2 or AVX-512F build of the sine loop only after a run-time CPU
+//! feature check. Every other item compiles without `unsafe`.
 //!
 //! # Example: two negatively coupled ROSCs end up antiphase
 //!
@@ -76,7 +85,7 @@
 //! assert!((diff - std::f64::consts::PI).abs() < 1e-3);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

@@ -44,15 +44,40 @@ stage_fmt() {
 
 stage_lint() {
     cargo clippy --all-targets -- -D warnings
-    # The vendored epoll/poll shim carries the workspace's only unsafe
-    # (FFI) code; hold it to the same deny-warnings bar explicitly.
+    # The vendored epoll/poll shim carries the workspace's unsafe FFI
+    # code; hold it to the same deny-warnings bar explicitly.
     cargo clippy -p polling --all-targets -- -D warnings
+    check_unsafe_surface
     # Broken intra-doc links (for example to deleted or private items)
     # fail the gate instead of rotting silently.
     RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
     # Syntax check of every shell script, the ones CI never runs too.
     for script in scripts/*.sh; do
         bash -n "$script"
+    done
+}
+
+# The workspace crates' only unsafe is the guarded wide-sine dispatch in
+# osc's fastmath: one `allow(unsafe_code)` item in a crate that denies
+# unsafe, and every other crate forbids it outright.
+check_unsafe_surface() {
+    local allows lib
+    allows=$(git grep -n 'allow(unsafe_code)' -- crates || true)
+    if [[ $(wc -l <<<"$allows") -ne 1 || $allows != crates/osc/src/fastmath.rs:* ]]; then
+        echo "unsafe surface: expected one allow(unsafe_code), in crates/osc/src/fastmath.rs; found:" >&2
+        echo "$allows" >&2
+        return 1
+    fi
+    grep -qxF '#![deny(unsafe_code)]' crates/osc/src/lib.rs || {
+        echo "unsafe surface: crates/osc/src/lib.rs must deny(unsafe_code)" >&2
+        return 1
+    }
+    for lib in crates/*/src/lib.rs; do
+        [[ $lib == crates/osc/src/lib.rs ]] && continue
+        grep -qxF '#![forbid(unsafe_code)]' "$lib" || {
+            echo "unsafe surface: $lib must forbid(unsafe_code)" >&2
+            return 1
+        }
     done
 }
 
@@ -68,6 +93,10 @@ stage_test() {
     # one-lane kernel built from that lane's network, bit for bit — the
     # width check on the float kernel every run steps, likewise in release.
     PROPTEST_CASES=2000 cargo test -q --release -p msropm-osc --lib every_lane_matches_its_solo_kernel
+    # Every wide sine tier the CPU runs against the baseline-width loop,
+    # bit for bit; only a release build vectorizes, so only there does
+    # the check compare vector code with vector code.
+    cargo test -q --release -p msropm-osc --lib every_tier_matches_base_bitwise
 }
 
 stage_build() {
