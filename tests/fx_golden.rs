@@ -15,7 +15,8 @@
 //! rather than float bits — it pins the integer state itself.
 
 use msropm::core::{
-    KernelBackend, LaneConfig, Msropm, MsropmConfig, ShardPool, ShardedArena, SolveOptions,
+    KernelBackend, LaneConfig, Msropm, MsropmConfig, ReinitMode, ShardPool, ShardedArena,
+    SolveOptions,
 };
 use msropm::graph::generators;
 use msropm::osc::fxkernel::phase_to_turns;
@@ -139,4 +140,75 @@ fn fx_complete_graph_digest_matches_at_every_shard_width() {
             "complete-graph fx digest changed at shard width {shards} (got {digest:#018x})"
         );
     }
+}
+
+/// The committed digest for a heterogeneous fx batch: `kings_graph(5, 5)`,
+/// `fx_config()`, ring 3 disabled, seeds `300..306`, one lane per
+/// re-init mode and control override in [`heterogeneous_lanes`]. Shards
+/// that mix uniform and jitter lanes take the hand-stepped re-init
+/// branch, all-jitter shards take the kernel path, and ramped lanes take
+/// the masked lock integration. Recompute (and justify) only on a
+/// deliberate fx format change.
+const GOLDEN_HETEROGENEOUS: u64 = 0xadd4_0aaf_4494_894d;
+
+/// The committed digest for an all-`UniformRandom` batch (the re-init
+/// branch that draws no drift at all): same machine, three lanes, seeds
+/// `300..303`.
+const GOLDEN_ALL_UNIFORM: u64 = 0x3c46_375f_a306_6027;
+
+fn heterogeneous_lanes() -> Vec<LaneConfig> {
+    let uniform = LaneConfig::default().with_reinit(ReinitMode::UniformRandom);
+    vec![
+        uniform,
+        LaneConfig::default(),
+        LaneConfig::default()
+            .with_reinit(ReinitMode::JitterDrift { sigma: 0.4 })
+            .with_shil_ramp(true),
+        LaneConfig::default()
+            .with_coupling_strength(1.4)
+            .with_noise(0.3),
+        LaneConfig::default()
+            .with_shil_ramp(true)
+            .with_shil_strength(1.2),
+        uniform.with_noise(0.05),
+    ]
+}
+
+#[test]
+fn fx_heterogeneous_digest_matches_at_every_shard_width() {
+    let g = generators::kings_graph(5, 5);
+    let mut machine = Msropm::new(&g, fx_config());
+    machine.set_oscillator_enabled(3, false);
+    let pool = ShardPool::new(2);
+
+    let lanes = heterogeneous_lanes();
+    let seeds: Vec<u64> = (300..306).collect();
+    // Per-shard lane counts 6, 3, 2 and 1: mixed re-init shards at widths
+    // 1, 2 and 3; at width 6 every lane runs alone on the kernel path.
+    for shards in [1usize, 2, 3, 6] {
+        let mut arena = ShardedArena::new();
+        let sols = machine
+            .solve_lanes(
+                &lanes,
+                &seeds,
+                SolveOptions::new().sharded(shards, &mut arena, &pool),
+            )
+            .expect("no abort check");
+        let digest = phase_digest(&sols);
+        assert_eq!(
+            digest, GOLDEN_HETEROGENEOUS,
+            "heterogeneous fx digest changed at shard width {shards} (got {digest:#018x})"
+        );
+    }
+
+    let uniform = vec![LaneConfig::default().with_reinit(ReinitMode::UniformRandom); 3];
+    let seeds: Vec<u64> = (300..303).collect();
+    let sols = machine
+        .solve_lanes(&uniform, &seeds, SolveOptions::new())
+        .expect("no abort check");
+    let digest = phase_digest(&sols);
+    assert_eq!(
+        digest, GOLDEN_ALL_UNIFORM,
+        "all-uniform fx digest changed (got {digest:#018x})"
+    );
 }
