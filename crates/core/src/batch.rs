@@ -28,6 +28,16 @@
 //! the same per-shard state, so 1-shard and N-shard solves are
 //! bit-identical by construction.
 //!
+//! Both kernel backends run that one body too. `run_stage` is generic
+//! over a private `StageKernel` trait, implemented by [`BatchKernel`]
+//! and [`FxBatchKernel`], that carries only what the backends do
+//! differently: the phase word (`f64` radians or `i32` binary turns)
+//! and its radian conversions, the integrator, and the hand step of a
+//! randomize window that mixes re-init modes (the float grid shrinks a
+//! window's last step; the fixed-point grid takes uniform full steps).
+//! `run_one_stage` picks the body monomorphized for the lane range's
+//! backend, so neither hot loop pays for the other.
+//!
 //! # Determinism contract
 //!
 //! Replica `i` performs bit-for-bit the floating-point operations and RNG
@@ -80,11 +90,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 
 /// The backend-erased compiled kernel of one lane range: either the
-/// IEEE-double SoA kernel or its fixed-point twin. The generic control
-/// plumbing (gating at stage transitions, boundary hooks, lane copies)
-/// goes through this enum's delegating methods; the numeric stage
-/// bodies ([`run_one_stage`]) match once and stay monomorphic, so
-/// neither hot loop pays for the other's existence.
+/// IEEE-double SoA kernel or its fixed-point twin. Start-of-run setup
+/// and the boundary hooks' lane copies go through this enum's
+/// delegating methods; a stage selects its backend only in
+/// [`run_one_stage`]'s one match.
 #[derive(Debug)]
 pub(crate) enum EngineKernel {
     F64(BatchKernel),
@@ -113,13 +122,6 @@ impl EngineKernel {
         }
     }
 
-    fn set_shil_enabled(&mut self, on: bool) {
-        match self {
-            EngineKernel::F64(k) => k.set_shil_enabled(on),
-            EngineKernel::Fx(k) => k.set_shil_enabled(on),
-        }
-    }
-
     fn set_bias(&mut self, node: usize, replica: usize, delta_omega: f64) {
         match self {
             EngineKernel::F64(k) => k.set_bias(node, replica, delta_omega),
@@ -137,41 +139,26 @@ pub(crate) enum PhasesMut<'a> {
     Fx(&'a mut [i32]),
 }
 
-impl PhasesMut<'_> {
-    fn len(&self) -> usize {
-        match self {
-            PhasesMut::F64(p) => p.len(),
-            PhasesMut::Fx(p) => p.len(),
-        }
-    }
-
-    fn copy_within_lane(&mut self, n: usize, rr: usize, src: usize, dst: usize) {
-        match self {
-            PhasesMut::F64(p) => {
-                for i in 0..n {
-                    p[i * rr + dst] = p[i * rr + src];
-                }
-            }
-            PhasesMut::Fx(p) => {
-                for i in 0..n {
-                    p[i * rr + dst] = p[i * rr + src];
-                }
-            }
-        }
+/// Copies lane `src` onto lane `dst` of a node-major buffer holding
+/// `rr` lanes per node.
+fn copy_lane_within<T: Copy>(buf: &mut [T], rr: usize, src: usize, dst: usize) {
+    for row in buf.chunks_exact_mut(rr) {
+        row[dst] = row[src];
     }
 }
 
-/// Borrows the backend-matching phase buffer for a boundary slice
-/// (taking both buffers keeps the borrow disjoint from the arena's
-/// other fields).
-fn arena_phases<'a>(
-    kernel: &EngineKernel,
-    phases: &'a mut [f64],
-    fx_phases: &'a mut [i32],
-) -> PhasesMut<'a> {
-    match kernel {
-        EngineKernel::F64(_) => PhasesMut::F64(phases),
-        EngineKernel::Fx(_) => PhasesMut::Fx(fx_phases),
+/// Copies lane `sl` of the node-major buffer `src` (`rs` lanes per node)
+/// onto lane `dl` of `dst` (`rd` lanes per node).
+fn copy_lane_between<T: Copy>(
+    src: &[T],
+    rs: usize,
+    sl: usize,
+    dst: &mut [T],
+    rd: usize,
+    dl: usize,
+) {
+    for (d, s) in dst.chunks_exact_mut(rd).zip(src.chunks_exact(rs)) {
+        d[dl] = s[sl];
     }
 }
 
@@ -185,16 +172,37 @@ pub(crate) struct ShardSlice<'a> {
     replicas: usize,
 }
 
-impl ShardSlice<'_> {
+impl<'a> ShardSlice<'a> {
+    /// The boundary view of one lane range: its kernel, the arena's
+    /// backend-matching phase buffer and its group ids, and its stage
+    /// records so far.
+    fn new(
+        kernel: &'a mut EngineKernel,
+        arena: &'a mut BatchArena,
+        stage_records: &'a mut [Vec<StageRecord>],
+    ) -> Self {
+        let phases = match kernel {
+            EngineKernel::F64(_) => PhasesMut::F64(&mut arena.phases),
+            EngineKernel::Fx(_) => PhasesMut::Fx(&mut arena.fx_phases),
+        };
+        ShardSlice {
+            kernel,
+            phases,
+            groups: &mut arena.groups,
+            stage_records,
+            replicas: arena.configs.len(),
+        }
+    }
+
     /// Copies lane `src` onto lane `dst` *within this shard* (local
     /// indices).
     fn copy_lane_local(&mut self, graph: &Graph, src: usize, dst: usize) {
         let rr = self.replicas;
-        let n = self.phases.len() / rr;
-        self.phases.copy_within_lane(n, rr, src, dst);
-        for i in 0..n {
-            self.groups[i * rr + dst] = self.groups[i * rr + src];
+        match &mut self.phases {
+            PhasesMut::F64(p) => copy_lane_within(p, rr, src, dst),
+            PhasesMut::Fx(p) => copy_lane_within(p, rr, src, dst),
         }
+        copy_lane_within(self.groups, rr, src, dst);
         for e in 0..graph.num_edges() {
             let on = self.kernel.edge_enabled(e, src);
             self.kernel.set_edge_enabled(e, dst, on);
@@ -214,23 +222,14 @@ fn copy_lane_across(
     dst_lane: usize,
 ) {
     let (rs, rd) = (src.replicas, dst.replicas);
-    let n = src.phases.len() / rs;
     match (&src.phases, &mut dst.phases) {
         (PhasesMut::F64(s), PhasesMut::F64(d)) => {
-            for i in 0..n {
-                d[i * rd + dst_lane] = s[i * rs + src_lane];
-            }
+            copy_lane_between(s, rs, src_lane, d, rd, dst_lane)
         }
-        (PhasesMut::Fx(s), PhasesMut::Fx(d)) => {
-            for i in 0..n {
-                d[i * rd + dst_lane] = s[i * rs + src_lane];
-            }
-        }
+        (PhasesMut::Fx(s), PhasesMut::Fx(d)) => copy_lane_between(s, rs, src_lane, d, rd, dst_lane),
         _ => unreachable!("a batch is single-backend; shards cannot mix phase formats"),
     }
-    for i in 0..n {
-        dst.groups[i * rd + dst_lane] = src.groups[i * rs + src_lane];
-    }
+    copy_lane_between(src.groups, rs, src_lane, dst.groups, rd, dst_lane);
     for e in 0..graph.num_edges() {
         let on = src.kernel.edge_enabled(e, src_lane);
         dst.kernel.set_edge_enabled(e, dst_lane, on);
@@ -488,10 +487,9 @@ fn prepare_lane_range(
         (KernelBackend::Fixed, Some(nets)) => EngineKernel::Fx(FxBatchKernel::from_lanes(nets, dt)),
         (KernelBackend::Fixed, None) => EngineKernel::Fx(FxBatchKernel::new(network, rr, dt)),
     };
-    // Start-of-run control state, mirroring `Msropm::solve`: every P_EN
-    // high, SHIL off.
+    // Start-of-run gating: every P_EN high. (SHIL and the couplings are
+    // set by the stage body before its first step.)
     kernel.enable_all_edges();
-    kernel.set_shil_enabled(false);
 
     // Runner semantics: frequency offsets are the replica's first draws.
     if sample_spread {
@@ -511,19 +509,11 @@ fn prepare_lane_range(
     match backend {
         KernelBackend::F64 => {
             refill(phases, n * rr, 0.0);
-            for (r, rng) in rngs.iter_mut().enumerate() {
-                for i in 0..n {
-                    phases[i * rr + r] = rng.gen::<f64>() * TAU;
-                }
-            }
+            draw_uniform_phases::<BatchKernel>(phases, rngs, |_| true);
         }
         KernelBackend::Fixed => {
-            refill(fx_phases, n * rr, 0i32);
-            for (r, rng) in rngs.iter_mut().enumerate() {
-                for i in 0..n {
-                    fx_phases[i * rr + r] = phase_to_turns(rng.gen::<f64>() * TAU);
-                }
-            }
+            refill(fx_phases, n * rr, 0);
+            draw_uniform_phases::<FxBatchKernel>(fx_phases, rngs, |_| true);
         }
     }
 
@@ -543,12 +533,260 @@ fn prepare_lane_range(
     }
 }
 
+/// What a kernel backend supplies to the one stage body, [`run_stage`]
+/// (see the module docs). The control calls forward to the kernels'
+/// inherent methods.
+trait StageKernel {
+    /// One phase: `f64` radians or `i32` binary turns.
+    type Phase: Copy;
+    /// The backend's reusable Euler–Maruyama driver.
+    type Integrator;
+
+    /// The phase word nearest `theta` radians.
+    fn from_radians(theta: f64) -> Self::Phase;
+
+    /// The phase word in radians (exactly invertible for both backends).
+    fn to_radians(q: Self::Phase) -> f64;
+
+    /// Picks this backend's integrator and phase buffer out of an
+    /// arena's two.
+    fn buffers<'a>(
+        float: (&'a mut BatchIntegrator, &'a mut [f64]),
+        fixed: (&'a mut FxBatchIntegrator, &'a mut [i32]),
+    ) -> (&'a mut Self::Integrator, &'a mut [Self::Phase]);
+
+    /// Integrates every lane over `window`, ramping the SHIL scale of the
+    /// lanes `ramped` marks (when given) on the shared step sequence.
+    fn integrate(
+        &mut self,
+        integrator: &mut Self::Integrator,
+        phases: &mut [Self::Phase],
+        window: &Window,
+        dt: f64,
+        rngs: &mut [StdRng],
+        ramped: Option<&[bool]>,
+    );
+
+    /// Advances the jitter-drift lanes through a randomize window by the
+    /// exact bias + noise arithmetic of the kernel path (one deviate per
+    /// node per step, in node order: the solo stream), on this backend's
+    /// step grid. Uniform lanes draw nothing.
+    fn drift_jitter_lanes(
+        &self,
+        phases: &mut [Self::Phase],
+        window: &Window,
+        dt: f64,
+        configs: &[MsropmConfig],
+        rngs: &mut [StdRng],
+    );
+
+    fn set_couplings_enabled(&mut self, on: bool);
+    fn set_shil_enabled(&mut self, on: bool);
+    fn set_lane_noise_amplitude(&mut self, replica: usize, sigma: f64);
+    fn set_shil(&mut self, node: usize, replica: usize, shil: Option<Shil>);
+    fn edge_enabled(&self, edge: usize, replica: usize) -> bool;
+    fn set_edge_enabled(&mut self, edge: usize, replica: usize, on: bool);
+}
+
+/// Implements [`StageKernel`]'s control calls by forwarding each to the
+/// kernel's inherent method of the same name (a path `Self::name`
+/// resolves to the inherent method before the trait's).
+macro_rules! forward_stage_controls {
+    () => {
+        fn set_couplings_enabled(&mut self, on: bool) {
+            Self::set_couplings_enabled(self, on)
+        }
+        fn set_shil_enabled(&mut self, on: bool) {
+            Self::set_shil_enabled(self, on)
+        }
+        fn set_lane_noise_amplitude(&mut self, replica: usize, sigma: f64) {
+            Self::set_lane_noise_amplitude(self, replica, sigma)
+        }
+        fn set_shil(&mut self, node: usize, replica: usize, shil: Option<Shil>) {
+            Self::set_shil(self, node, replica, shil)
+        }
+        fn edge_enabled(&self, edge: usize, replica: usize) -> bool {
+            Self::edge_enabled(self, edge, replica)
+        }
+        fn set_edge_enabled(&mut self, edge: usize, replica: usize, on: bool) {
+            Self::set_edge_enabled(self, edge, replica, on)
+        }
+    };
+}
+
+impl StageKernel for BatchKernel {
+    type Phase = f64;
+    type Integrator = BatchIntegrator;
+
+    fn from_radians(theta: f64) -> f64 {
+        theta
+    }
+
+    fn to_radians(theta: f64) -> f64 {
+        theta
+    }
+
+    fn buffers<'a>(
+        float: (&'a mut BatchIntegrator, &'a mut [f64]),
+        _: (&'a mut FxBatchIntegrator, &'a mut [i32]),
+    ) -> (&'a mut BatchIntegrator, &'a mut [f64]) {
+        float
+    }
+
+    fn integrate(
+        &mut self,
+        integrator: &mut BatchIntegrator,
+        phases: &mut [f64],
+        w: &Window,
+        dt: f64,
+        rngs: &mut [StdRng],
+        ramped: Option<&[bool]>,
+    ) {
+        let (t0, t1) = (w.t_start, w.t_end());
+        match ramped {
+            Some(ramped) => integrator.integrate_ramped(
+                self,
+                phases,
+                t0,
+                t1,
+                dt,
+                rngs,
+                |f| f,
+                ramped,
+                |_, _| {},
+            ),
+            None => integrator.integrate(self, phases, t0, t1, dt, rngs),
+        }
+    }
+
+    /// Steps of `dt`, the last one shrunk to land on the window's end.
+    fn drift_jitter_lanes(
+        &self,
+        phases: &mut [f64],
+        w: &Window,
+        dt: f64,
+        configs: &[MsropmConfig],
+        rngs: &mut [StdRng],
+    ) {
+        let rr = rngs.len();
+        let (mut t, t_end) = (w.t_start, w.t_end());
+        while t < t_end {
+            let h = dt.min(t_end - t);
+            let sqrt_h = h.sqrt();
+            for i in 0..self.num_nodes() {
+                for (r, rng) in rngs.iter_mut().enumerate() {
+                    if let ReinitMode::JitterDrift { sigma } = configs[r].reinit {
+                        let xi = standard_normal(rng);
+                        let sig = if self.node_enabled(i) { sigma } else { 0.0 };
+                        phases[i * rr + r] += h * self.bias_of(i, r) + sqrt_h * sig * xi;
+                    }
+                }
+            }
+            t += h;
+        }
+    }
+
+    forward_stage_controls!();
+}
+
+impl StageKernel for FxBatchKernel {
+    type Phase = i32;
+    type Integrator = FxBatchIntegrator;
+
+    fn from_radians(theta: f64) -> i32 {
+        phase_to_turns(theta)
+    }
+
+    fn to_radians(q: i32) -> f64 {
+        turns_to_phase(q)
+    }
+
+    fn buffers<'a>(
+        _: (&'a mut BatchIntegrator, &'a mut [f64]),
+        fixed: (&'a mut FxBatchIntegrator, &'a mut [i32]),
+    ) -> (&'a mut FxBatchIntegrator, &'a mut [i32]) {
+        fixed
+    }
+
+    fn integrate(
+        &mut self,
+        integrator: &mut FxBatchIntegrator,
+        phases: &mut [i32],
+        w: &Window,
+        dt: f64,
+        rngs: &mut [StdRng],
+        ramped: Option<&[bool]>,
+    ) {
+        let (t0, t1) = (w.t_start, w.t_end());
+        match ramped {
+            Some(ramped) => {
+                integrator.integrate_ramped(self, phases, t0, t1, dt, rngs, |f| f, ramped)
+            }
+            None => integrator.integrate(self, phases, t0, t1, dt, rngs),
+        }
+    }
+
+    /// The uniform grid of [`FxBatchKernel::steps_for`] full steps (the
+    /// hardware clock), each lane's drift σ quantized to a per-step gain
+    /// once.
+    fn drift_jitter_lanes(
+        &self,
+        phases: &mut [i32],
+        w: &Window,
+        dt: f64,
+        configs: &[MsropmConfig],
+        rngs: &mut [StdRng],
+    ) {
+        let rr = rngs.len();
+        let gains: Vec<i64> = configs
+            .iter()
+            .map(|c| match c.reinit {
+                ReinitMode::JitterDrift { sigma } => fxkernel::noise_gain(sigma, dt),
+                ReinitMode::UniformRandom => 0,
+            })
+            .collect();
+        for _ in 0..self.steps_for(w.t_start, w.t_end()) {
+            for i in 0..self.num_nodes() {
+                for (r, rng) in rngs.iter_mut().enumerate() {
+                    if matches!(configs[r].reinit, ReinitMode::JitterDrift { .. }) {
+                        let xi = standard_normal(rng);
+                        let gain = if self.node_enabled(i) { gains[r] } else { 0 };
+                        let q = &mut phases[i * rr + r];
+                        *q = q
+                            .wrapping_add(self.bias_step_of(i, r))
+                            .wrapping_add(noise_increment(gain, xi));
+                    }
+                }
+            }
+        }
+    }
+
+    forward_stage_controls!();
+}
+
+/// Redraws i.i.d. uniform phases for the lanes `redraw` selects, lane by
+/// lane in node order (the order `PhaseNetwork::random_phases` draws).
+/// Both backends consume the identical uniform draws; the fixed-point
+/// one rounds each to the nearest of 2^32 turn counts.
+fn draw_uniform_phases<K: StageKernel>(
+    phases: &mut [K::Phase],
+    rngs: &mut [StdRng],
+    redraw: impl Fn(usize) -> bool,
+) {
+    let rr = rngs.len();
+    for (r, rng) in rngs.iter_mut().enumerate().filter(|(r, _)| redraw(*r)) {
+        for q in phases.iter_mut().skip(r).step_by(rr) {
+            *q = K::from_radians(rng.gen::<f64>() * TAU);
+        }
+    }
+}
+
 /// Advances one lane range through one full stage: Randomize → Anneal →
 /// Lock → readout → transition. `stage_windows` is the stage's three
-/// schedule windows in that order. This is *the* stage body — the
-/// single-shard loop and every shard task call exactly this function,
-/// so partitioning the lane range cannot change any lane's arithmetic.
-/// One backend match here keeps both numeric bodies fully monomorphic.
+/// schedule windows in that order. The single-shard loop and every shard
+/// task call exactly this function, so partitioning the lane range
+/// cannot change any lane's arithmetic. Its one backend match picks the
+/// monomorphized [`run_stage`].
 fn run_one_stage(
     graph: &Graph,
     stage: usize,
@@ -559,42 +797,40 @@ fn run_one_stage(
     stage_records: &mut [Vec<StageRecord>],
 ) {
     match kernel {
-        EngineKernel::F64(k) => {
-            run_one_stage_f64(graph, stage, stage_windows, dt, k, arena, stage_records)
-        }
-        EngineKernel::Fx(k) => {
-            run_one_stage_fx(graph, stage, stage_windows, dt, k, arena, stage_records)
-        }
+        EngineKernel::F64(k) => run_stage(graph, stage, stage_windows, dt, k, arena, stage_records),
+        EngineKernel::Fx(k) => run_stage(graph, stage, stage_windows, dt, k, arena, stage_records),
     }
 }
 
-/// The IEEE-double stage body (the reference arithmetic every property
-/// test is anchored to).
-fn run_one_stage_f64(
+/// The stage body both backends run. Readout converts each phase to
+/// radians and applies the same `phase_to_spin`/`lock_error` decisions,
+/// so binarization and quality metrics are defined identically across
+/// backends.
+fn run_stage<K: StageKernel>(
     graph: &Graph,
     stage: usize,
     stage_windows: &[Window],
     dt: f64,
-    kernel: &mut BatchKernel,
+    kernel: &mut K,
     arena: &mut BatchArena,
     stage_records: &mut [Vec<StageRecord>],
 ) {
     let n = graph.num_nodes();
     let BatchArena {
         integrator,
-        fx_integrator: _,
+        fx_integrator,
         rngs,
         configs,
         phases,
-        fx_phases: _,
+        fx_phases,
         groups,
         bits,
         stage_shils,
         ramped,
     } = arena;
+    let (integrator, phases) = K::buffers((integrator, phases), (fx_integrator, fx_phases));
     let rr = configs.len();
     let num_groups = 1usize << (stage - 1);
-    let any_ramped = ramped.iter().any(|&r| r);
     let [w_init, w_anneal, w_lock] = stage_windows else {
         panic!("stage {stage} must have exactly three windows");
     };
@@ -618,229 +854,24 @@ fn run_one_stage_f64(
             };
             kernel.set_lane_noise_amplitude(r, sigma);
         }
-        integrator.integrate(kernel, phases, w_init.t_start, w_init.t_end(), dt, rngs);
-        for (r, cfg) in configs.iter().enumerate() {
-            kernel.set_lane_noise_amplitude(r, cfg.noise);
-        }
-    } else if any_jitter {
-        // Mixed modes. Couplings and SHIL are off, so lanes are
-        // fully independent: advance jitter lanes by the exact
-        // bias + noise arithmetic of the kernel path (one deviate
-        // per node per step, in node order — the solo stream),
-        // while uniform lanes draw nothing until their redraw
-        // below.
-        let mut t = w_init.t_start;
-        let t_end = w_init.t_end();
-        while t < t_end {
-            let h = dt.min(t_end - t);
-            let sqrt_h = h.sqrt();
-            for i in 0..n {
-                let row = i * rr;
-                for (r, rng) in rngs.iter_mut().enumerate() {
-                    if let ReinitMode::JitterDrift { sigma } = configs[r].reinit {
-                        let xi = standard_normal(rng);
-                        let sig = if kernel.node_enabled(i) { sigma } else { 0.0 };
-                        phases[row + r] += h * kernel.bias_of(i, r) + sqrt_h * sig * xi;
-                    }
-                }
-            }
-            t += h;
-        }
-    }
-    for (r, rng) in rngs.iter_mut().enumerate() {
-        if configs[r].reinit == ReinitMode::UniformRandom {
-            for i in 0..n {
-                phases[i * rr + r] = rng.gen::<f64>() * TAU;
-            }
-        }
-    }
-
-    // ---- Anneal window (couplings on, SHIL off) ----
-    debug_assert_eq!(w_anneal.kind, WindowKind::Anneal);
-    kernel.set_couplings_enabled(true);
-    integrator.integrate(kernel, phases, w_anneal.t_start, w_anneal.t_end(), dt, rngs);
-
-    // ---- Lock window (couplings on, SHIL on) ----
-    debug_assert_eq!(w_lock.kind, WindowKind::Lock);
-    stage_shils.clear();
-    for cfg in configs.iter() {
-        stage_shils.extend(
-            (0..num_groups)
-                .map(|g| Shil::order2(stage_shil_phase(g, num_groups), cfg.shil_strength)),
-        );
-    }
-    let shil_of = |r: usize, g: usize| stage_shils[r * num_groups + g];
-    for i in 0..n {
-        for r in 0..rr {
-            kernel.set_shil(i, r, Some(shil_of(r, groups[i * rr + r])));
-        }
-    }
-    kernel.set_shil_enabled(true);
-    if any_ramped {
-        integrator.integrate_ramped(
-            kernel,
-            phases,
-            w_lock.t_start,
-            w_lock.t_end(),
-            dt,
-            rngs,
-            |f| f,
-            ramped,
-            |_, _| {},
-        );
-    } else {
-        integrator.integrate(kernel, phases, w_lock.t_start, w_lock.t_end(), dt, rngs);
-    }
-
-    // ---- Readout (per replica) ----
-    for i in 0..n {
-        for r in 0..rr {
-            let idx = i * rr + r;
-            bits[idx] = phase_to_spin(phases[idx], &shil_of(r, groups[idx])) == 1;
-        }
-    }
-    for r in 0..rr {
-        let worst_lock = (0..n)
-            .map(|i| lock_error(phases[i * rr + r], &shil_of(r, groups[i * rr + r])))
-            .fold(0.0f64, f64::max);
-        let replica_bits: Vec<bool> = (0..n).map(|i| bits[i * rr + r]).collect();
-        let mut cut_value = 0usize;
-        let mut active_edges = 0usize;
-        for (e, u, v) in graph.edges() {
-            if kernel.edge_enabled(e.index(), r) {
-                active_edges += 1;
-                if replica_bits[u.index()] != replica_bits[v.index()] {
-                    cut_value += 1;
-                }
-            }
-        }
-        stage_records[r].push(StageRecord {
-            stage,
-            partition: Cut::new(replica_bits),
-            cut_value,
-            active_edges,
-            max_lock_error: worst_lock,
-        });
-    }
-
-    // ---- Stage transition: latch SHIL_SEL, cut crossing couplings.
-    for idx in 0..n * rr {
-        groups[idx] = groups[idx] * 2 + usize::from(bits[idx]);
-    }
-    for (e, u, v) in graph.edges() {
-        let (u, v) = (u.index() * rr, v.index() * rr);
-        for r in 0..rr {
-            if groups[u + r] != groups[v + r] {
-                kernel.set_edge_enabled(e.index(), r, false);
-            }
-        }
-    }
-    kernel.set_shil_enabled(false);
-}
-
-/// The fixed-point stage body: the same control flow as
-/// [`run_one_stage_f64`] over `i32` binary-turn phases. The drift
-/// windows run on the fx integrator's uniform step grid (every step a
-/// full `dt`, the hardware clock); readout converts each phase word to
-/// radians and reuses the exact `phase_to_spin`/`lock_error` decision
-/// functions, so binarization and quality metrics are defined
-/// identically across backends.
-fn run_one_stage_fx(
-    graph: &Graph,
-    stage: usize,
-    stage_windows: &[Window],
-    dt: f64,
-    kernel: &mut FxBatchKernel,
-    arena: &mut BatchArena,
-    stage_records: &mut [Vec<StageRecord>],
-) {
-    let n = graph.num_nodes();
-    let BatchArena {
-        integrator: _,
-        fx_integrator: integrator,
-        rngs,
-        configs,
-        phases: _,
-        fx_phases: phases,
-        groups,
-        bits,
-        stage_shils,
-        ramped,
-    } = arena;
-    let rr = configs.len();
-    let num_groups = 1usize << (stage - 1);
-    let any_ramped = ramped.iter().any(|&r| r);
-    let [w_init, w_anneal, w_lock] = stage_windows else {
-        panic!("stage {stage} must have exactly three windows");
-    };
-
-    // ---- Randomize window (couplings off, SHIL off) ----
-    debug_assert_eq!(w_init.kind, WindowKind::Randomize);
-    kernel.set_couplings_enabled(false);
-    kernel.set_shil_enabled(false);
-    let any_jitter = configs
-        .iter()
-        .any(|c| matches!(c.reinit, ReinitMode::JitterDrift { .. }));
-    let any_uniform = configs
-        .iter()
-        .any(|c| c.reinit == ReinitMode::UniformRandom);
-    if any_jitter && !any_uniform {
-        // All lanes drift: run the kernel path with each lane's drift
-        // σ (as a quantized gain), then restore the annealing σ.
-        for (r, cfg) in configs.iter().enumerate() {
-            let ReinitMode::JitterDrift { sigma } = cfg.reinit else {
-                unreachable!("all lanes drift here")
-            };
-            kernel.set_lane_noise_amplitude(r, sigma);
-        }
-        integrator.integrate(kernel, phases, w_init.t_start, w_init.t_end(), dt, rngs);
+        kernel.integrate(integrator, phases, w_init, dt, rngs, None);
         for (r, cfg) in configs.iter().enumerate() {
             kernel.set_lane_noise_amplitude(r, cfg.noise);
         }
     } else if any_jitter {
         // Mixed modes. Couplings and SHIL are off, so lanes are fully
-        // independent: advance jitter lanes by the exact bias + noise
-        // arithmetic of the fx kernel path (one deviate per node per
-        // step, in node order — the solo stream), while uniform lanes
+        // independent: jitter lanes drift by hand while uniform lanes
         // draw nothing until their redraw below.
-        let drift_gains: Vec<i64> = configs
-            .iter()
-            .map(|c| match c.reinit {
-                ReinitMode::JitterDrift { sigma } => fxkernel::noise_gain(sigma, dt),
-                ReinitMode::UniformRandom => 0,
-            })
-            .collect();
-        for _ in 0..kernel.steps_for(w_init.t_start, w_init.t_end()) {
-            for i in 0..n {
-                let row = i * rr;
-                for (r, rng) in rngs.iter_mut().enumerate() {
-                    if matches!(configs[r].reinit, ReinitMode::JitterDrift { .. }) {
-                        let xi = standard_normal(rng);
-                        let gain = if kernel.node_enabled(i) {
-                            drift_gains[r]
-                        } else {
-                            0
-                        };
-                        phases[row + r] = phases[row + r]
-                            .wrapping_add(kernel.bias_step_of(i, r))
-                            .wrapping_add(noise_increment(gain, xi));
-                    }
-                }
-            }
-        }
+        kernel.drift_jitter_lanes(phases, w_init, dt, configs, rngs);
     }
-    for (r, rng) in rngs.iter_mut().enumerate() {
-        if configs[r].reinit == ReinitMode::UniformRandom {
-            for i in 0..n {
-                phases[i * rr + r] = phase_to_turns(rng.gen::<f64>() * TAU);
-            }
-        }
-    }
+    draw_uniform_phases::<K>(phases, rngs, |r| {
+        configs[r].reinit == ReinitMode::UniformRandom
+    });
 
     // ---- Anneal window (couplings on, SHIL off) ----
     debug_assert_eq!(w_anneal.kind, WindowKind::Anneal);
     kernel.set_couplings_enabled(true);
-    integrator.integrate(kernel, phases, w_anneal.t_start, w_anneal.t_end(), dt, rngs);
+    kernel.integrate(integrator, phases, w_anneal, dt, rngs, None);
 
     // ---- Lock window (couplings on, SHIL on) ----
     debug_assert_eq!(w_lock.kind, WindowKind::Lock);
@@ -858,35 +889,21 @@ fn run_one_stage_fx(
         }
     }
     kernel.set_shil_enabled(true);
-    if any_ramped {
-        integrator.integrate_ramped(
-            kernel,
-            phases,
-            w_lock.t_start,
-            w_lock.t_end(),
-            dt,
-            rngs,
-            |f| f,
-            ramped,
-        );
-    } else {
-        integrator.integrate(kernel, phases, w_lock.t_start, w_lock.t_end(), dt, rngs);
-    }
+    let ramped = ramped.iter().any(|&r| r).then_some(ramped.as_slice());
+    kernel.integrate(integrator, phases, w_lock, dt, rngs, ramped);
 
     // ---- Readout (per replica) ----
     for i in 0..n {
         for r in 0..rr {
             let idx = i * rr + r;
-            bits[idx] = phase_to_spin(turns_to_phase(phases[idx]), &shil_of(r, groups[idx])) == 1;
+            bits[idx] = phase_to_spin(K::to_radians(phases[idx]), &shil_of(r, groups[idx])) == 1;
         }
     }
     for r in 0..rr {
         let worst_lock = (0..n)
             .map(|i| {
-                lock_error(
-                    turns_to_phase(phases[i * rr + r]),
-                    &shil_of(r, groups[i * rr + r]),
-                )
+                let idx = i * rr + r;
+                lock_error(K::to_radians(phases[idx]), &shil_of(r, groups[idx]))
             })
             .fold(0.0f64, f64::max);
         let replica_bits: Vec<bool> = (0..n).map(|i| bits[i * rr + r]).collect();
@@ -985,7 +1002,6 @@ pub(crate) fn solve_lane_range_hooked<F>(
 where
     F: FnMut(usize, &mut StageBoundary) -> ControlFlow<()>,
 {
-    let rr = seeds.len();
     let PreparedRange {
         mut kernel,
         mut stage_records,
@@ -1012,16 +1028,9 @@ where
             &mut stage_records,
         );
         if stage < k {
-            let phases = arena_phases(&kernel, &mut arena.phases, &mut arena.fx_phases);
             let mut boundary = StageBoundary {
                 graph,
-                shards: vec![ShardSlice {
-                    kernel: &mut kernel,
-                    phases,
-                    groups: arena.groups.as_mut_slice(),
-                    stage_records: stage_records.as_mut_slice(),
-                    replicas: rr,
-                }],
+                shards: vec![ShardSlice::new(&mut kernel, arena, &mut stage_records)],
             };
             if hook(stage, &mut boundary).is_break() {
                 return None;
@@ -1102,18 +1111,7 @@ impl ShardRun {
     }
 
     fn boundary_slice(&mut self) -> ShardSlice<'_> {
-        let phases = arena_phases(
-            &self.kernel,
-            &mut self.arena.phases,
-            &mut self.arena.fx_phases,
-        );
-        ShardSlice {
-            kernel: &mut self.kernel,
-            phases,
-            groups: self.arena.groups.as_mut_slice(),
-            stage_records: self.stage_records.as_mut_slice(),
-            replicas: self.arena.configs.len(),
-        }
+        ShardSlice::new(&mut self.kernel, &mut self.arena, &mut self.stage_records)
     }
 
     fn finish(self) -> (Vec<MsropmSolution>, BatchArena) {

@@ -12,8 +12,6 @@
 //!   Welsh–Powell) used as sanity baselines.
 //! - [`Cut`]: 2-partitions (max-cut states), the stage-1 objective of the
 //!   divide-and-color procedure.
-//! - [`partition`]: splitting a graph into the electrically independent
-//!   sub-circuits produced by the `P_EN` coupling gating.
 //! - [`metrics`]: Hamming distances between solutions (Fig. 5(c)),
 //!   correlation coefficients (§4.1) and summary statistics.
 //! - [`io`]: DIMACS `.col` and plain edge-list readers/writers.
@@ -44,11 +42,9 @@ pub mod generators;
 mod graph;
 pub mod io;
 pub mod metrics;
-pub mod partition;
 
 pub use bitset::BitSet;
 pub use coloring::{Color, Coloring};
 pub use cut::Cut;
 pub use graph::{EdgeId, Graph, GraphBuilder, GraphError, NodeId};
 pub use io::graph_hash;
-pub use partition::{EdgeMask, Subgraph};

@@ -1,8 +1,8 @@
-//! Explicit fixed-step integrators: Euler, Heun, classic RK4.
+//! Explicit fixed-step integration: the classic RK4 method.
 //!
 //! The circuit simulator steps ring-oscillator node voltages with a time
-//! step pinned well below the oscillation period, so fixed-step explicit
-//! methods are the right tool (and keep the hot loop allocation-free).
+//! step pinned well below the oscillation period, so a fixed-step explicit
+//! method is the right tool (and keeps the hot loop allocation-free).
 
 use crate::system::OdeSystem;
 
@@ -15,8 +15,8 @@ pub trait FixedStepper {
     /// Advances `y` in place by one step `dt` starting at time `t`.
     fn step<S: OdeSystem>(&mut self, sys: &S, t: f64, y: &mut [f64], dt: f64);
 
-    /// Classical convergence order of the method (1 for Euler, 2 for Heun,
-    /// 4 for RK4); exposed so tests can verify observed order.
+    /// Classical convergence order of the method (4 for RK4); exposed so
+    /// tests can verify observed order.
     fn order(&self) -> usize;
 
     /// Integrates from `t0` to `t1` with steps of at most `dt`, shrinking
@@ -61,70 +61,6 @@ pub trait FixedStepper {
             t += h;
             observe(t, y);
         }
-    }
-}
-
-/// Forward Euler (order 1). Kept for convergence baselines and SDE parity.
-#[derive(Debug, Clone, Default)]
-pub struct Euler {
-    k: Vec<f64>,
-}
-
-impl Euler {
-    /// Creates an Euler stepper.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl FixedStepper for Euler {
-    fn step<S: OdeSystem>(&mut self, sys: &S, t: f64, y: &mut [f64], dt: f64) {
-        self.k.resize(sys.dim(), 0.0);
-        sys.eval(t, y, &mut self.k);
-        for (yi, ki) in y.iter_mut().zip(&self.k) {
-            *yi += dt * ki;
-        }
-    }
-
-    fn order(&self) -> usize {
-        1
-    }
-}
-
-/// Heun's method (explicit trapezoidal, order 2).
-#[derive(Debug, Clone, Default)]
-pub struct Heun {
-    k1: Vec<f64>,
-    k2: Vec<f64>,
-    ytmp: Vec<f64>,
-}
-
-impl Heun {
-    /// Creates a Heun stepper.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl FixedStepper for Heun {
-    #[allow(clippy::needless_range_loop)] // lockstep walk over k1/k2/ytmp/y
-    fn step<S: OdeSystem>(&mut self, sys: &S, t: f64, y: &mut [f64], dt: f64) {
-        let n = sys.dim();
-        self.k1.resize(n, 0.0);
-        self.k2.resize(n, 0.0);
-        self.ytmp.resize(n, 0.0);
-        sys.eval(t, y, &mut self.k1);
-        for i in 0..n {
-            self.ytmp[i] = y[i] + dt * self.k1[i];
-        }
-        sys.eval(t + dt, &self.ytmp, &mut self.k2);
-        for i in 0..n {
-            y[i] += 0.5 * dt * (self.k1[i] + self.k2[i]);
-        }
-    }
-
-    fn order(&self) -> usize {
-        2
     }
 }
 
@@ -210,20 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn euler_first_order() {
-        let p = observed_order(Euler::new());
-        assert!((p - 1.0).abs() < 0.1, "observed order {p}");
-        assert_eq!(Euler::new().order(), 1);
-    }
-
-    #[test]
-    fn heun_second_order() {
-        let p = observed_order(Heun::new());
-        assert!((p - 2.0).abs() < 0.1, "observed order {p}");
-        assert_eq!(Heun::new().order(), 2);
-    }
-
-    #[test]
     fn rk4_fourth_order() {
         let p = observed_order(Rk4::new());
         assert!((p - 4.0).abs() < 0.2, "observed order {p}");
@@ -266,7 +188,7 @@ mod tests {
     fn zero_length_interval_is_noop() {
         let sys = decay();
         let mut y = vec![1.0];
-        Euler::new().integrate(&sys, &mut y, 1.0, 1.0, 0.1);
+        Rk4::new().integrate(&sys, &mut y, 1.0, 1.0, 0.1);
         assert_eq!(y[0], 1.0);
     }
 
@@ -275,6 +197,6 @@ mod tests {
     fn rejects_nonpositive_dt() {
         let sys = decay();
         let mut y = vec![1.0];
-        Euler::new().integrate(&sys, &mut y, 0.0, 1.0, 0.0);
+        Rk4::new().integrate(&sys, &mut y, 0.0, 1.0, 0.0);
     }
 }

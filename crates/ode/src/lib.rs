@@ -6,15 +6,17 @@
 //! policy) does not provide. This crate implements the required integrators
 //! from scratch:
 //!
-//! - [`fixed`]: explicit fixed-step methods (Euler, Heun, classic RK4) used
-//!   by the circuit-level waveform simulator, where the time step is pinned
-//!   to a fraction of the ring-oscillator period.
-//! - [`adaptive`]: Dormand–Prince 5(4) with a PI step-size controller for
-//!   stiff-ish validation runs and convergence studies.
-//! - [`sde`]: Euler–Maruyama and stochastic Heun integrators with diagonal
-//!   additive noise, used for oscillator phase noise (jitter) — the physical
-//!   mechanism the paper uses to randomize initial phases.
-//! - [`observer`]: waveform recorders used to produce Fig. 3-style traces.
+//! - [`fixed`]: the classic fourth-order Runge–Kutta method, used by the
+//!   circuit-level waveform simulator (where the time step is pinned to a
+//!   fraction of the ring-oscillator period) and by the phase network's
+//!   deterministic relaxation.
+//! - [`sde`]: the Euler–Maruyama integrator with diagonal additive noise
+//!   (the reference the compiled phase kernels are checked against), and
+//!   the workspace's one Gaussian sampler, [`sde::standard_normal`], with
+//!   its multi-replica fill [`sde::fill_normal_batch`] — the oscillator
+//!   phase noise (jitter) the paper uses to randomize initial phases.
+//! - [`system`]: the `OdeSystem`/`SdeSystem` traits and the closure
+//!   adapter [`system::FnSystem`].
 //!
 //! State vectors are plain `&[f64]` slices: every system in this workspace
 //! is dense, real and first-order.
@@ -39,14 +41,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod fixed;
-pub mod observer;
 pub mod sde;
 pub mod system;
 
-pub use adaptive::{AdaptiveResult, DormandPrince54, OdeError, Tolerances};
-pub use fixed::{Euler, FixedStepper, Heun, Rk4};
-pub use observer::Recorder;
-pub use sde::{EulerMaruyama, SdeStepper, StochasticHeun};
+pub use fixed::{FixedStepper, Rk4};
+pub use sde::{EulerMaruyama, SdeStepper};
 pub use system::{OdeSystem, SdeSystem};

@@ -1,10 +1,9 @@
 //! Property-based tests of the integrators on randomly parameterized
 //! systems with known closed-form solutions.
 
-use msropm_ode::adaptive::{DormandPrince54, Tolerances};
-use msropm_ode::fixed::{Euler, FixedStepper, Heun, Rk4};
+use msropm_ode::fixed::{FixedStepper, Rk4};
 use msropm_ode::sde::{EulerMaruyama, SdeStepper};
-use msropm_ode::system::{FnSystem, OdeSystem, SdeSystem};
+use msropm_ode::system::{OdeSystem, SdeSystem};
 use proptest::prelude::*;
 
 /// Diagonal linear system dy_i/dt = -a_i y_i with exact solution
@@ -48,44 +47,6 @@ proptest! {
             let exact = initial[i] * (-rates[i] * 2.0).exp();
             prop_assert!((y[i] - exact).abs() < 1e-8, "component {i}: {} vs {exact}", y[i]);
         }
-    }
-
-    #[test]
-    fn higher_order_methods_are_more_accurate(rate in 0.2f64..2.0) {
-        let sys = Diagonal { rates: vec![rate], noise: 0.0 };
-        let exact = (-rate * 1.0f64).exp();
-        let dt = 0.05;
-        let mut err = Vec::new();
-        let run = |stepper: &mut dyn FnMut(&Diagonal, &mut Vec<f64>)| {
-            let mut y = vec![1.0];
-            stepper(&sys, &mut y);
-            (y[0] - exact).abs()
-        };
-        err.push(run(&mut |s, y| Euler::new().integrate(s, y, 0.0, 1.0, dt)));
-        err.push(run(&mut |s, y| Heun::new().integrate(s, y, 0.0, 1.0, dt)));
-        err.push(run(&mut |s, y| Rk4::new().integrate(s, y, 0.0, 1.0, dt)));
-        prop_assert!(err[1] <= err[0] * 1.05, "Heun {} vs Euler {}", err[1], err[0]);
-        prop_assert!(err[2] <= err[1] * 1.05, "RK4 {} vs Heun {}", err[2], err[1]);
-    }
-
-    #[test]
-    fn adaptive_agrees_with_fine_rk4(
-        omega in 0.3f64..3.0,
-        t_end in 0.5f64..6.0,
-    ) {
-        // Harmonic oscillator with random frequency: DOPRI5 vs fine RK4.
-        let sys = FnSystem::new(2, move |_t, y: &[f64], d: &mut [f64]| {
-            d[0] = y[1];
-            d[1] = -omega * omega * y[0];
-        });
-        let mut y_ref = vec![1.0, 0.0];
-        Rk4::new().integrate(&sys, &mut y_ref, 0.0, t_end, 1e-4);
-        let mut y_adp = vec![1.0, 0.0];
-        DormandPrince54::new(Tolerances { abs: 1e-10, rel: 1e-9 })
-            .integrate(&sys, &mut y_adp, 0.0, t_end)
-            .expect("smooth system integrates");
-        prop_assert!((y_ref[0] - y_adp[0]).abs() < 1e-6);
-        prop_assert!((y_ref[1] - y_adp[1]).abs() < 1e-6);
     }
 
     #[test]

@@ -59,7 +59,7 @@
 //! so the rebuild runs a few times per solve, never per step.
 
 use crate::fastmath::sin_slice;
-use crate::network::PhaseNetwork;
+use crate::network::{lane_base, PhaseNetwork};
 use crate::shil::Shil;
 use msropm_ode::sde::fill_normal_batch;
 use rand::Rng;
@@ -162,35 +162,7 @@ impl BatchKernel {
     /// node enables, or the global coupling/SHIL enables, or the state
     /// vector (`n·M`) does not fit 32-bit indices.
     pub fn from_lanes(nets: &[PhaseNetwork]) -> Self {
-        assert!(!nets.is_empty(), "need at least one lane network");
-        let base = &nets[0];
-        for (r, net) in nets.iter().enumerate() {
-            assert_eq!(
-                net.num_nodes(),
-                base.num_nodes(),
-                "lane {r} node count differs"
-            );
-            assert_eq!(
-                net.edge_endpoints(),
-                base.edge_endpoints(),
-                "lane {r} topology differs"
-            );
-            assert!(
-                (0..net.num_nodes()).all(|i| net.node_enabled(i) == base.node_enabled(i)),
-                "lane {r} ring enables differ"
-            );
-            assert_eq!(
-                net.couplings_enabled(),
-                base.couplings_enabled(),
-                "lane {r} global coupling enable differs"
-            );
-            assert_eq!(
-                net.shil_enabled(),
-                base.shil_enabled(),
-                "lane {r} global SHIL enable differs"
-            );
-        }
-        Self::build(base, nets.len(), Some(nets))
+        Self::build(lane_base(nets), nets.len(), Some(nets))
     }
 
     fn build(net: &PhaseNetwork, replicas: usize, lanes: Option<&[PhaseNetwork]>) -> Self {
@@ -1313,5 +1285,13 @@ mod tests {
         let mut y = vec![0.0; kernel.state_len()];
         let mut rngs = vec![StdRng::seed_from_u64(0)];
         BatchIntegrator::new().step(&kernel, &mut y, 0.01, &mut rngs);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 1 topology differs")]
+    fn from_lanes_rejects_lanes_with_different_topology() {
+        let path = PhaseNetwork::builder(&generators::path_graph(4)).build();
+        let cycle = PhaseNetwork::builder(&generators::cycle_graph(4)).build();
+        BatchKernel::from_lanes(&[path, cycle]);
     }
 }

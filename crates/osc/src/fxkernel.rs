@@ -90,7 +90,7 @@
 //! float path.
 
 use crate::fastmath::{round_half_away_any, sin_fast};
-use crate::network::PhaseNetwork;
+use crate::network::{lane_base, PhaseNetwork};
 use crate::shil::Shil;
 use msropm_ode::sde::fill_normal_batch;
 use rand::Rng;
@@ -282,35 +282,7 @@ impl FxBatchKernel {
     /// Panics if `nets` is empty, the networks disagree on topology,
     /// node enables or the global enables, or `dt` is invalid.
     pub fn from_lanes(nets: &[PhaseNetwork], dt: f64) -> Self {
-        assert!(!nets.is_empty(), "need at least one lane network");
-        let base = &nets[0];
-        for (r, net) in nets.iter().enumerate() {
-            assert_eq!(
-                net.num_nodes(),
-                base.num_nodes(),
-                "lane {r} node count differs"
-            );
-            assert_eq!(
-                net.edge_endpoints(),
-                base.edge_endpoints(),
-                "lane {r} topology differs"
-            );
-            assert!(
-                (0..net.num_nodes()).all(|i| net.node_enabled(i) == base.node_enabled(i)),
-                "lane {r} ring enables differ"
-            );
-            assert_eq!(
-                net.couplings_enabled(),
-                base.couplings_enabled(),
-                "lane {r} global coupling enable differs"
-            );
-            assert_eq!(
-                net.shil_enabled(),
-                base.shil_enabled(),
-                "lane {r} global SHIL enable differs"
-            );
-        }
-        Self::build(base, nets.len(), Some(nets), dt)
+        Self::build(lane_base(nets), nets.len(), Some(nets), dt)
     }
 
     fn build(net: &PhaseNetwork, replicas: usize, lanes: Option<&[PhaseNetwork]>, dt: f64) -> Self {
@@ -1313,5 +1285,13 @@ mod tests {
     #[should_panic(expected = "replica out of range")]
     fn idx_rejects_out_of_range_replica() {
         two_lane_path().idx(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 1 topology differs")]
+    fn from_lanes_rejects_lanes_with_different_topology() {
+        let path = PhaseNetwork::builder(&generators::path_graph(4)).build();
+        let cycle = PhaseNetwork::builder(&generators::cycle_graph(4)).build();
+        FxBatchKernel::from_lanes(&[path, cycle], 0.01);
     }
 }

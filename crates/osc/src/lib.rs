@@ -91,7 +91,6 @@
 pub mod batch;
 pub mod fastmath;
 pub mod fxkernel;
-pub mod landscape;
 pub mod lock;
 pub mod network;
 pub mod shil;

@@ -478,6 +478,47 @@ impl PhaseNetwork {
     }
 }
 
+/// Checks that per-lane networks can share one compiled kernel and
+/// returns lane 0's, the base the kernel compiles its shared structure
+/// from: the lanes must agree on topology, ring enables and the global
+/// coupling/SHIL enables, and may differ in weights, noise, offsets,
+/// SHIL assignments and per-edge gating.
+///
+/// # Panics
+///
+/// Panics if `nets` is empty or any lane disagrees with lane 0.
+pub(crate) fn lane_base(nets: &[PhaseNetwork]) -> &PhaseNetwork {
+    assert!(!nets.is_empty(), "need at least one lane network");
+    let base = &nets[0];
+    for (r, net) in nets.iter().enumerate() {
+        assert_eq!(
+            net.num_nodes(),
+            base.num_nodes(),
+            "lane {r} node count differs"
+        );
+        assert_eq!(
+            net.edge_endpoints(),
+            base.edge_endpoints(),
+            "lane {r} topology differs"
+        );
+        assert!(
+            (0..net.num_nodes()).all(|i| net.node_enabled(i) == base.node_enabled(i)),
+            "lane {r} ring enables differ"
+        );
+        assert_eq!(
+            net.couplings_enabled(),
+            base.couplings_enabled(),
+            "lane {r} global coupling enable differs"
+        );
+        assert_eq!(
+            net.shil_enabled(),
+            base.shil_enabled(),
+            "lane {r} global SHIL enable differs"
+        );
+    }
+    base
+}
+
 impl OdeSystem for PhaseNetwork {
     fn dim(&self) -> usize {
         self.num_nodes

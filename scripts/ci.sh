@@ -97,6 +97,9 @@ stage_test() {
     # bit for bit; only a release build vectorizes, so only there does
     # the check compare vector code with vector code.
     cargo test -q --release -p msropm-osc --lib every_tier_matches_base_bitwise
+    # The golden digests and the lane-identity contracts, in release
+    # too: production runs release builds.
+    cargo test -q --release --test f64_golden --test fx_golden --test lane_equivalence --test batch_determinism
 }
 
 stage_build() {
