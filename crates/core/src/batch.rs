@@ -28,15 +28,18 @@
 //! the same per-shard state, so 1-shard and N-shard solves are
 //! bit-identical by construction.
 //!
-//! Both kernel backends run that one body too. `run_stage` is generic
-//! over a private `StageKernel` trait, implemented by [`BatchKernel`]
-//! and [`FxBatchKernel`], that carries only what the backends do
-//! differently: the phase word (`f64` radians or `i32` binary turns)
-//! and its radian conversions, the integrator, and the hand step of a
-//! randomize window that mixes re-init modes (the float grid shrinks a
-//! window's last step; the fixed-point grid takes uniform full steps).
-//! `run_one_stage` picks the body monomorphized for the lane range's
-//! backend, so neither hot loop pays for the other.
+//! Both kernel backends run that one body too. `run_stage` takes a
+//! [`LaneKernel<K>`] and drives the lane controls (`P_EN`, `G_EN`,
+//! `SHIL_SEL`, `SHIL_EN`, σ-lanes) through its methods, which
+//! `msropm_osc::lanes` writes once for both number formats. The format
+//! `K` implements a private `StageKernel` trait that carries only what
+//! the backends do differently: the phase word (`f64` radians or `i32`
+//! binary turns) and its radian conversions, the integrator, and the
+//! hand step of a randomize window that mixes re-init modes (the float
+//! grid shrinks a window's last step; the fixed-point grid takes
+//! uniform full steps). `run_one_stage` picks the body monomorphized
+//! for the lane range's backend, so neither hot loop pays for the
+//! other.
 //!
 //! # Determinism contract
 //!
@@ -74,10 +77,11 @@ use crate::pool::{faultinject, ShardPool};
 use crate::schedule::{ScheduleSet, Window, WindowKind};
 use msropm_graph::{Color, Coloring, Cut, Graph};
 use msropm_ode::sde::standard_normal;
-use msropm_osc::batch::{BatchIntegrator, BatchKernel};
+use msropm_osc::batch::{BatchIntegrator, BatchKernel, F64};
 use msropm_osc::fxkernel::{
-    self, noise_increment, phase_to_turns, turns_to_phase, FxBatchIntegrator, FxBatchKernel,
+    self, noise_increment, phase_to_turns, turns_to_phase, Fixed, FxBatchIntegrator, FxBatchKernel,
 };
+use msropm_osc::lanes::{LaneFormat, LaneKernel};
 use msropm_osc::lock::{lock_error, phase_to_spin};
 use msropm_osc::shil::{stage_shil_phase, Shil};
 use msropm_osc::PhaseNetwork;
@@ -509,11 +513,11 @@ fn prepare_lane_range(
     match backend {
         KernelBackend::F64 => {
             refill(phases, n * rr, 0.0);
-            draw_uniform_phases::<BatchKernel>(phases, rngs, |_| true);
+            draw_uniform_phases::<F64>(phases, rngs, |_| true);
         }
         KernelBackend::Fixed => {
             refill(fx_phases, n * rr, 0);
-            draw_uniform_phases::<FxBatchKernel>(fx_phases, rngs, |_| true);
+            draw_uniform_phases::<Fixed>(fx_phases, rngs, |_| true);
         }
     }
 
@@ -533,10 +537,11 @@ fn prepare_lane_range(
     }
 }
 
-/// What a kernel backend supplies to the one stage body, [`run_stage`]
-/// (see the module docs). The control calls forward to the kernels'
-/// inherent methods.
-trait StageKernel {
+/// What a kernel format supplies to the one stage body, [`run_stage`]
+/// (see the module docs). The lane controls are [`LaneKernel`]'s own,
+/// shared by both formats, so only the phase word, the integrator and
+/// the mixed re-init hand step are listed here.
+trait StageKernel: LaneFormat {
     /// One phase: `f64` radians or `i32` binary turns.
     type Phase: Copy;
     /// The backend's reusable Euler–Maruyama driver.
@@ -558,7 +563,7 @@ trait StageKernel {
     /// Integrates every lane over `window`, ramping the SHIL scale of the
     /// lanes `ramped` marks (when given) on the shared step sequence.
     fn integrate(
-        &mut self,
+        kernel: &mut LaneKernel<Self>,
         integrator: &mut Self::Integrator,
         phases: &mut [Self::Phase],
         window: &Window,
@@ -572,49 +577,16 @@ trait StageKernel {
     /// node per step, in node order: the solo stream), on this backend's
     /// step grid. Uniform lanes draw nothing.
     fn drift_jitter_lanes(
-        &self,
+        kernel: &LaneKernel<Self>,
         phases: &mut [Self::Phase],
         window: &Window,
         dt: f64,
         configs: &[MsropmConfig],
         rngs: &mut [StdRng],
     );
-
-    fn set_couplings_enabled(&mut self, on: bool);
-    fn set_shil_enabled(&mut self, on: bool);
-    fn set_lane_noise_amplitude(&mut self, replica: usize, sigma: f64);
-    fn set_shil(&mut self, node: usize, replica: usize, shil: Option<Shil>);
-    fn edge_enabled(&self, edge: usize, replica: usize) -> bool;
-    fn set_edge_enabled(&mut self, edge: usize, replica: usize, on: bool);
 }
 
-/// Implements [`StageKernel`]'s control calls by forwarding each to the
-/// kernel's inherent method of the same name (a path `Self::name`
-/// resolves to the inherent method before the trait's).
-macro_rules! forward_stage_controls {
-    () => {
-        fn set_couplings_enabled(&mut self, on: bool) {
-            Self::set_couplings_enabled(self, on)
-        }
-        fn set_shil_enabled(&mut self, on: bool) {
-            Self::set_shil_enabled(self, on)
-        }
-        fn set_lane_noise_amplitude(&mut self, replica: usize, sigma: f64) {
-            Self::set_lane_noise_amplitude(self, replica, sigma)
-        }
-        fn set_shil(&mut self, node: usize, replica: usize, shil: Option<Shil>) {
-            Self::set_shil(self, node, replica, shil)
-        }
-        fn edge_enabled(&self, edge: usize, replica: usize) -> bool {
-            Self::edge_enabled(self, edge, replica)
-        }
-        fn set_edge_enabled(&mut self, edge: usize, replica: usize, on: bool) {
-            Self::set_edge_enabled(self, edge, replica, on)
-        }
-    };
-}
-
-impl StageKernel for BatchKernel {
+impl StageKernel for F64 {
     type Phase = f64;
     type Integrator = BatchIntegrator;
 
@@ -634,7 +606,7 @@ impl StageKernel for BatchKernel {
     }
 
     fn integrate(
-        &mut self,
+        kernel: &mut BatchKernel,
         integrator: &mut BatchIntegrator,
         phases: &mut [f64],
         w: &Window,
@@ -645,7 +617,7 @@ impl StageKernel for BatchKernel {
         let (t0, t1) = (w.t_start, w.t_end());
         match ramped {
             Some(ramped) => integrator.integrate_ramped(
-                self,
+                kernel,
                 phases,
                 t0,
                 t1,
@@ -655,13 +627,13 @@ impl StageKernel for BatchKernel {
                 ramped,
                 |_, _| {},
             ),
-            None => integrator.integrate(self, phases, t0, t1, dt, rngs),
+            None => integrator.integrate(kernel, phases, t0, t1, dt, rngs),
         }
     }
 
     /// Steps of `dt`, the last one shrunk to land on the window's end.
     fn drift_jitter_lanes(
-        &self,
+        kernel: &BatchKernel,
         phases: &mut [f64],
         w: &Window,
         dt: f64,
@@ -673,23 +645,21 @@ impl StageKernel for BatchKernel {
         while t < t_end {
             let h = dt.min(t_end - t);
             let sqrt_h = h.sqrt();
-            for i in 0..self.num_nodes() {
+            for i in 0..kernel.num_nodes() {
                 for (r, rng) in rngs.iter_mut().enumerate() {
                     if let ReinitMode::JitterDrift { sigma } = configs[r].reinit {
                         let xi = standard_normal(rng);
-                        let sig = if self.node_enabled(i) { sigma } else { 0.0 };
-                        phases[i * rr + r] += h * self.bias_of(i, r) + sqrt_h * sig * xi;
+                        let sig = if kernel.node_enabled(i) { sigma } else { 0.0 };
+                        phases[i * rr + r] += h * kernel.bias_of(i, r) + sqrt_h * sig * xi;
                     }
                 }
             }
             t += h;
         }
     }
-
-    forward_stage_controls!();
 }
 
-impl StageKernel for FxBatchKernel {
+impl StageKernel for Fixed {
     type Phase = i32;
     type Integrator = FxBatchIntegrator;
 
@@ -709,7 +679,7 @@ impl StageKernel for FxBatchKernel {
     }
 
     fn integrate(
-        &mut self,
+        kernel: &mut FxBatchKernel,
         integrator: &mut FxBatchIntegrator,
         phases: &mut [i32],
         w: &Window,
@@ -720,9 +690,9 @@ impl StageKernel for FxBatchKernel {
         let (t0, t1) = (w.t_start, w.t_end());
         match ramped {
             Some(ramped) => {
-                integrator.integrate_ramped(self, phases, t0, t1, dt, rngs, |f| f, ramped)
+                integrator.integrate_ramped(kernel, phases, t0, t1, dt, rngs, |f| f, ramped)
             }
-            None => integrator.integrate(self, phases, t0, t1, dt, rngs),
+            None => integrator.integrate(kernel, phases, t0, t1, dt, rngs),
         }
     }
 
@@ -730,7 +700,7 @@ impl StageKernel for FxBatchKernel {
     /// hardware clock), each lane's drift σ quantized to a per-step gain
     /// once.
     fn drift_jitter_lanes(
-        &self,
+        kernel: &FxBatchKernel,
         phases: &mut [i32],
         w: &Window,
         dt: f64,
@@ -745,23 +715,21 @@ impl StageKernel for FxBatchKernel {
                 ReinitMode::UniformRandom => 0,
             })
             .collect();
-        for _ in 0..self.steps_for(w.t_start, w.t_end()) {
-            for i in 0..self.num_nodes() {
+        for _ in 0..kernel.steps_for(w.t_start, w.t_end()) {
+            for i in 0..kernel.num_nodes() {
                 for (r, rng) in rngs.iter_mut().enumerate() {
                     if matches!(configs[r].reinit, ReinitMode::JitterDrift { .. }) {
                         let xi = standard_normal(rng);
-                        let gain = if self.node_enabled(i) { gains[r] } else { 0 };
+                        let gain = if kernel.node_enabled(i) { gains[r] } else { 0 };
                         let q = &mut phases[i * rr + r];
                         *q = q
-                            .wrapping_add(self.bias_step_of(i, r))
+                            .wrapping_add(kernel.bias_of(i, r))
                             .wrapping_add(noise_increment(gain, xi));
                     }
                 }
             }
         }
     }
-
-    forward_stage_controls!();
 }
 
 /// Redraws i.i.d. uniform phases for the lanes `redraw` selects, lane by
@@ -811,7 +779,7 @@ fn run_stage<K: StageKernel>(
     stage: usize,
     stage_windows: &[Window],
     dt: f64,
-    kernel: &mut K,
+    kernel: &mut LaneKernel<K>,
     arena: &mut BatchArena,
     stage_records: &mut [Vec<StageRecord>],
 ) {
@@ -854,7 +822,7 @@ fn run_stage<K: StageKernel>(
             };
             kernel.set_lane_noise_amplitude(r, sigma);
         }
-        kernel.integrate(integrator, phases, w_init, dt, rngs, None);
+        K::integrate(kernel, integrator, phases, w_init, dt, rngs, None);
         for (r, cfg) in configs.iter().enumerate() {
             kernel.set_lane_noise_amplitude(r, cfg.noise);
         }
@@ -862,7 +830,7 @@ fn run_stage<K: StageKernel>(
         // Mixed modes. Couplings and SHIL are off, so lanes are fully
         // independent: jitter lanes drift by hand while uniform lanes
         // draw nothing until their redraw below.
-        kernel.drift_jitter_lanes(phases, w_init, dt, configs, rngs);
+        K::drift_jitter_lanes(kernel, phases, w_init, dt, configs, rngs);
     }
     draw_uniform_phases::<K>(phases, rngs, |r| {
         configs[r].reinit == ReinitMode::UniformRandom
@@ -871,7 +839,7 @@ fn run_stage<K: StageKernel>(
     // ---- Anneal window (couplings on, SHIL off) ----
     debug_assert_eq!(w_anneal.kind, WindowKind::Anneal);
     kernel.set_couplings_enabled(true);
-    kernel.integrate(integrator, phases, w_anneal, dt, rngs, None);
+    K::integrate(kernel, integrator, phases, w_anneal, dt, rngs, None);
 
     // ---- Lock window (couplings on, SHIL on) ----
     debug_assert_eq!(w_lock.kind, WindowKind::Lock);
@@ -890,7 +858,7 @@ fn run_stage<K: StageKernel>(
     }
     kernel.set_shil_enabled(true);
     let ramped = ramped.iter().any(|&r| r).then_some(ramped.as_slice());
-    kernel.integrate(integrator, phases, w_lock, dt, rngs, ramped);
+    K::integrate(kernel, integrator, phases, w_lock, dt, rngs, ramped);
 
     // ---- Readout (per replica) ----
     for i in 0..n {

@@ -26,6 +26,14 @@
 //! sweep, so heterogeneous parameter portfolios run at homogeneous-batch
 //! speed with no per-step branching.
 //!
+//! **What lives here.** [`BatchKernel`] is [`LaneKernel`] in the
+//! [`F64`] format. The lane controls and their rules (an edge conducts
+//! only between working rings; a defective ring gets no bias, SHIL or
+//! noise) are written once in [`crate::lanes`] for both number formats.
+//! This module holds what is f64's own: values stored as given, the
+//! gating compiled into a [`Sweep`], the drift body and
+//! [`BatchIntegrator`].
+//!
 //! Noise is drawn through
 //! [`fill_normal_batch`] from one
 //! seeded RNG **per replica**, in the same per-replica order a sequential
@@ -59,74 +67,108 @@
 //! so the rebuild runs a few times per solve, never per step.
 
 use crate::fastmath::sin_slice;
+use crate::lanes::{LaneFormat, LaneKernel};
 use crate::network::{lane_base, PhaseNetwork};
-use crate::shil::Shil;
 use msropm_ode::sde::fill_normal_batch;
 use rand::Rng;
-use std::cell::OnceCell;
 
 /// Fewest lanes at which a shard whose live edges conduct in every lane
 /// sweeps per-edge rows instead of pairs (see the module docs).
 const ROW_MIN_LANES: usize = 8;
 
-/// What one drift sweeps, compiled from the gating.
+/// The IEEE-double [`LaneFormat`]: every value is stored as given, and
+/// the gating compiles into a [`Sweep`].
+#[derive(Debug, Clone, Copy)]
+pub struct F64;
+
+/// What one f64 drift sweeps, compiled from the gating (see the module
+/// docs).
 #[derive(Debug, Clone)]
-enum Sweep {
+pub enum Sweep {
     /// Ids of the live edges, ascending, when each conducts in every
-    /// lane of a shard of at least [`ROW_MIN_LANES`] lanes.
+    /// lane of a shard of at least 8 lanes (`ROW_MIN_LANES`).
     Rows(Vec<u32>),
     /// One entry per conducting `(edge, lane)` in (edge id, lane) order:
     /// the state indices `u·M + r` and `v·M + r` and the lane's weight.
     Pairs {
+        /// State index of each pair's first endpoint.
         u: Vec<u32>,
+        /// State index of each pair's second endpoint.
         v: Vec<u32>,
+        /// Each pair's lane weight.
         w: Vec<f64>,
     },
 }
 
-/// A compiled multi-replica coupling kernel (see the module docs).
-///
-/// Gating is mutable in place (per-replica gating bits) because each
-/// replica's `P_EN`/`SHIL_SEL` state evolves independently across
-/// solution stages; recompiling per window would cost O(n·M + m·M) for
-/// no benefit.
-///
-/// Every control parameter is a **per-replica lane**: ungated edge
-/// weights (`K`-lanes), noise amplitudes (`σ`-lanes), SHIL tables and
-/// SHIL ramp scales. [`BatchKernel::new`] broadcasts one network across
-/// all lanes; [`BatchKernel::from_lanes`] gives each lane the weights
-/// and noise of its own network, which is how heterogeneous parameter
-/// sweeps enter the hot loop without any per-step branching.
-#[derive(Debug, Clone)]
-pub struct BatchKernel {
-    num_nodes: usize,
-    replicas: usize,
-    /// Edge endpoints in edge-id order (all graph edges).
-    edge_u: Vec<u32>,
-    edge_v: Vec<u32>,
-    /// Ungated physical weight lanes `[e*M + r]` (per-replica `K`).
-    base_weight: Vec<f64>,
-    /// Gating `[e*M + r]`: `true` where the edge conducts in that lane.
-    edge_on: Vec<bool>,
-    /// The compiled sweep; emptied by any gating change and rebuilt by
-    /// the next drift.
-    sweep: OnceCell<Sweep>,
-    node_enabled: Vec<bool>,
-    /// Per-(node, replica) frequency offsets `[i*M + r]`.
-    bias: Vec<f64>,
-    /// Dense per-(node, replica) SHIL table.
-    shil_m: Vec<f64>,
-    shil_psi: Vec<f64>,
-    shil_ks: Vec<f64>,
-    /// Per-replica SHIL ramp scale (the OIM ramp, one lane at a time).
-    shil_scale: Vec<f64>,
-    /// Per-(node, replica) diffusion σ `[i*M + r]` (defective rings 0).
-    noise_sig: Vec<f64>,
-    /// Per-replica noise amplitude (the value `noise_sig` lanes carry on
-    /// functional rings).
-    noise_amp: Vec<f64>,
-    couplings_on: bool,
-    shil_on: bool,
+impl LaneFormat for F64 {
+    type Word = f64;
+    type Gain = f64;
+    type Gating = Sweep;
+
+    fn rate(&self, per_time: f64) -> f64 {
+        per_time
+    }
+
+    fn order(&self, m: u32) -> f64 {
+        m as f64
+    }
+
+    fn phase(&self, theta: f64) -> f64 {
+        theta
+    }
+
+    fn scale(&self, scale: f64) -> f64 {
+        scale
+    }
+
+    fn gain(&self, sigma: f64) -> f64 {
+        sigma
+    }
+
+    /// Per-edge rows when every live edge conducts in every lane of a
+    /// wide shard, else the live-pair list, both at exact capacity.
+    fn compile(k: &BatchKernel) -> Sweep {
+        let rr = k.replicas;
+        let m = k.edge_u.len();
+        let lanes = |e: usize| &k.edge_on[e * rr..(e + 1) * rr];
+        let (mut pairs, mut live, mut uniform) = (0, 0, true);
+        for e in 0..m {
+            let on = lanes(e).iter().filter(|&&b| b).count();
+            pairs += on;
+            live += usize::from(on > 0);
+            uniform &= on == 0 || on == rr;
+        }
+        if uniform && rr >= ROW_MIN_LANES {
+            let mut ids = Vec::with_capacity(live);
+            ids.extend((0..m).filter(|&e| lanes(e)[0]).map(|e| e as u32));
+            return Sweep::Rows(ids);
+        }
+        let mut u = Vec::with_capacity(pairs);
+        let mut v = Vec::with_capacity(pairs);
+        let mut w = Vec::with_capacity(pairs);
+        for e in 0..m {
+            let (eu, ev) = (k.edge_u[e] as usize * rr, k.edge_v[e] as usize * rr);
+            for r in (0..rr).filter(|&r| lanes(e)[r]) {
+                u.push((eu + r) as u32);
+                v.push((ev + r) as u32);
+                w.push(k.base_weight[e * rr + r]);
+            }
+        }
+        Sweep::Pairs { u, v, w }
+    }
+}
+
+/// The multi-replica IEEE-double coupling kernel: a [`LaneKernel`] in
+/// the [`F64`] format (see the module docs).
+pub type BatchKernel = LaneKernel<F64>;
+
+/// Panics unless the `n·M` state vector fits 32-bit indices (the sweep
+/// stores state indices as `u32`).
+fn assert_u32_indexable(n: usize, replicas: usize) {
+    assert!(
+        u32::try_from(n * replicas).is_ok(),
+        "state vector of {n}x{replicas} exceeds 32-bit indices"
+    );
 }
 
 impl BatchKernel {
@@ -140,7 +182,8 @@ impl BatchKernel {
     /// 32-bit indices.
     pub fn new(net: &PhaseNetwork, replicas: usize) -> Self {
         assert!(replicas > 0, "need at least one replica");
-        Self::build(net, replicas, None)
+        assert_u32_indexable(net.num_nodes(), replicas);
+        LaneKernel::build(F64, net, replicas, None)
     }
 
     /// Builds a **heterogeneous** batch kernel: lane `r` takes its edge
@@ -162,159 +205,15 @@ impl BatchKernel {
     /// node enables, or the global coupling/SHIL enables, or the state
     /// vector (`n·M`) does not fit 32-bit indices.
     pub fn from_lanes(nets: &[PhaseNetwork]) -> Self {
-        Self::build(lane_base(nets), nets.len(), Some(nets))
-    }
-
-    fn build(net: &PhaseNetwork, replicas: usize, lanes: Option<&[PhaseNetwork]>) -> Self {
-        let n = net.num_nodes();
-        let m = net.num_edges();
-        let lane_net = |r: usize| lanes.map_or(net, |nets| &nets[r]);
-        assert!(
-            u32::try_from(n * replicas).is_ok(),
-            "state vector of {n}x{replicas} exceeds 32-bit indices"
-        );
-        let mut edge_u = Vec::with_capacity(m);
-        let mut edge_v = Vec::with_capacity(m);
-        for &(u, v) in net.edge_endpoints() {
-            edge_u.push(u);
-            edge_v.push(v);
-        }
-        let mut base_weight = vec![0.0; m * replicas];
-        for e in 0..m {
-            for r in 0..replicas {
-                base_weight[e * replicas + r] = lane_net(r).edge_weight(e);
-            }
-        }
-        let node_enabled: Vec<bool> = (0..n).map(|i| net.node_enabled(i)).collect();
-        let mut kernel = BatchKernel {
-            num_nodes: n,
-            replicas,
-            edge_u,
-            edge_v,
-            base_weight,
-            edge_on: vec![false; m * replicas],
-            sweep: OnceCell::new(),
-            node_enabled,
-            bias: vec![0.0; n * replicas],
-            shil_m: vec![0.0; n * replicas],
-            shil_psi: vec![0.0; n * replicas],
-            shil_ks: vec![0.0; n * replicas],
-            shil_scale: vec![1.0; replicas],
-            noise_sig: vec![0.0; n * replicas],
-            noise_amp: vec![0.0; replicas],
-            couplings_on: net.couplings_enabled(),
-            shil_on: net.shil_enabled(),
-        };
-        for e in 0..m {
-            for r in 0..replicas {
-                kernel.set_edge_enabled(e, r, lane_net(r).edge_enabled(e));
-            }
-        }
-        for i in 0..n {
-            for r in 0..replicas {
-                kernel.set_bias(i, r, lane_net(r).delta_omega()[i]);
-                kernel.set_shil(i, r, lane_net(r).shil_of(i));
-            }
-        }
-        for r in 0..replicas {
-            kernel.set_lane_noise_amplitude(r, lane_net(r).noise_amplitude());
-        }
-        kernel
-    }
-
-    /// Number of oscillators per replica.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of replicas (`M`).
-    pub fn num_replicas(&self) -> usize {
-        self.replicas
-    }
-
-    /// Length of the interleaved state vector (`n·M`).
-    pub fn state_len(&self) -> usize {
-        self.num_nodes * self.replicas
-    }
-
-    /// Index of node `i`, replica `r` in the interleaved state vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range.
-    #[inline(always)]
-    pub fn idx(&self, node: usize, replica: usize) -> usize {
-        assert!(replica < self.replicas, "replica out of range");
-        node * self.replicas + replica
-    }
-
-    /// Gates one coupling of one replica (that replica's `P_EN` bit).
-    /// An enabled edge conducts at that replica's own lane weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` or `replica` is out of range.
-    pub fn set_edge_enabled(&mut self, edge: usize, replica: usize, on: bool) {
-        assert!(replica < self.replicas, "replica out of range");
-        let (u, v) = (self.edge_u[edge] as usize, self.edge_v[edge] as usize);
-        let live = on && self.node_enabled[u] && self.node_enabled[v];
-        let lane = edge * self.replicas + replica;
-        if self.edge_on[lane] != live {
-            self.sweep.take();
-        }
-        self.edge_on[lane] = live;
-    }
-
-    /// Returns `true` if `edge` conducts for `replica`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` or `replica` is out of range.
-    pub fn edge_enabled(&self, edge: usize, replica: usize) -> bool {
-        assert!(replica < self.replicas, "replica out of range");
-        self.edge_on[edge * self.replicas + replica]
-    }
-
-    /// The sweep the drift runs (compiled here after a gating change):
-    /// per-edge rows when every live edge conducts in every lane of a
-    /// wide shard, else the live-pair list, both at exact capacity.
-    fn sweep(&self) -> &Sweep {
-        self.sweep.get_or_init(|| {
-            let rr = self.replicas;
-            let m = self.edge_u.len();
-            let lanes = |e: usize| &self.edge_on[e * rr..(e + 1) * rr];
-            let (mut pairs, mut live, mut uniform) = (0, 0, true);
-            for e in 0..m {
-                let on = lanes(e).iter().filter(|&&b| b).count();
-                pairs += on;
-                live += usize::from(on > 0);
-                uniform &= on == 0 || on == rr;
-            }
-            if uniform && rr >= ROW_MIN_LANES {
-                let mut ids = Vec::with_capacity(live);
-                ids.extend((0..m).filter(|&e| lanes(e)[0]).map(|e| e as u32));
-                return Sweep::Rows(ids);
-            }
-            let mut u = Vec::with_capacity(pairs);
-            let mut v = Vec::with_capacity(pairs);
-            let mut w = Vec::with_capacity(pairs);
-            for e in 0..m {
-                let (eu, ev) = (self.edge_u[e] as usize * rr, self.edge_v[e] as usize * rr);
-                for r in (0..rr).filter(|&r| lanes(e)[r]) {
-                    u.push((eu + r) as u32);
-                    v.push((ev + r) as u32);
-                    w.push(self.base_weight[e * rr + r]);
-                }
-            }
-            Sweep::Pairs { u, v, w }
-        })
+        let base = lane_base(nets);
+        assert_u32_indexable(base.num_nodes(), nets.len());
+        LaneKernel::build(F64, base, nets.len(), Some(nets))
     }
 
     /// Number of edges that conduct in at least one lane.
     pub fn num_live_edges(&self) -> usize {
-        let rr = self.replicas;
         self.edge_on
-            .chunks_exact(rr)
+            .chunks_exact(self.replicas)
             .filter(|lanes| lanes.contains(&true))
             .count()
     }
@@ -322,156 +221,10 @@ impl BatchKernel {
     /// Number of `(edge, lane)` couplings the drift sweeps.
     #[cfg(test)]
     fn num_live_pairs(&self) -> usize {
-        match self.sweep() {
+        match self.gating() {
             Sweep::Rows(ids) => ids.len() * self.replicas,
             Sweep::Pairs { w, .. } => w.len(),
         }
-    }
-
-    /// Raises every replica's `P_EN` on every edge — the start-of-run
-    /// control state every lane-range solve begins from (defective
-    /// rings' edges stay dead regardless).
-    pub fn enable_all_edges(&mut self) {
-        for e in 0..self.edge_u.len() {
-            for r in 0..self.replicas {
-                self.set_edge_enabled(e, r, true);
-            }
-        }
-    }
-
-    /// Sets the frequency offset of node `i` in `replica` (used for
-    /// per-replica process-variation sampling). Defective rings stay 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` or `replica` is out of range.
-    pub fn set_bias(&mut self, node: usize, replica: usize, delta_omega: f64) {
-        assert!(replica < self.replicas, "replica out of range");
-        let v = if self.node_enabled[node] {
-            delta_omega
-        } else {
-            0.0
-        };
-        self.bias[node * self.replicas + replica] = v;
-    }
-
-    /// Assigns (or clears) the SHIL source of node `i` in `replica` —
-    /// that replica's `SHIL_SEL` value. Defective rings keep `Ks = 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` or `replica` is out of range.
-    pub fn set_shil(&mut self, node: usize, replica: usize, shil: Option<Shil>) {
-        assert!(replica < self.replicas, "replica out of range");
-        let k = node * self.replicas + replica;
-        match shil {
-            Some(s) if self.node_enabled[node] => {
-                self.shil_m[k] = s.order() as f64;
-                self.shil_psi[k] = s.phase();
-                self.shil_ks[k] = s.strength();
-            }
-            _ => {
-                self.shil_m[k] = 0.0;
-                self.shil_psi[k] = 0.0;
-                self.shil_ks[k] = 0.0;
-            }
-        }
-    }
-
-    /// Frequency offset of node `i` in `replica`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` or `replica` is out of range.
-    pub fn bias_of(&self, node: usize, replica: usize) -> f64 {
-        assert!(replica < self.replicas, "replica out of range");
-        self.bias[node * self.replicas + replica]
-    }
-
-    /// Returns `true` if oscillator `node` is functional (ring `L_EN`).
-    pub fn node_enabled(&self, node: usize) -> bool {
-        self.node_enabled[node]
-    }
-
-    /// Global coupling enable (`G_EN`): skips the edge sweep when low.
-    pub fn set_couplings_enabled(&mut self, on: bool) {
-        self.couplings_on = on;
-    }
-
-    /// Global SHIL enable (`SHIL_EN`): skips the torque pass when low.
-    pub fn set_shil_enabled(&mut self, on: bool) {
-        self.shil_on = on;
-    }
-
-    /// Scales every SHIL strength of every replica at evaluation time
-    /// (the OIM ramp applied uniformly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is negative or non-finite.
-    pub fn set_shil_scale(&mut self, scale: f64) {
-        for r in 0..self.replicas {
-            self.set_lane_shil_scale(r, scale);
-        }
-    }
-
-    /// Scales the SHIL strengths of one replica at evaluation time —
-    /// the per-lane OIM ramp (lanes that don't ramp keep scale 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range or `scale` is negative or
-    /// non-finite.
-    pub fn set_lane_shil_scale(&mut self, replica: usize, scale: f64) {
-        assert!(
-            scale.is_finite() && scale >= 0.0,
-            "SHIL scale must be finite and non-negative, got {scale}"
-        );
-        self.shil_scale[replica] = scale;
-    }
-
-    /// Sets the white-noise amplitude σ of every replica's functional
-    /// rings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma < 0`.
-    pub fn set_noise_amplitude(&mut self, sigma: f64) {
-        for r in 0..self.replicas {
-            self.set_lane_noise_amplitude(r, sigma);
-        }
-    }
-
-    /// Sets the white-noise amplitude σ of one replica (its σ-lane);
-    /// defective rings stay at 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range or `sigma < 0`.
-    pub fn set_lane_noise_amplitude(&mut self, replica: usize, sigma: f64) {
-        assert!(sigma >= 0.0, "noise amplitude must be non-negative");
-        assert!(replica < self.replicas, "replica out of range");
-        self.noise_amp[replica] = sigma;
-        for i in 0..self.num_nodes {
-            self.noise_sig[i * self.replicas + replica] =
-                if self.node_enabled[i] { sigma } else { 0.0 };
-        }
-    }
-
-    /// Noise amplitude σ of replica 0 (all replicas agree unless
-    /// per-lane amplitudes were set — query
-    /// [`BatchKernel::lane_noise_amplitude`] for a specific lane).
-    pub fn noise_amplitude(&self) -> f64 {
-        self.noise_amp[0]
-    }
-
-    /// Noise amplitude σ of one replica.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range.
-    pub fn lane_noise_amplitude(&self, replica: usize) -> f64 {
-        self.noise_amp[replica]
     }
 
     /// Writes the interleaved drift into `dydt` (`scratch` holds the sin
@@ -493,7 +246,7 @@ impl BatchKernel {
         let rr = self.replicas;
         dydt.copy_from_slice(&self.bias);
         if self.couplings_on {
-            match self.sweep() {
+            match self.gating() {
                 Sweep::Pairs { u, v, w } => pair_drift(u, v, w, y, dydt, scratch),
                 Sweep::Rows(live) => self.row_drift(live, y, dydt, scratch),
             }
@@ -592,6 +345,9 @@ fn pair_drift(
 pub(crate) struct RampSchedule {
     segments: usize,
     steps_per_seg: usize,
+    /// The segment whose scale the ramped lanes carry (`usize::MAX`
+    /// before the first step).
+    current: usize,
 }
 
 impl RampSchedule {
@@ -609,18 +365,29 @@ impl RampSchedule {
         RampSchedule {
             segments,
             steps_per_seg: steps.div_ceil(segments),
+            current: usize::MAX,
         }
     }
 
-    /// Segment containing step `step` (0-based; steps past the planned
-    /// count stay in the last segment).
-    pub(crate) fn seg_of(&self, step: usize) -> usize {
-        (step / self.steps_per_seg).min(self.segments - 1)
-    }
-
-    /// Mid-segment ramp abscissa for segment `s`.
-    pub(crate) fn frac(&self, s: usize) -> f64 {
-        (s as f64 + 0.5) / self.segments as f64
+    /// Runs before step `step` (0-based; steps past the planned count
+    /// stay in the last segment). When the step opens segment `s`, sets
+    /// the SHIL scale of the lanes `ramped` marks to
+    /// `ramp((s + ½)/segments)`, the mid-segment ramp abscissa.
+    pub(crate) fn enter<F: LaneFormat>(
+        &mut self,
+        step: usize,
+        kernel: &mut LaneKernel<F>,
+        ramp: &impl Fn(f64) -> f64,
+        ramped: &[bool],
+    ) {
+        let s = (step / self.steps_per_seg).min(self.segments - 1);
+        if s != self.current {
+            let scale = ramp((s as f64 + 0.5) / self.segments as f64);
+            for (r, _) in ramped.iter().enumerate().filter(|(_, &on)| on) {
+                kernel.set_lane_shil_scale(r, scale);
+            }
+            self.current = s;
+        }
     }
 }
 
@@ -669,7 +436,7 @@ impl BatchIntegrator {
             let row = i * rr;
             for r in 0..rr {
                 y[row + r] += dt * self.drift[row + r]
-                    + sqrt_dt * kernel.noise_sig[row + r] * self.noise[row + r];
+                    + sqrt_dt * kernel.noise[row + r] * self.noise[row + r];
             }
         }
     }
@@ -755,22 +522,12 @@ impl BatchIntegrator {
             kernel.num_replicas(),
             "need one ramp flag per replica"
         );
-        let schedule = RampSchedule::new(t0, t1, dt);
+        let mut schedule = RampSchedule::new(t0, t1, dt);
         observe(t0, y);
         let mut t = t0;
         let mut step = 0usize;
-        let mut cur_seg = usize::MAX;
         while t < t1 {
-            let s = schedule.seg_of(step);
-            if s != cur_seg {
-                let scale = ramp(schedule.frac(s));
-                for (r, &is_ramped) in ramped.iter().enumerate() {
-                    if is_ramped {
-                        kernel.set_lane_shil_scale(r, scale);
-                    }
-                }
-                cur_seg = s;
-            }
+            schedule.enter(step, kernel, &ramp, ramped);
             let h = dt.min(t1 - t);
             self.step(kernel, y, h, rngs);
             t += h;
@@ -784,6 +541,7 @@ impl BatchIntegrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shil::Shil;
     use msropm_graph::{generators, Graph};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1165,7 +923,7 @@ mod tests {
             let dead = defective.then(|| rng.gen_range(0..g.num_nodes()));
             let nets = lane_networks(&g, lanes, gated, dead, &mut rng);
             let kernel = BatchKernel::from_lanes(&nets);
-            let rows = matches!(kernel.sweep(), Sweep::Rows(_));
+            let rows = matches!(kernel.gating(), Sweep::Rows(_));
             proptest::prop_assert_eq!(rows, lanes >= ROW_MIN_LANES && !gated);
             let n = g.num_nodes();
             let y: Vec<f64> = (0..n * lanes).map(|_| rng.gen::<f64>() * TAU).collect();
@@ -1225,7 +983,7 @@ mod tests {
         let mut net = PhaseNetwork::builder(&g).coupling_strength(1.0).build();
         net.set_node_enabled(4, false);
         let mut kernel = BatchKernel::new(&net, ROW_MIN_LANES);
-        assert!(matches!(kernel.sweep(), Sweep::Rows(_)));
+        assert!(matches!(kernel.gating(), Sweep::Rows(_)));
         let live = kernel.num_live_edges();
         assert!(
             live < g.num_edges(),
@@ -1233,10 +991,10 @@ mod tests {
         );
         assert_eq!(kernel.num_live_pairs(), live * ROW_MIN_LANES);
         kernel.set_edge_enabled(0, 3, false);
-        assert!(matches!(kernel.sweep(), Sweep::Pairs { .. }));
+        assert!(matches!(kernel.gating(), Sweep::Pairs { .. }));
         assert_eq!(kernel.num_live_pairs(), live * ROW_MIN_LANES - 1);
         assert!(matches!(
-            BatchKernel::new(&net, ROW_MIN_LANES - 1).sweep(),
+            BatchKernel::new(&net, ROW_MIN_LANES - 1).gating(),
             Sweep::Pairs { .. }
         ));
     }

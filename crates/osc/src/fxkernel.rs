@@ -1,6 +1,13 @@
 //! Fixed-point phase kernel: the Q-format integer backend behind the
 //! same `drift_into` contract as [`crate::batch::BatchKernel`].
 //!
+//! [`FxBatchKernel`] is [`LaneKernel`] in the [`Fixed`] format: the lane
+//! controls and their defective-ring rules are shared with the f64
+//! kernel in [`crate::lanes`]. This module holds what is fixed point's
+//! own: the quantization of every value at `dt`, the gating compiled
+//! into effective weight lanes, the LUT sine, the drift body and
+//! [`FxBatchIntegrator`].
+//!
 //! # Why a second numeric stack
 //!
 //! The float kernels have plateaued: `sin_fast` already vectorizes the
@@ -89,9 +96,10 @@
 //! and across shard widths by the same per-lane-stream argument as the
 //! float path.
 
+use crate::batch::RampSchedule;
 use crate::fastmath::{round_half_away_any, sin_fast};
+use crate::lanes::{LaneFormat, LaneKernel};
 use crate::network::{lane_base, PhaseNetwork};
-use crate::shil::Shil;
 use msropm_ode::sde::fill_normal_batch;
 use rand::Rng;
 use std::f64::consts::{FRAC_PI_2, TAU};
@@ -216,9 +224,62 @@ pub fn sin_turns_slice(qs: &mut [i32]) {
     }
 }
 
-/// The fixed-point multi-replica coupling kernel: the integer twin of
-/// [`crate::batch::BatchKernel`], same SoA layout (`y[i*M + r]`), same
-/// gating API, `dt` folded into every table at build time.
+/// The fixed-point [`LaneFormat`]: every rate is quantized to per-step
+/// turn counts at `dt`, phases to binary turns and the SHIL scale to
+/// Q16, and the gating compiles into the effective weight lanes (`0`
+/// where an edge is gated).
+#[derive(Debug, Clone, Copy)]
+pub struct Fixed {
+    dt: f64,
+}
+
+impl Fixed {
+    /// The format quantized at step size `dt`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` is not positive and finite.
+    fn at(dt: f64) -> Fixed {
+        assert!(dt.is_finite() && dt > 0.0, "step size must be positive");
+        Fixed { dt }
+    }
+}
+
+impl LaneFormat for Fixed {
+    type Word = i32;
+    type Gain = i64;
+    type Gating = Vec<i32>;
+
+    fn rate(&self, per_time: f64) -> i32 {
+        quantize_step(self.dt * per_time)
+    }
+
+    fn order(&self, m: u32) -> i32 {
+        m as i32
+    }
+
+    fn phase(&self, theta: f64) -> i32 {
+        phase_to_turns(theta)
+    }
+
+    fn scale(&self, scale: f64) -> i32 {
+        (scale * 65_536.0).round() as i32
+    }
+
+    fn gain(&self, sigma: f64) -> i64 {
+        noise_gain(sigma, self.dt)
+    }
+
+    fn compile(k: &FxBatchKernel) -> Vec<i32> {
+        let lanes = k.base_weight.iter().zip(&k.edge_on);
+        lanes.map(|(&w, &on)| if on { w } else { 0 }).collect()
+    }
+}
+
+/// The fixed-point multi-replica coupling kernel: a [`LaneKernel`] in
+/// the [`Fixed`] format, the integer twin of
+/// [`crate::batch::BatchKernel`] — same SoA layout (`y[i*M + r]`), same
+/// control API, `dt` folded into every table.
 ///
 /// [`FxBatchKernel::drift_into`] honors the same three-pass
 /// gather → sin → scatter contract, with one deliberate difference in
@@ -226,37 +287,7 @@ pub fn sin_turns_slice(qs: &mut [i32]) {
 /// phase increments in turns** (apply with a wrapping add), not a
 /// rate — the hardware-faithful formulation where an RHS evaluation
 /// *is* one clock of the phase accumulator.
-#[derive(Debug, Clone)]
-pub struct FxBatchKernel {
-    num_nodes: usize,
-    replicas: usize,
-    dt: f64,
-    edge_u: Vec<u32>,
-    edge_v: Vec<u32>,
-    /// Ungated per-step weight lanes `[e*M + r]` (quantized `dt·K`).
-    base_wq: Vec<i32>,
-    /// Effective weight lanes; `0` encodes a gated edge.
-    wq: Vec<i32>,
-    /// Bookkeeping mirror of the gating (a weight may quantize to 0).
-    edge_on: Vec<bool>,
-    node_enabled: Vec<bool>,
-    /// Per-(node, replica) per-step bias increments `[i*M + r]`.
-    bias_q: Vec<i32>,
-    /// Dense per-(node, replica) SHIL table: integer order, phase in
-    /// turns, per-step strength in turn counts.
-    shil_m: Vec<i32>,
-    shil_psi_q: Vec<i32>,
-    shil_ks_q: Vec<i32>,
-    /// Per-replica SHIL ramp scale in Q16 (`65536` = 1.0).
-    shil_scale_q16: Vec<i32>,
-    /// Per-(node, replica) noise gains (Q16 turn counts per deviate;
-    /// 0 for defective rings).
-    noise_gain: Vec<i64>,
-    /// Per-replica noise amplitude σ (the value the gain lanes encode).
-    noise_amp: Vec<f64>,
-    couplings_on: bool,
-    shil_on: bool,
-}
+pub type FxBatchKernel = LaneKernel<Fixed>;
 
 impl FxBatchKernel {
     /// Builds a homogeneous fixed-point kernel over `net`'s topology:
@@ -269,7 +300,7 @@ impl FxBatchKernel {
     /// Panics if `replicas == 0` or `dt` is not positive and finite.
     pub fn new(net: &PhaseNetwork, replicas: usize, dt: f64) -> Self {
         assert!(replicas > 0, "need at least one replica");
-        Self::build(net, replicas, None, dt)
+        LaneKernel::build(Fixed::at(dt), net, replicas, None)
     }
 
     /// Heterogeneous variant: lane `r` quantizes the weights, gating,
@@ -282,263 +313,13 @@ impl FxBatchKernel {
     /// Panics if `nets` is empty, the networks disagree on topology,
     /// node enables or the global enables, or `dt` is invalid.
     pub fn from_lanes(nets: &[PhaseNetwork], dt: f64) -> Self {
-        Self::build(lane_base(nets), nets.len(), Some(nets), dt)
-    }
-
-    fn build(net: &PhaseNetwork, replicas: usize, lanes: Option<&[PhaseNetwork]>, dt: f64) -> Self {
-        assert!(dt.is_finite() && dt > 0.0, "step size must be positive");
-        let n = net.num_nodes();
-        let m = net.num_edges();
-        let lane_net = |r: usize| lanes.map_or(net, |nets| &nets[r]);
-        let mut edge_u = Vec::with_capacity(m);
-        let mut edge_v = Vec::with_capacity(m);
-        for &(u, v) in net.edge_endpoints() {
-            edge_u.push(u);
-            edge_v.push(v);
-        }
-        let mut base_wq = vec![0i32; m * replicas];
-        for e in 0..m {
-            for r in 0..replicas {
-                base_wq[e * replicas + r] = quantize_step(dt * lane_net(r).edge_weight(e));
-            }
-        }
-        let node_enabled: Vec<bool> = (0..n).map(|i| net.node_enabled(i)).collect();
-        let mut kernel = FxBatchKernel {
-            num_nodes: n,
-            replicas,
-            dt,
-            edge_u,
-            edge_v,
-            base_wq,
-            wq: vec![0; m * replicas],
-            edge_on: vec![false; m * replicas],
-            node_enabled,
-            bias_q: vec![0; n * replicas],
-            shil_m: vec![0; n * replicas],
-            shil_psi_q: vec![0; n * replicas],
-            shil_ks_q: vec![0; n * replicas],
-            shil_scale_q16: vec![65_536; replicas],
-            noise_gain: vec![0; n * replicas],
-            noise_amp: vec![0.0; replicas],
-            couplings_on: net.couplings_enabled(),
-            shil_on: net.shil_enabled(),
-        };
-        for e in 0..m {
-            for r in 0..replicas {
-                kernel.set_edge_enabled(e, r, lane_net(r).edge_enabled(e));
-            }
-        }
-        for i in 0..n {
-            for r in 0..replicas {
-                kernel.set_bias(i, r, lane_net(r).delta_omega()[i]);
-                kernel.set_shil(i, r, lane_net(r).shil_of(i));
-            }
-        }
-        for r in 0..replicas {
-            kernel.set_lane_noise_amplitude(r, lane_net(r).noise_amplitude());
-        }
-        kernel
-    }
-
-    /// Number of oscillators per replica.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of replicas (`M`).
-    pub fn num_replicas(&self) -> usize {
-        self.replicas
-    }
-
-    /// Length of the interleaved state vector (`n·M`).
-    pub fn state_len(&self) -> usize {
-        self.num_nodes * self.replicas
-    }
-
-    /// Index of node `i`, replica `r` in the interleaved state vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range.
-    #[inline(always)]
-    pub fn idx(&self, node: usize, replica: usize) -> usize {
-        assert!(replica < self.replicas, "replica out of range");
-        node * self.replicas + replica
+        let base = lane_base(nets);
+        LaneKernel::build(Fixed::at(dt), base, nets.len(), Some(nets))
     }
 
     /// The step size every rate table was quantized at.
     pub fn dt(&self) -> f64 {
-        self.dt
-    }
-
-    /// Gates one coupling of one replica (its `P_EN` bit); an enabled
-    /// edge conducts at that replica's quantized lane weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` or `replica` is out of range.
-    pub fn set_edge_enabled(&mut self, edge: usize, replica: usize, on: bool) {
-        assert!(replica < self.replicas, "replica out of range");
-        let (u, v) = (self.edge_u[edge] as usize, self.edge_v[edge] as usize);
-        let live = on && self.node_enabled[u] && self.node_enabled[v];
-        let lane = edge * self.replicas + replica;
-        self.edge_on[lane] = live;
-        self.wq[lane] = if live { self.base_wq[lane] } else { 0 };
-    }
-
-    /// Returns `true` if `edge` conducts for `replica`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` or `replica` is out of range.
-    pub fn edge_enabled(&self, edge: usize, replica: usize) -> bool {
-        assert!(replica < self.replicas, "replica out of range");
-        self.edge_on[edge * self.replicas + replica]
-    }
-
-    /// Raises every replica's `P_EN` on every edge (defective rings'
-    /// edges stay dead regardless).
-    pub fn enable_all_edges(&mut self) {
-        for e in 0..self.edge_u.len() {
-            for r in 0..self.replicas {
-                self.set_edge_enabled(e, r, true);
-            }
-        }
-    }
-
-    /// Sets the frequency offset of node `i` in `replica` (radians per
-    /// unit time; quantized to per-step turn counts). Defective rings
-    /// stay 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` or `replica` is out of range.
-    pub fn set_bias(&mut self, node: usize, replica: usize, delta_omega: f64) {
-        assert!(replica < self.replicas, "replica out of range");
-        let v = if self.node_enabled[node] {
-            quantize_step(self.dt * delta_omega)
-        } else {
-            0
-        };
-        self.bias_q[node * self.replicas + replica] = v;
-    }
-
-    /// Per-step bias increment of node `i` in `replica`, in turn counts
-    /// (for the mixed-reinit drift loop that advances lanes by hand).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` or `replica` is out of range.
-    pub fn bias_step_of(&self, node: usize, replica: usize) -> i32 {
-        assert!(replica < self.replicas, "replica out of range");
-        self.bias_q[node * self.replicas + replica]
-    }
-
-    /// Assigns (or clears) the SHIL source of node `i` in `replica`,
-    /// quantizing its phase to turns and its strength to per-step turn
-    /// counts. Defective rings keep strength 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` or `replica` is out of range.
-    pub fn set_shil(&mut self, node: usize, replica: usize, shil: Option<Shil>) {
-        assert!(replica < self.replicas, "replica out of range");
-        let k = node * self.replicas + replica;
-        match shil {
-            Some(s) if self.node_enabled[node] => {
-                self.shil_m[k] = s.order() as i32;
-                self.shil_psi_q[k] = phase_to_turns(s.phase());
-                self.shil_ks_q[k] = quantize_step(self.dt * s.strength());
-            }
-            _ => {
-                self.shil_m[k] = 0;
-                self.shil_psi_q[k] = 0;
-                self.shil_ks_q[k] = 0;
-            }
-        }
-    }
-
-    /// Returns `true` if oscillator `node` is functional (ring `L_EN`).
-    pub fn node_enabled(&self, node: usize) -> bool {
-        self.node_enabled[node]
-    }
-
-    /// Global coupling enable (`G_EN`): skips the edge sweep when low.
-    pub fn set_couplings_enabled(&mut self, on: bool) {
-        self.couplings_on = on;
-    }
-
-    /// Global SHIL enable (`SHIL_EN`): skips the torque pass when low.
-    pub fn set_shil_enabled(&mut self, on: bool) {
-        self.shil_on = on;
-    }
-
-    /// Scales every replica's SHIL strengths at evaluation time (the
-    /// OIM ramp), quantized to Q16.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is negative or non-finite.
-    pub fn set_shil_scale(&mut self, scale: f64) {
-        for r in 0..self.replicas {
-            self.set_lane_shil_scale(r, scale);
-        }
-    }
-
-    /// Scales one replica's SHIL strengths at evaluation time (Q16).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range or `scale` is negative or
-    /// non-finite.
-    pub fn set_lane_shil_scale(&mut self, replica: usize, scale: f64) {
-        assert!(
-            scale.is_finite() && scale >= 0.0,
-            "SHIL scale must be finite and non-negative, got {scale}"
-        );
-        self.shil_scale_q16[replica] = (scale * 65_536.0).round() as i32;
-    }
-
-    /// Sets the white-noise amplitude σ of every replica.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma < 0`.
-    pub fn set_noise_amplitude(&mut self, sigma: f64) {
-        for r in 0..self.replicas {
-            self.set_lane_noise_amplitude(r, sigma);
-        }
-    }
-
-    /// Sets the white-noise amplitude σ of one replica (its quantized
-    /// gain lane); defective rings stay at 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range or `sigma < 0`.
-    pub fn set_lane_noise_amplitude(&mut self, replica: usize, sigma: f64) {
-        assert!(sigma >= 0.0, "noise amplitude must be non-negative");
-        assert!(replica < self.replicas, "replica out of range");
-        self.noise_amp[replica] = sigma;
-        let gain = noise_gain(sigma, self.dt);
-        for i in 0..self.num_nodes {
-            self.noise_gain[i * self.replicas + replica] =
-                if self.node_enabled[i] { gain } else { 0 };
-        }
-    }
-
-    /// Noise amplitude σ of replica 0.
-    pub fn noise_amplitude(&self) -> f64 {
-        self.noise_amp[0]
-    }
-
-    /// Noise amplitude σ of one replica.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range.
-    pub fn lane_noise_amplitude(&self, replica: usize) -> f64 {
-        self.noise_amp[replica]
+        self.format.dt
     }
 
     /// Writes the interleaved **per-step phase increments** (turn
@@ -563,7 +344,7 @@ impl FxBatchKernel {
         assert_eq!(y.len(), self.state_len(), "phase vector size mismatch");
         assert_eq!(dq.len(), self.state_len(), "increment vector size mismatch");
         let _ = scratch;
-        dq.copy_from_slice(&self.bias_q);
+        dq.copy_from_slice(&self.bias);
         // Literal lane widths for the shards of 2–4-lane serving jobs
         // (1 or 2 lanes each): with `rr` a constant the per-lane loops
         // unroll flat.
@@ -583,7 +364,7 @@ impl FxBatchKernel {
             // Per edge: wrapped phase difference → LUT sine → scatter
             // `±(wq·s)>>30` to both endpoints' rows.
             let ends = self.edge_u.iter().zip(&self.edge_v);
-            for ((&u, &v), wrow) in ends.zip(self.wq.chunks_exact(rr)) {
+            for ((&u, &v), wrow) in ends.zip(self.gating().chunks_exact(rr)) {
                 let (u, v) = (u as usize * rr, v as usize * rr);
                 let (yu, yv) = (&y[u..u + rr], &y[v..v + rr]);
                 let [du, dv] = dq
@@ -605,8 +386,8 @@ impl FxBatchKernel {
                 .chunks_exact(rr)
                 .zip(dq.chunks_exact_mut(rr))
                 .zip(self.shil_m.chunks_exact(rr))
-                .zip(self.shil_psi_q.chunks_exact(rr))
-                .zip(self.shil_ks_q.chunks_exact(rr));
+                .zip(self.shil_psi.chunks_exact(rr))
+                .zip(self.shil_ks.chunks_exact(rr));
             for ((((yrow, drow), mrow), psirow), ksrow) in rows {
                 let lanes = yrow
                     .iter()
@@ -614,7 +395,7 @@ impl FxBatchKernel {
                     .zip(mrow)
                     .zip(psirow)
                     .zip(ksrow)
-                    .zip(&self.shil_scale_q16);
+                    .zip(&self.shil_scale);
                 for (((((&q, d), &m), &psi), &ks), &scale) in lanes {
                     let s = sin_turns_core(table, q.wrapping_mul(m).wrapping_sub(psi));
                     let ks = (ks as i64 * scale as i64) >> 16;
@@ -634,7 +415,7 @@ impl FxBatchKernel {
     /// Panics if `t1 < t0`.
     pub fn steps_for(&self, t0: f64, t1: f64) -> usize {
         assert!(t1 >= t0, "t1 must be >= t0");
-        ((t1 - t0) / self.dt).ceil() as usize
+        ((t1 - t0) / self.dt()).ceil() as usize
     }
 }
 
@@ -674,7 +455,7 @@ impl FxBatchIntegrator {
         // The same per-replica deviate streams as the float backend:
         // one draw per oscillator per step, σ = 0 lanes included.
         fill_normal_batch(&mut self.noise, rngs);
-        let terms = self.delta.iter().zip(&self.noise).zip(&kernel.noise_gain);
+        let terms = self.delta.iter().zip(&self.noise).zip(&kernel.noise);
         for (q, ((&d, &xi), &gain)) in y.iter_mut().zip(terms) {
             *q = q.wrapping_add(d).wrapping_add(noise_increment(gain, xi));
         }
@@ -740,19 +521,9 @@ impl FxBatchIntegrator {
             kernel.num_replicas(),
             "need one ramp flag per replica"
         );
-        let schedule = crate::batch::RampSchedule::new(t0, t1, dt);
-        let mut cur_seg = usize::MAX;
+        let mut schedule = RampSchedule::new(t0, t1, dt);
         for step in 0..kernel.steps_for(t0, t1) {
-            let s = schedule.seg_of(step);
-            if s != cur_seg {
-                let scale = ramp(schedule.frac(s));
-                for (r, &is_ramped) in ramped.iter().enumerate() {
-                    if is_ramped {
-                        kernel.set_lane_shil_scale(r, scale);
-                    }
-                }
-                cur_seg = s;
-            }
+            schedule.enter(step, kernel, &ramp, ramped);
             self.step(kernel, y, rngs);
         }
         kernel.set_shil_scale(1.0);
@@ -762,6 +533,7 @@ impl FxBatchIntegrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shil::Shil;
     use msropm_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1044,13 +816,13 @@ mod tests {
     fn drift_reference(k: &FxBatchKernel, y: &[i32]) -> Vec<i32> {
         let table = quarter_table();
         let rr = k.replicas;
-        let mut dq = k.bias_q.clone();
+        let mut dq = k.bias.clone();
         if k.couplings_on {
             for e in 0..k.edge_u.len() {
                 let (u, v) = (k.edge_u[e] as usize * rr, k.edge_v[e] as usize * rr);
                 for r in 0..rr {
                     let s = sin_turns_reference(table, y[u + r].wrapping_sub(y[v + r]));
-                    let c = ((k.wq[e * rr + r] as i64 * s as i64) >> 30) as i32;
+                    let c = ((k.gating()[e * rr + r] as i64 * s as i64) >> 30) as i32;
                     dq[u + r] = dq[u + r].wrapping_sub(c);
                     dq[v + r] = dq[v + r].wrapping_add(c);
                 }
@@ -1062,9 +834,9 @@ mod tests {
                     let idx = i * rr + r;
                     let arg = y[idx]
                         .wrapping_mul(k.shil_m[idx])
-                        .wrapping_sub(k.shil_psi_q[idx]);
+                        .wrapping_sub(k.shil_psi[idx]);
                     let s = sin_turns_reference(table, arg);
-                    let ks = (k.shil_ks_q[idx] as i64 * k.shil_scale_q16[r] as i64) >> 16;
+                    let ks = (k.shil_ks[idx] as i64 * k.shil_scale[r] as i64) >> 16;
                     dq[idx] = dq[idx].wrapping_sub(((ks * s as i64) >> 30) as i32);
                 }
             }
@@ -1080,7 +852,7 @@ mod tests {
         fill_normal_batch(&mut noise, rngs);
         for idx in 0..y.len() {
             let xi_q16 = (noise[idx] * 65_536.0).round() as i64;
-            let inc = ((k.noise_gain[idx] * xi_q16) >> 32) as i32;
+            let inc = ((k.noise[idx] * xi_q16) >> 32) as i32;
             y[idx] = y[idx].wrapping_add(delta[idx]).wrapping_add(inc);
         }
     }
@@ -1271,8 +1043,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "replica out of range")]
-    fn bias_step_of_rejects_out_of_range_replica() {
-        two_lane_path().bias_step_of(0, 2);
+    fn bias_of_rejects_out_of_range_replica() {
+        two_lane_path().bias_of(0, 2);
     }
 
     #[test]

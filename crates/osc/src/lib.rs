@@ -54,6 +54,12 @@
 //!   and the SHIL ramp is a runtime scale per lane.
 //!   [`batch::BatchIntegrator`] owns all scratch, so stepping is
 //!   allocation-free.
+//! - [`lanes::LaneKernel`] is the control layer both kernels share: the
+//!   per-lane `P_EN`, `SHIL_SEL`, bias and σ tables and their
+//!   defective-ring rules, written once and generic over a
+//!   [`lanes::LaneFormat`] that decides how a value is stored and what
+//!   the gating compiles into. `BatchKernel` and `FxBatchKernel` are
+//!   `LaneKernel` at its two formats.
 //! - [`fxkernel::FxBatchKernel`] is the fixed-point twin of the batch
 //!   kernel: phases as wrapping `i32` binary turns, every rate quantized
 //!   to per-step turn counts at build time, sine from a quarter-wave
@@ -91,6 +97,7 @@
 pub mod batch;
 pub mod fastmath;
 pub mod fxkernel;
+pub mod lanes;
 pub mod lock;
 pub mod network;
 pub mod shil;

@@ -441,27 +441,6 @@ impl PhaseNetwork {
         rng: &mut R,
         ramp: impl Fn(f64) -> f64,
     ) {
-        self.anneal_shil_ramped_observed(phases, duration, dt, rng, ramp, |_, _| {});
-    }
-
-    /// [`PhaseNetwork::anneal_shil_ramped`] with per-step observation:
-    /// `observe(t, θ)` fires at `t = 0` and after every step across the
-    /// whole segmented ramp (previously ramped windows could only be
-    /// sampled at their end, which broke Fig. 3-style waveform dumps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt <= 0`, `duration < 0`, or the ramp returns a negative
-    /// scale.
-    pub fn anneal_shil_ramped_observed<R: Rng + ?Sized>(
-        &mut self,
-        phases: &mut [f64],
-        duration: f64,
-        dt: f64,
-        rng: &mut R,
-        ramp: impl Fn(f64) -> f64,
-        observe: impl FnMut(f64, &[f64]),
-    ) {
         assert!(duration >= 0.0, "duration must be non-negative");
         let mut kernel = BatchKernel::new(self, 1);
         BatchIntegrator::new().integrate_ramped(
@@ -473,7 +452,7 @@ impl PhaseNetwork {
             &mut [rng],
             ramp,
             &[true],
-            observe,
+            |_, _| {},
         );
     }
 }

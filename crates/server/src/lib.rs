@@ -237,8 +237,8 @@ impl fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-/// Lifecycle of one submitted job, observable through
-/// [`JobHandle::state`] (and the wire protocol's `status` verb).
+/// Lifecycle of one submitted job, observable through its
+/// [`JobStatusCell`] (and the wire protocol's `status` verb).
 ///
 /// Transitions are monotone:
 /// `Queued → Running → {Done, Cancelled, Failed}`, with
@@ -381,41 +381,6 @@ impl JobTicket {
     }
 }
 
-/// Everything a submitter can do with one job: await the report, watch
-/// its lifecycle, request cancellation. Returned by
-/// [`JobServer::submit_handle`].
-#[derive(Debug)]
-pub struct JobHandle {
-    /// Completion channel; consume with [`JobTicket::wait`].
-    pub ticket: JobTicket,
-    status: Arc<JobStatusCell>,
-    cancel: CancelToken,
-}
-
-impl JobHandle {
-    /// The job's current lifecycle state.
-    pub fn state(&self) -> JobState {
-        self.status.get()
-    }
-
-    /// Shared view of the status cell (for registries outliving the
-    /// ticket).
-    pub fn status_cell(&self) -> Arc<JobStatusCell> {
-        Arc::clone(&self.status)
-    }
-
-    /// A clone of the job's cancel token.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Requests cooperative cancellation (observed at worker pickup or
-    /// the next stage boundary).
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-}
-
 /// How one submitted job ended, as seen by a completion hook.
 #[derive(Debug)]
 pub enum JobCompletion {
@@ -436,8 +401,9 @@ pub enum JobCompletion {
 }
 
 /// A completion callback run **on the worker thread** the moment a job
-/// reaches its terminal state — the thread-free alternative to parking
-/// a waiter on a [`JobTicket`]. Fires exactly once: if the envelope is
+/// reaches its terminal state. It is every job's one completion path:
+/// [`JobServer::submit`]'s [`JobTicket`] waits on a hook that sends the
+/// completion down a channel. Fires exactly once: if the job is
 /// destroyed without a verdict (worker panic unwinding, queue dropped),
 /// the hook fires [`JobCompletion::WorkerDied`] from `Drop`, so a
 /// registered job can never be silently forgotten.
@@ -473,25 +439,6 @@ impl fmt::Debug for CompletionHook {
         f.debug_struct("CompletionHook")
             .field("fired", &self.0.is_none())
             .finish()
-    }
-}
-
-/// A job's completion channel: either the mpsc sender behind a
-/// [`JobTicket`] or an in-place [`CompletionHook`].
-enum Reply {
-    Channel(mpsc::Sender<JobCompletion>),
-    Hook(CompletionHook),
-}
-
-impl Reply {
-    fn deliver(self, completion: JobCompletion) {
-        match self {
-            // The submitter may have dropped its ticket; that's fine.
-            Reply::Channel(tx) => {
-                let _ = tx.send(completion);
-            }
-            Reply::Hook(hook) => hook.fire(completion),
-        }
     }
 }
 
@@ -543,19 +490,6 @@ impl PendingJob {
         self.problem_fingerprint = fingerprint;
         self
     }
-
-    fn into_envelope(self) -> Envelope {
-        Envelope {
-            graph: self.graph,
-            job: self.job,
-            problem_fingerprint: self.problem_fingerprint,
-            submitted_at: Instant::now(),
-            reply: Reply::Hook(self.hook),
-            cancel: self.cancel,
-            status: self.status,
-            deadline: self.deadline,
-        }
-    }
 }
 
 /// Why [`JobServer::try_submit_job`] handed the job back.
@@ -567,35 +501,19 @@ pub enum TrySubmitError {
     Closed(PendingJob),
 }
 
-/// One queued request: the job, its graph, the reply channel and the
-/// submission timestamp (for queue-delay accounting), plus the
-/// cancellation/status plumbing.
+/// One queued request: the job with its plumbing and completion hook,
+/// plus the submission timestamp (for queue-delay accounting).
 struct Envelope {
-    graph: Arc<Graph>,
-    job: BatchJob,
-    problem_fingerprint: u64,
+    pending: PendingJob,
     submitted_at: Instant,
-    reply: Reply,
-    cancel: CancelToken,
-    status: Arc<JobStatusCell>,
-    deadline: Option<Instant>,
 }
 
 impl Envelope {
-    /// Inverse of [`PendingJob::into_envelope`], for handing a job back
-    /// to the submitter when the queue cannot take it.
-    fn into_pending(self) -> PendingJob {
-        PendingJob {
-            graph: self.graph,
-            job: self.job,
-            problem_fingerprint: self.problem_fingerprint,
-            cancel: self.cancel,
-            status: self.status,
-            deadline: self.deadline,
-            hook: match self.reply {
-                Reply::Hook(hook) => hook,
-                Reply::Channel(_) => unreachable!("pending jobs always carry hooks"),
-            },
+    /// Stamps `pending` with the current time on its way into the queue.
+    fn new(pending: PendingJob) -> Envelope {
+        Envelope {
+            pending,
+            submitted_at: Instant::now(),
         }
     }
 }
@@ -677,59 +595,17 @@ impl JobServer {
     ///
     /// [`ServerError::Closed`] if the server has been shut down.
     pub fn submit(&self, graph: Arc<Graph>, job: BatchJob) -> Result<JobTicket, ServerError> {
-        self.submit_handle(graph, job).map(|h| h.ticket)
-    }
-
-    /// Like [`JobServer::submit`] but returning the full [`JobHandle`]
-    /// (ticket + status cell + cancel token).
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::Closed`] if the server has been shut down.
-    pub fn submit_handle(
-        &self,
-        graph: Arc<Graph>,
-        job: BatchJob,
-    ) -> Result<JobHandle, ServerError> {
-        let cancel = CancelToken::new();
-        let status = Arc::new(JobStatusCell::new());
-        let ticket = self.submit_with(graph, job, cancel.clone(), Arc::clone(&status))?;
-        Ok(JobHandle {
-            ticket,
-            status,
-            cancel,
-        })
-    }
-
-    /// Submission with caller-provided cancellation/status plumbing, so
-    /// a registry can hold the token and cell *before* enqueueing and a
-    /// `cancel`/`status` query can never race a job it doesn't know
-    /// yet.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::Closed`] if the server has been shut down.
-    pub fn submit_with(
-        &self,
-        graph: Arc<Graph>,
-        job: BatchJob,
-        cancel: CancelToken,
-        status: Arc<JobStatusCell>,
-    ) -> Result<JobTicket, ServerError> {
         let (tx, rx) = mpsc::channel();
-        let envelope = Envelope {
-            graph,
-            job,
-            problem_fingerprint: 0,
-            submitted_at: Instant::now(),
-            deadline: None,
-            reply: Reply::Channel(tx),
-            cancel,
-            status,
-        };
+        // The submitter may drop its ticket before the job ends; the
+        // failed send is then nobody's concern.
+        let hook = CompletionHook::new(move |completion| {
+            let _ = tx.send(completion);
+        });
+        let status = Arc::new(JobStatusCell::new());
+        let pending = PendingJob::new(graph, job, CancelToken::new(), status, None, hook);
         self.shared
             .queue
-            .push(envelope)
+            .push(Envelope::new(pending))
             .map_err(|_| ServerError::Closed)?;
         Ok(JobTicket { rx })
     }
@@ -751,12 +627,10 @@ impl JobServer {
     #[allow(clippy::result_large_err)]
     pub fn try_submit_job(&self, pending: PendingJob) -> Result<(), TrySubmitError> {
         use queue::TryPushError;
-        match self.shared.queue.try_push(pending.into_envelope()) {
+        match self.shared.queue.try_push(Envelope::new(pending)) {
             Ok(()) => Ok(()),
-            Err(TryPushError::Full(envelope)) => Err(TrySubmitError::Full(envelope.into_pending())),
-            Err(TryPushError::Closed(envelope)) => {
-                Err(TrySubmitError::Closed(envelope.into_pending()))
-            }
+            Err(TryPushError::Full(envelope)) => Err(TrySubmitError::Full(envelope.pending)),
+            Err(TryPushError::Closed(envelope)) => Err(TrySubmitError::Closed(envelope.pending)),
         }
     }
 
@@ -1050,40 +924,50 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn worker_loop(shared: &Shared) {
     let mut arena = ShardedArena::new();
-    while let Some(mut envelope) = shared.queue.pop() {
+    while let Some(Envelope {
+        pending,
+        submitted_at,
+    }) = shared.queue.pop()
+    {
+        let PendingJob {
+            graph,
+            mut job,
+            problem_fingerprint,
+            cancel,
+            status,
+            deadline,
+            hook,
+        } = pending;
         // Deployment-wide backend override, applied before the job's
         // config is used anywhere: the problem-cache key is derived
         // from the (overridden) config, so an f64 submission against a
         // `--backend fixed` server resolves to the fixed-point machine,
         // never a stale float compile.
         if let Some(backend) = shared.backend {
-            envelope.job.force_backend(backend);
+            job.force_backend(backend);
         }
         // Cancellation observed at pickup: skip all work. (Stage-boundary
         // checks inside the supervised run below cover mid-run cancels.)
-        if envelope.cancel.is_cancelled() {
-            envelope.status.set(JobState::Cancelled);
+        if cancel.is_cancelled() {
+            status.set(JobState::Cancelled);
             shared.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
             faultinject::maybe_delay_completion();
-            envelope.reply.deliver(JobCompletion::Cancelled);
+            hook.fire(JobCompletion::Cancelled);
             continue;
         }
         // Queue-wait deadline: a job that expired before pickup is shed
         // without compiling or solving anything.
-        if envelope
-            .deadline
-            .is_some_and(|deadline| Instant::now() >= deadline)
-        {
-            envelope.status.set(JobState::Failed);
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            status.set(JobState::Failed);
             shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
             faultinject::maybe_delay_completion();
-            envelope.reply.deliver(JobCompletion::DeadlineExceeded);
+            hook.fire(JobCompletion::DeadlineExceeded);
             continue;
         }
-        envelope.status.set(JobState::Running);
+        status.set(JobState::Running);
         // Chaos hook: fires OUTSIDE the catch_unwind region, so the
-        // panic kills this thread mid-job — the envelope drops during
-        // unwind, its hook fires `WorkerDied`, and the supervisor
+        // panic kills this thread mid-job — the hook drops during
+        // unwind and fires `WorkerDied`, and the supervisor
         // respawns the worker. (Never fires unless a test armed it.)
         faultinject::maybe_kill_worker();
         // Shard width is decided at pickup from the policy and the
@@ -1091,7 +975,7 @@ fn worker_loop(shared: &Shared) {
         // busy narrows the next job toward plain cross-job concurrency.
         let shards = shared
             .shard_policy
-            .width(envelope.job.lanes.len(), shared.queue.len());
+            .width(job.lanes.len(), shared.queue.len());
         if shards > 1 {
             shared.jobs_sharded.fetch_add(1, Ordering::Relaxed);
         }
@@ -1105,7 +989,7 @@ fn worker_loop(shared: &Shared) {
         // `AssertUnwindSafe` is sound here: on a caught panic the arena
         // is discarded and rebuilt, the cache's mutations are
         // complete-or-absent map operations (and its lock recovers from
-        // poison), and the envelope stays outside the closure.
+        // poison), and the completion hook stays outside the closure.
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             faultinject::maybe_panic_in_solve();
             // Double-checked caching: only the (cheap, verified) lookup
@@ -1117,35 +1001,24 @@ fn worker_loop(shared: &Shared) {
             // unobservable).
             let machine = {
                 let mut cache = lock_unpoisoned(&shared.cache);
-                cache.lookup_problem(
-                    &envelope.graph,
-                    &envelope.job.config,
-                    envelope.problem_fingerprint,
-                )
+                cache.lookup_problem(&graph, &job.config, problem_fingerprint)
             };
             let machine = machine.unwrap_or_else(|| {
-                let compiled = Arc::new(msropm_core::Msropm::new(
-                    &envelope.graph,
-                    envelope.job.config,
-                ));
+                let compiled = Arc::new(msropm_core::Msropm::new(&graph, job.config));
                 let mut cache = lock_unpoisoned(&shared.cache);
-                cache.intern_problem(compiled, envelope.problem_fingerprint)
+                cache.intern_problem(compiled, problem_fingerprint)
             });
             // Solve outside the cache lock too: workers never serialize
             // on each other's integrations. The abort check combines
             // cancellation with the job's deadline — both land at stage
             // boundaries only (cross-shard joins on the sharded path),
             // so completed runs stay bit-identical at any width.
-            envelope.job.run(
+            job.run(
                 &machine,
                 SolveOptions::new()
                     .sharded(shards, &mut arena, msropm_core::pool::global())
-                    .cancel(&envelope.cancel)
-                    .abort_when(|| {
-                        envelope
-                            .deadline
-                            .is_some_and(|deadline| Instant::now() >= deadline)
-                    }),
+                    .cancel(&cancel)
+                    .abort_when(|| deadline.is_some_and(|deadline| Instant::now() >= deadline)),
             )
         }));
         let completion = match result {
@@ -1154,40 +1027,40 @@ fn worker_loop(shared: &Shared) {
                 // panic drops its in-flight arenas); rebuild so the next
                 // job starts from clean scratch state.
                 arena = ShardedArena::new();
-                envelope.status.set(JobState::Failed);
+                status.set(JobState::Failed);
                 shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
                 JobCompletion::Failed {
                     message: panic_message(payload.as_ref()),
                 }
             }
-            Ok(None) if envelope.cancel.is_cancelled() => {
+            Ok(None) if cancel.is_cancelled() => {
                 // Cancelled at a stage boundary: the run was abandoned
                 // and no report exists (nor ever will for this job).
-                envelope.status.set(JobState::Cancelled);
+                status.set(JobState::Cancelled);
                 shared.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
                 JobCompletion::Cancelled
             }
             Ok(None) => {
                 // Not cancelled, so the abort closure fired on the
                 // deadline: abandoned at a stage boundary.
-                envelope.status.set(JobState::Failed);
+                status.set(JobState::Failed);
                 shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
                 JobCompletion::DeadlineExceeded
             }
             Ok(Some(report)) => {
                 let finished_at = Instant::now();
                 shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                envelope.status.set(JobState::Done);
+                status.set(JobState::Done);
                 JobCompletion::Done(JobOutcome {
                     report,
                     timing: JobTiming {
-                        queued: started_at - envelope.submitted_at,
+                        queued: started_at - submitted_at,
                         service: finished_at - started_at,
                     },
                 })
             }
         };
         faultinject::maybe_delay_completion();
-        envelope.reply.deliver(completion);
+        hook.fire(completion);
     }
 }

@@ -17,7 +17,8 @@
 # For every end-to-end metric in BENCHMARK.json the script prints each
 # side's median and quartiles over the pairs, and in how many pairs the
 # working tree was better (ties count for neither side). Raw reports
-# go to target/ab/runs/. The exit code is nonzero if any run fails
+# go to target/ab/runs/<workload>/, so comparing a second workload keeps
+# the first one's reports. The exit code is nonzero if any run fails
 # verification (`"correct": false` or a nonzero perfbench exit).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -49,7 +50,7 @@ base_sha=$(git rev-parse --verify "$base_rev^{commit}")
 root=$PWD
 base_target=$root/target/ab/base-$base_sha
 head_target=$root/target/ab/head
-runs=$root/target/ab/runs
+runs=$root/target/ab/runs/$workload
 bin=release/msropm-perfbench
 mkdir -p "$runs"
 
@@ -68,7 +69,7 @@ CARGO_TARGET_DIR=$head_target cargo build --release --offline --quiet \
 
 failed=0
 # run <side> <pair> <seed>: one perfbench run; its report's last line
-# goes to $runs/<side>-<pair>.json.
+# goes to $runs/<side>-<pair>.json (runs of this workload only).
 run() {
     local side=$1 pair=$2 seed=$3 exe
     [[ $side == base ]] && exe=$base_target/$bin || exe=$head_target/$bin

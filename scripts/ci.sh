@@ -97,9 +97,11 @@ stage_test() {
     # bit for bit; only a release build vectorizes, so only there does
     # the check compare vector code with vector code.
     cargo test -q --release -p msropm-osc --lib every_tier_matches_base_bitwise
-    # The golden digests and the lane-identity contracts, in release
-    # too: production runs release builds.
-    cargo test -q --release --test f64_golden --test fx_golden --test lane_equivalence --test batch_determinism
+    # The golden digests, the lane-identity contracts and the kernel
+    # equivalences (the cross-format control test among them), in
+    # release too: production runs release builds.
+    cargo test -q --release --test f64_golden --test fx_golden --test lane_equivalence \
+        --test batch_determinism --test kernel_equivalence
 }
 
 stage_build() {
