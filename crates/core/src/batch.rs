@@ -29,17 +29,13 @@
 //! bit-identical by construction.
 //!
 //! Both kernel backends run that one body too. `run_stage` takes a
-//! [`LaneKernel<K>`] and drives the lane controls (`P_EN`, `G_EN`,
-//! `SHIL_SEL`, `SHIL_EN`, σ-lanes) through its methods, which
-//! `msropm_osc::lanes` writes once for both number formats. The format
-//! `K` implements a private `StageKernel` trait that carries only what
-//! the backends do differently: the phase word (`f64` radians or `i32`
-//! binary turns) and its radian conversions, the integrator, and the
-//! hand step of a randomize window that mixes re-init modes (the float
-//! grid shrinks a window's last step; the fixed-point grid takes
-//! uniform full steps). `run_one_stage` picks the body monomorphized
-//! for the lane range's backend, so neither hot loop pays for the
-//! other.
+//! [`LaneKernel<K>`] and a [`LaneIntegrator<K>`] for a [`LaneFormat`]
+//! `K`, both written once in `msropm_osc::lanes`: the lane controls
+//! (`P_EN`, `G_EN`, `SHIL_SEL`, `SHIL_EN`, σ-lanes), the Euler–Maruyama
+//! driver and, through the format's step grid and update, the hand step
+//! of a randomize window that mixes re-init modes. `prepare_lane_range`
+//! and `run_one_stage` each pick the body monomorphized for the lane
+//! range's backend in one match, so neither hot loop pays for the other.
 //!
 //! # Determinism contract
 //!
@@ -77,11 +73,9 @@ use crate::pool::{faultinject, ShardPool};
 use crate::schedule::{ScheduleSet, Window, WindowKind};
 use msropm_graph::{Color, Coloring, Cut, Graph};
 use msropm_ode::sde::standard_normal;
-use msropm_osc::batch::{BatchIntegrator, BatchKernel, F64};
-use msropm_osc::fxkernel::{
-    self, noise_increment, phase_to_turns, turns_to_phase, Fixed, FxBatchIntegrator, FxBatchKernel,
-};
-use msropm_osc::lanes::{LaneFormat, LaneKernel};
+use msropm_osc::batch::{BatchIntegrator, BatchKernel};
+use msropm_osc::fxkernel::{turns_to_phase, FxBatchIntegrator, FxBatchKernel};
+use msropm_osc::lanes::{LaneFormat, LaneIntegrator, LaneKernel};
 use msropm_osc::lock::{lock_error, phase_to_spin};
 use msropm_osc::shil::{stage_shil_phase, Shil};
 use msropm_osc::PhaseNetwork;
@@ -94,10 +88,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 
 /// The backend-erased compiled kernel of one lane range: either the
-/// IEEE-double SoA kernel or its fixed-point twin. Start-of-run setup
-/// and the boundary hooks' lane copies go through this enum's
-/// delegating methods; a stage selects its backend only in
-/// [`run_one_stage`]'s one match.
+/// IEEE-double SoA kernel or its fixed-point twin. The boundary hooks'
+/// lane copies go through this enum's delegating methods; start-of-run
+/// setup selects its backend only in [`prepare_lane_range`]'s match and
+/// a stage only in [`run_one_stage`]'s.
 #[derive(Debug)]
 pub(crate) enum EngineKernel {
     F64(BatchKernel),
@@ -116,20 +110,6 @@ impl EngineKernel {
         match self {
             EngineKernel::F64(k) => k.set_edge_enabled(edge, replica, on),
             EngineKernel::Fx(k) => k.set_edge_enabled(edge, replica, on),
-        }
-    }
-
-    fn enable_all_edges(&mut self) {
-        match self {
-            EngineKernel::F64(k) => k.enable_all_edges(),
-            EngineKernel::Fx(k) => k.enable_all_edges(),
-        }
-    }
-
-    fn set_bias(&mut self, node: usize, replica: usize, delta_omega: f64) {
-        match self {
-            EngineKernel::F64(k) => k.set_bias(node, replica, delta_omega),
-            EngineKernel::Fx(k) => k.set_bias(node, replica, delta_omega),
         }
     }
 }
@@ -192,9 +172,9 @@ impl<'a> ShardSlice<'a> {
         ShardSlice {
             kernel,
             phases,
-            groups: &mut arena.groups,
+            groups: &mut arena.lanes.groups,
             stage_records,
-            replicas: arena.configs.len(),
+            replicas: arena.lanes.configs.len(),
         }
     }
 
@@ -338,12 +318,20 @@ impl StageBoundary<'_> {
 pub(crate) struct BatchArena {
     integrator: BatchIntegrator,
     fx_integrator: FxBatchIntegrator,
-    rngs: Vec<StdRng>,
-    configs: Vec<MsropmConfig>,
     phases: Vec<f64>,
     /// Fixed-point twin of `phases` (binary-turn words); only the
     /// buffer matching the batch's backend is populated by a solve.
     fx_phases: Vec<i32>,
+    lanes: LaneState,
+}
+
+/// The backend-independent per-lane buffers of a [`BatchArena`], apart
+/// from its integrators and phase buffers so that a stage can borrow
+/// one backend's pair next to them.
+#[derive(Debug, Default)]
+struct LaneState {
+    rngs: Vec<StdRng>,
+    configs: Vec<MsropmConfig>,
     groups: Vec<usize>,
     bits: Vec<bool>,
     stage_shils: Vec<Shil>,
@@ -458,18 +446,8 @@ fn prepare_lane_range(
     let rr = seeds.len();
     assert_eq!(lanes.len(), rr, "need one lane config per seed");
     let backend = batch_backend(base_config, lanes);
-    let BatchArena {
-        integrator: _,
-        fx_integrator: _,
-        rngs,
-        configs,
-        phases,
-        fx_phases,
-        groups,
-        bits,
-        stage_shils: _,
-        ramped,
-    } = arena;
+    let state = &mut arena.lanes;
+    let configs = &mut state.configs;
     configs.clear();
     configs.extend(lanes.iter().map(|l| l.resolve(base_config)));
     let schedule_set = ScheduleSet::from_configs(configs);
@@ -478,53 +456,42 @@ fn prepare_lane_range(
     let dt = configs[0].dt;
     let windows = schedule.windows().to_vec();
 
-    rngs.clear();
-    rngs.extend(seeds.iter().map(|&s| StdRng::seed_from_u64(s)));
+    state.rngs.clear();
+    state
+        .rngs
+        .extend(seeds.iter().map(|&s| StdRng::seed_from_u64(s)));
     let needs_lane_nets = lanes
         .iter()
         .any(|l| l.coupling_strength.is_some() || l.noise.is_some());
     let lane_nets: Option<Vec<PhaseNetwork>> =
         needs_lane_nets.then(|| lanes.iter().map(|l| lane_network(network, l)).collect());
-    let mut kernel = match (backend, &lane_nets) {
-        (KernelBackend::F64, Some(nets)) => EngineKernel::F64(BatchKernel::from_lanes(nets)),
-        (KernelBackend::F64, None) => EngineKernel::F64(BatchKernel::new(network, rr)),
-        (KernelBackend::Fixed, Some(nets)) => EngineKernel::Fx(FxBatchKernel::from_lanes(nets, dt)),
-        (KernelBackend::Fixed, None) => EngineKernel::Fx(FxBatchKernel::new(network, rr, dt)),
+    let kernel = match backend {
+        KernelBackend::F64 => EngineKernel::F64(start_lanes(
+            match lane_nets {
+                Some(nets) => BatchKernel::from_lanes(&nets),
+                None => BatchKernel::new(network, rr),
+            },
+            &mut arena.phases,
+            state,
+            sample_spread,
+        )),
+        KernelBackend::Fixed => EngineKernel::Fx(start_lanes(
+            match lane_nets {
+                Some(nets) => FxBatchKernel::from_lanes(&nets, dt),
+                None => FxBatchKernel::new(network, rr, dt),
+            },
+            &mut arena.fx_phases,
+            state,
+            sample_spread,
+        )),
     };
-    // Start-of-run gating: every P_EN high. (SHIL and the couplings are
-    // set by the stage body before its first step.)
-    kernel.enable_all_edges();
 
-    // Runner semantics: frequency offsets are the replica's first draws.
-    if sample_spread {
-        for (r, rng) in rngs.iter_mut().enumerate() {
-            if configs[r].frequency_spread > 0.0 {
-                for i in 0..n {
-                    kernel.set_bias(i, r, configs[r].frequency_spread * standard_normal(rng));
-                }
-            }
-        }
-    }
-
-    // Startup randomization: i.i.d. uniform phases, per replica in node
-    // order (the order `PhaseNetwork::random_phases` draws). Both
-    // backends consume the identical uniform draws; the fixed-point
-    // path quantizes each to the nearest of 2^32 turn counts.
-    match backend {
-        KernelBackend::F64 => {
-            refill(phases, n * rr, 0.0);
-            draw_uniform_phases::<F64>(phases, rngs, |_| true);
-        }
-        KernelBackend::Fixed => {
-            refill(fx_phases, n * rr, 0);
-            draw_uniform_phases::<Fixed>(fx_phases, rngs, |_| true);
-        }
-    }
-
-    refill(groups, n * rr, 0usize);
-    refill(bits, n * rr, false);
-    ramped.clear();
-    ramped.extend(configs.iter().map(|c| c.shil_ramp));
+    refill(&mut state.groups, n * rr, 0usize);
+    refill(&mut state.bits, n * rr, false);
+    state.ramped.clear();
+    state
+        .ramped
+        .extend(state.configs.iter().map(|c| c.shil_ramp));
     // Stage records are the output payload (moved into the returned
     // solutions), so they are the one fresh allocation per solve.
     let stage_records: Vec<Vec<StageRecord>> = vec![Vec::with_capacity(k); rr];
@@ -537,195 +504,74 @@ fn prepare_lane_range(
     }
 }
 
-/// What a kernel format supplies to the one stage body, [`run_stage`]
-/// (see the module docs). The lane controls are [`LaneKernel`]'s own,
-/// shared by both formats, so only the phase word, the integrator and
-/// the mixed re-init hand step are listed here.
-trait StageKernel: LaneFormat {
-    /// One phase: `f64` radians or `i32` binary turns.
-    type Phase: Copy;
-    /// The backend's reusable Euler–Maruyama driver.
-    type Integrator;
+/// The start-of-run state of one lane range on either backend: every
+/// `P_EN` high, each replica's frequency-offset draws when
+/// `sample_spread`, then i.i.d. uniform start phases — in that order,
+/// from each replica's own RNG.
+fn start_lanes<K: LaneFormat>(
+    mut kernel: LaneKernel<K>,
+    phases: &mut Vec<K::Word>,
+    state: &mut LaneState,
+    sample_spread: bool,
+) -> LaneKernel<K> {
+    let n = kernel.num_nodes();
+    // Every P_EN high. (SHIL and the couplings are set by the stage
+    // body before its first step.)
+    kernel.enable_all_edges();
 
-    /// The phase word nearest `theta` radians.
-    fn from_radians(theta: f64) -> Self::Phase;
-
-    /// The phase word in radians (exactly invertible for both backends).
-    fn to_radians(q: Self::Phase) -> f64;
-
-    /// Picks this backend's integrator and phase buffer out of an
-    /// arena's two.
-    fn buffers<'a>(
-        float: (&'a mut BatchIntegrator, &'a mut [f64]),
-        fixed: (&'a mut FxBatchIntegrator, &'a mut [i32]),
-    ) -> (&'a mut Self::Integrator, &'a mut [Self::Phase]);
-
-    /// Integrates every lane over `window`, ramping the SHIL scale of the
-    /// lanes `ramped` marks (when given) on the shared step sequence.
-    fn integrate(
-        kernel: &mut LaneKernel<Self>,
-        integrator: &mut Self::Integrator,
-        phases: &mut [Self::Phase],
-        window: &Window,
-        dt: f64,
-        rngs: &mut [StdRng],
-        ramped: Option<&[bool]>,
-    );
-
-    /// Advances the jitter-drift lanes through a randomize window by the
-    /// exact bias + noise arithmetic of the kernel path (one deviate per
-    /// node per step, in node order: the solo stream), on this backend's
-    /// step grid. Uniform lanes draw nothing.
-    fn drift_jitter_lanes(
-        kernel: &LaneKernel<Self>,
-        phases: &mut [Self::Phase],
-        window: &Window,
-        dt: f64,
-        configs: &[MsropmConfig],
-        rngs: &mut [StdRng],
-    );
-}
-
-impl StageKernel for F64 {
-    type Phase = f64;
-    type Integrator = BatchIntegrator;
-
-    fn from_radians(theta: f64) -> f64 {
-        theta
-    }
-
-    fn to_radians(theta: f64) -> f64 {
-        theta
-    }
-
-    fn buffers<'a>(
-        float: (&'a mut BatchIntegrator, &'a mut [f64]),
-        _: (&'a mut FxBatchIntegrator, &'a mut [i32]),
-    ) -> (&'a mut BatchIntegrator, &'a mut [f64]) {
-        float
-    }
-
-    fn integrate(
-        kernel: &mut BatchKernel,
-        integrator: &mut BatchIntegrator,
-        phases: &mut [f64],
-        w: &Window,
-        dt: f64,
-        rngs: &mut [StdRng],
-        ramped: Option<&[bool]>,
-    ) {
-        let (t0, t1) = (w.t_start, w.t_end());
-        match ramped {
-            Some(ramped) => integrator.integrate_ramped(
-                kernel,
-                phases,
-                t0,
-                t1,
-                dt,
-                rngs,
-                |f| f,
-                ramped,
-                |_, _| {},
-            ),
-            None => integrator.integrate(kernel, phases, t0, t1, dt, rngs),
-        }
-    }
-
-    /// Steps of `dt`, the last one shrunk to land on the window's end.
-    fn drift_jitter_lanes(
-        kernel: &BatchKernel,
-        phases: &mut [f64],
-        w: &Window,
-        dt: f64,
-        configs: &[MsropmConfig],
-        rngs: &mut [StdRng],
-    ) {
-        let rr = rngs.len();
-        let (mut t, t_end) = (w.t_start, w.t_end());
-        while t < t_end {
-            let h = dt.min(t_end - t);
-            let sqrt_h = h.sqrt();
-            for i in 0..kernel.num_nodes() {
-                for (r, rng) in rngs.iter_mut().enumerate() {
-                    if let ReinitMode::JitterDrift { sigma } = configs[r].reinit {
-                        let xi = standard_normal(rng);
-                        let sig = if kernel.node_enabled(i) { sigma } else { 0.0 };
-                        phases[i * rr + r] += h * kernel.bias_of(i, r) + sqrt_h * sig * xi;
-                    }
+    // Runner semantics: frequency offsets are the replica's first draws.
+    if sample_spread {
+        for (r, rng) in state.rngs.iter_mut().enumerate() {
+            let spread = state.configs[r].frequency_spread;
+            if spread > 0.0 {
+                for i in 0..n {
+                    kernel.set_bias(i, r, spread * standard_normal(rng));
                 }
             }
-            t += h;
         }
     }
+
+    refill(phases, n * state.rngs.len(), K::Word::default());
+    draw_uniform_phases(kernel.format(), phases, &mut state.rngs, |_| true);
+    kernel
 }
 
-impl StageKernel for Fixed {
-    type Phase = i32;
-    type Integrator = FxBatchIntegrator;
-
-    fn from_radians(theta: f64) -> i32 {
-        phase_to_turns(theta)
-    }
-
-    fn to_radians(q: i32) -> f64 {
-        turns_to_phase(q)
-    }
-
-    fn buffers<'a>(
-        _: (&'a mut BatchIntegrator, &'a mut [f64]),
-        fixed: (&'a mut FxBatchIntegrator, &'a mut [i32]),
-    ) -> (&'a mut FxBatchIntegrator, &'a mut [i32]) {
-        fixed
-    }
-
-    fn integrate(
-        kernel: &mut FxBatchKernel,
-        integrator: &mut FxBatchIntegrator,
-        phases: &mut [i32],
-        w: &Window,
-        dt: f64,
-        rngs: &mut [StdRng],
-        ramped: Option<&[bool]>,
-    ) {
-        let (t0, t1) = (w.t_start, w.t_end());
-        match ramped {
-            Some(ramped) => {
-                integrator.integrate_ramped(kernel, phases, t0, t1, dt, rngs, |f| f, ramped)
-            }
-            None => integrator.integrate(kernel, phases, t0, t1, dt, rngs),
-        }
-    }
-
-    /// The uniform grid of [`FxBatchKernel::steps_for`] full steps (the
-    /// hardware clock), each lane's drift σ quantized to a per-step gain
-    /// once.
-    fn drift_jitter_lanes(
-        kernel: &FxBatchKernel,
-        phases: &mut [i32],
-        w: &Window,
-        dt: f64,
-        configs: &[MsropmConfig],
-        rngs: &mut [StdRng],
-    ) {
-        let rr = rngs.len();
-        let gains: Vec<i64> = configs
-            .iter()
-            .map(|c| match c.reinit {
-                ReinitMode::JitterDrift { sigma } => fxkernel::noise_gain(sigma, dt),
-                ReinitMode::UniformRandom => 0,
-            })
-            .collect();
-        for _ in 0..kernel.steps_for(w.t_start, w.t_end()) {
-            for i in 0..kernel.num_nodes() {
-                for (r, rng) in rngs.iter_mut().enumerate() {
-                    if matches!(configs[r].reinit, ReinitMode::JitterDrift { .. }) {
-                        let xi = standard_normal(rng);
-                        let gain = if kernel.node_enabled(i) { gains[r] } else { 0 };
-                        let q = &mut phases[i * rr + r];
-                        *q = q
-                            .wrapping_add(kernel.bias_of(i, r))
-                            .wrapping_add(noise_increment(gain, xi));
-                    }
+/// Advances the jitter-drift lanes through a randomize window that
+/// mixes re-init modes. Couplings and SHIL are off, so each lane's drift
+/// is its bias alone: the lanes step by the kernel path's own update
+/// ([`LaneFormat::advance`]) on the format's step grid, one deviate per
+/// node per step in node order (the solo stream), with each lane's
+/// drift σ turned into a gain once. Uniform lanes draw nothing.
+fn drift_jitter_lanes<K: LaneFormat>(
+    kernel: &LaneKernel<K>,
+    phases: &mut [K::Word],
+    w: &Window,
+    dt: f64,
+    configs: &[MsropmConfig],
+    rngs: &mut [StdRng],
+) {
+    let rr = rngs.len();
+    let format = kernel.format();
+    let gains: Vec<Option<K::Gain>> = configs
+        .iter()
+        .map(|c| match c.reinit {
+            ReinitMode::JitterDrift { sigma } => Some(format.gain(sigma)),
+            ReinitMode::UniformRandom => None,
+        })
+        .collect();
+    for h in format.steps(w.t_start, w.t_end(), dt) {
+        let sqrt_h = h.sqrt();
+        for i in 0..kernel.num_nodes() {
+            for (r, rng) in rngs.iter_mut().enumerate() {
+                if let Some(gain) = gains[r] {
+                    let xi = standard_normal(rng);
+                    let g = if kernel.node_enabled(i) {
+                        gain
+                    } else {
+                        K::Gain::default()
+                    };
+                    let d = kernel.bias_of(i, r);
+                    K::advance(&mut phases[i * rr + r], d, g, xi, h, sqrt_h);
                 }
             }
         }
@@ -736,15 +582,16 @@ impl StageKernel for Fixed {
 /// lane in node order (the order `PhaseNetwork::random_phases` draws).
 /// Both backends consume the identical uniform draws; the fixed-point
 /// one rounds each to the nearest of 2^32 turn counts.
-fn draw_uniform_phases<K: StageKernel>(
-    phases: &mut [K::Phase],
+fn draw_uniform_phases<K: LaneFormat>(
+    format: &K,
+    phases: &mut [K::Word],
     rngs: &mut [StdRng],
     redraw: impl Fn(usize) -> bool,
 ) {
     let rr = rngs.len();
     for (r, rng) in rngs.iter_mut().enumerate().filter(|(r, _)| redraw(*r)) {
         for q in phases.iter_mut().skip(r).step_by(rr) {
-            *q = K::from_radians(rng.gen::<f64>() * TAU);
+            *q = format.phase(rng.gen::<f64>() * TAU);
         }
     }
 }
@@ -764,9 +611,40 @@ fn run_one_stage(
     arena: &mut BatchArena,
     stage_records: &mut [Vec<StageRecord>],
 ) {
+    let BatchArena {
+        integrator,
+        fx_integrator,
+        phases,
+        fx_phases,
+        lanes,
+    } = arena;
     match kernel {
-        EngineKernel::F64(k) => run_stage(graph, stage, stage_windows, dt, k, arena, stage_records),
-        EngineKernel::Fx(k) => run_stage(graph, stage, stage_windows, dt, k, arena, stage_records),
+        EngineKernel::F64(k) => {
+            let buffers = (integrator, phases.as_mut_slice());
+            run_stage(
+                graph,
+                stage,
+                stage_windows,
+                dt,
+                k,
+                buffers,
+                lanes,
+                stage_records,
+            )
+        }
+        EngineKernel::Fx(k) => {
+            let buffers = (fx_integrator, fx_phases.as_mut_slice());
+            run_stage(
+                graph,
+                stage,
+                stage_windows,
+                dt,
+                k,
+                buffers,
+                lanes,
+                stage_records,
+            )
+        }
     }
 }
 
@@ -774,29 +652,26 @@ fn run_one_stage(
 /// radians and applies the same `phase_to_spin`/`lock_error` decisions,
 /// so binarization and quality metrics are defined identically across
 /// backends.
-fn run_stage<K: StageKernel>(
+#[allow(clippy::too_many_arguments)]
+fn run_stage<K: LaneFormat>(
     graph: &Graph,
     stage: usize,
     stage_windows: &[Window],
     dt: f64,
     kernel: &mut LaneKernel<K>,
-    arena: &mut BatchArena,
+    (integrator, phases): (&mut LaneIntegrator<K>, &mut [K::Word]),
+    lanes: &mut LaneState,
     stage_records: &mut [Vec<StageRecord>],
 ) {
     let n = graph.num_nodes();
-    let BatchArena {
-        integrator,
-        fx_integrator,
+    let LaneState {
         rngs,
         configs,
-        phases,
-        fx_phases,
         groups,
         bits,
         stage_shils,
         ramped,
-    } = arena;
-    let (integrator, phases) = K::buffers((integrator, phases), (fx_integrator, fx_phases));
+    } = lanes;
     let rr = configs.len();
     let num_groups = 1usize << (stage - 1);
     let [w_init, w_anneal, w_lock] = stage_windows else {
@@ -822,7 +697,7 @@ fn run_stage<K: StageKernel>(
             };
             kernel.set_lane_noise_amplitude(r, sigma);
         }
-        K::integrate(kernel, integrator, phases, w_init, dt, rngs, None);
+        integrator.integrate(kernel, phases, w_init.t_start, w_init.t_end(), dt, rngs);
         for (r, cfg) in configs.iter().enumerate() {
             kernel.set_lane_noise_amplitude(r, cfg.noise);
         }
@@ -830,16 +705,16 @@ fn run_stage<K: StageKernel>(
         // Mixed modes. Couplings and SHIL are off, so lanes are fully
         // independent: jitter lanes drift by hand while uniform lanes
         // draw nothing until their redraw below.
-        K::drift_jitter_lanes(kernel, phases, w_init, dt, configs, rngs);
+        drift_jitter_lanes(kernel, phases, w_init, dt, configs, rngs);
     }
-    draw_uniform_phases::<K>(phases, rngs, |r| {
+    draw_uniform_phases(kernel.format(), phases, rngs, |r| {
         configs[r].reinit == ReinitMode::UniformRandom
     });
 
     // ---- Anneal window (couplings on, SHIL off) ----
     debug_assert_eq!(w_anneal.kind, WindowKind::Anneal);
     kernel.set_couplings_enabled(true);
-    K::integrate(kernel, integrator, phases, w_anneal, dt, rngs, None);
+    integrator.integrate(kernel, phases, w_anneal.t_start, w_anneal.t_end(), dt, rngs);
 
     // ---- Lock window (couplings on, SHIL on) ----
     debug_assert_eq!(w_lock.kind, WindowKind::Lock);
@@ -857,21 +732,26 @@ fn run_stage<K: StageKernel>(
         }
     }
     kernel.set_shil_enabled(true);
-    let ramped = ramped.iter().any(|&r| r).then_some(ramped.as_slice());
-    K::integrate(kernel, integrator, phases, w_lock, dt, rngs, ramped);
+    // Ramped and plain lanes share the plain step sequence.
+    let (t0, t1) = (w_lock.t_start, w_lock.t_end());
+    if ramped.contains(&true) {
+        integrator.integrate_ramped(kernel, phases, t0, t1, dt, rngs, |f| f, ramped, |_, _| {});
+    } else {
+        integrator.integrate(kernel, phases, t0, t1, dt, rngs);
+    }
 
     // ---- Readout (per replica) ----
     for i in 0..n {
         for r in 0..rr {
             let idx = i * rr + r;
-            bits[idx] = phase_to_spin(K::to_radians(phases[idx]), &shil_of(r, groups[idx])) == 1;
+            bits[idx] = phase_to_spin(K::radians(phases[idx]), &shil_of(r, groups[idx])) == 1;
         }
     }
     for r in 0..rr {
         let worst_lock = (0..n)
             .map(|i| {
                 let idx = i * rr + r;
-                lock_error(K::to_radians(phases[idx]), &shil_of(r, groups[idx]))
+                lock_error(K::radians(phases[idx]), &shil_of(r, groups[idx]))
             })
             .fold(0.0f64, f64::max);
         let replica_bits: Vec<bool> = (0..n).map(|i| bits[i * rr + r]).collect();
@@ -921,7 +801,7 @@ fn assemble_solutions(
     total_time_ns: f64,
 ) -> Vec<MsropmSolution> {
     let rr = stage_records.len();
-    let groups = &arena.groups;
+    let groups = &arena.lanes.groups;
     stage_records
         .into_iter()
         .enumerate()

@@ -27,15 +27,17 @@
 //! speed with no per-step branching.
 //!
 //! **What lives here.** [`BatchKernel`] is [`LaneKernel`] in the
-//! [`F64`] format. The lane controls and their rules (an edge conducts
-//! only between working rings; a defective ring gets no bias, SHIL or
-//! noise) are written once in [`crate::lanes`] for both number formats.
-//! This module holds what is f64's own: values stored as given, the
-//! gating compiled into a [`Sweep`], the drift body and
-//! [`BatchIntegrator`].
+//! [`F64`] format, and [`BatchIntegrator`] is [`LaneIntegrator`] in it.
+//! The lane controls and their rules (an edge conducts only between
+//! working rings; a defective ring gets no bias, SHIL or noise) and the
+//! Euler–Maruyama driver are written once in [`crate::lanes`] for both
+//! number formats. This module holds what is f64's own: values stored as
+//! given, the gating compiled into a [`Sweep`], the drift body, the step
+//! grid (steps of `dt`, the last one shrunk to land on the window's end)
+//! and the update `y += h·f + √h·σ·ξ`.
 //!
 //! Noise is drawn through
-//! [`fill_normal_batch`] from one
+//! [`fill_normal_batch`](msropm_ode::sde::fill_normal_batch) from one
 //! seeded RNG **per replica**, in the same per-replica order a sequential
 //! run would draw, completing the bit-identity argument.
 //!
@@ -67,9 +69,8 @@
 //! so the rebuild runs a few times per solve, never per step.
 
 use crate::fastmath::sin_slice;
-use crate::lanes::{LaneFormat, LaneKernel};
+use crate::lanes::{LaneFormat, LaneIntegrator, LaneKernel};
 use crate::network::{lane_base, PhaseNetwork};
-use msropm_ode::sde::fill_normal_batch;
 use rand::Rng;
 
 /// Fewest lanes at which a shard whose live edges conduct in every lane
@@ -117,6 +118,10 @@ impl LaneFormat for F64 {
         theta
     }
 
+    fn radians(theta: f64) -> f64 {
+        theta
+    }
+
     fn scale(&self, scale: f64) -> f64 {
         scale
     }
@@ -155,6 +160,34 @@ impl LaneFormat for F64 {
             }
         }
         Sweep::Pairs { u, v, w }
+    }
+
+    fn drift(k: &BatchKernel, y: &[f64], dydt: &mut [f64], scratch: &mut Vec<f64>) {
+        k.drift_into(y, dydt, scratch);
+    }
+
+    /// Steps of `dt`, the last one shrunk to land on `t1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt <= 0` or `t1 < t0`.
+    fn steps(&self, t0: f64, t1: f64, dt: f64) -> impl Iterator<Item = f64> + use<> {
+        assert!(dt > 0.0, "step size must be positive");
+        assert!(t1 >= t0, "t1 must be >= t0");
+        let mut t = t0;
+        std::iter::from_fn(move || {
+            (t < t1).then(|| {
+                let h = dt.min(t1 - t);
+                t += h;
+                h
+            })
+        })
+    }
+
+    /// `y += h·d + √h·σ·ξ`.
+    #[inline(always)]
+    fn advance(y: &mut f64, d: f64, sigma: f64, xi: f64, h: f64, sqrt_h: f64) {
+        *y += h * d + sqrt_h * sigma * xi;
     }
 }
 
@@ -327,90 +360,11 @@ fn pair_drift(
     }
 }
 
-/// The segment schedule of a ramped window, shared by the float and
-/// fixed-point integrators. Both must stay in **exact lockstep** — same
-/// segment count, same boundaries, same mid-segment ramp fractions — so
-/// that a ramped fixed-point run tracks the float run it quantizes step
-/// for step. Keeping the arithmetic in one place makes that impossible
-/// to drift.
-///
-/// Segments are indexed by **step count**, not by time: a ramped window
-/// performs exactly the step sequence of the plain
-/// [`BatchIntegrator::integrate`] loop (`h = dt` except the final
-/// landing step) and only the SHIL scale changes between steps. This is
-/// what lets a batch mix ramped and non-ramped lanes — the non-ramped
-/// lanes see the same step sizes and RNG consumption as a standalone
-/// un-ramped run.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RampSchedule {
-    segments: usize,
-    steps_per_seg: usize,
-    /// The segment whose scale the ramped lanes carry (`usize::MAX`
-    /// before the first step).
-    current: usize,
-}
-
-impl RampSchedule {
-    /// Plans ~10-step segments (1..=1000 of them) over the steps the
-    /// plain loop takes to cover `[t0, t1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt <= 0` or `t1 < t0`.
-    pub(crate) fn new(t0: f64, t1: f64, dt: f64) -> Self {
-        assert!(dt > 0.0, "step size must be positive");
-        assert!(t1 >= t0, "t1 must be >= t0");
-        let steps = (((t1 - t0) / dt).ceil() as usize).max(1);
-        let segments = steps.div_ceil(10).clamp(1, 1000);
-        RampSchedule {
-            segments,
-            steps_per_seg: steps.div_ceil(segments),
-            current: usize::MAX,
-        }
-    }
-
-    /// Runs before step `step` (0-based; steps past the planned count
-    /// stay in the last segment). When the step opens segment `s`, sets
-    /// the SHIL scale of the lanes `ramped` marks to
-    /// `ramp((s + ½)/segments)`, the mid-segment ramp abscissa.
-    pub(crate) fn enter<F: LaneFormat>(
-        &mut self,
-        step: usize,
-        kernel: &mut LaneKernel<F>,
-        ramp: &impl Fn(f64) -> f64,
-        ramped: &[bool],
-    ) {
-        let s = (step / self.steps_per_seg).min(self.segments - 1);
-        if s != self.current {
-            let scale = ramp((s as f64 + 0.5) / self.segments as f64);
-            for (r, _) in ramped.iter().enumerate().filter(|(_, &on)| on) {
-                kernel.set_lane_shil_scale(r, scale);
-            }
-            self.current = s;
-        }
-    }
-}
-
-/// Reusable Euler–Maruyama driver for [`BatchKernel`]s with one RNG per
-/// replica. Owns all scratch; allocation-free after the first step.
-///
-/// One normal deviate is drawn per oscillator per step even where
-/// σ = 0, so each replica's RNG stream is independent of its gating
-/// state — the property that makes seeded runs comparable across
-/// configurations.
-#[derive(Debug, Clone, Default)]
-pub struct BatchIntegrator {
-    drift: Vec<f64>,
-    noise: Vec<f64>,
-    scratch: Vec<f64>,
-}
+/// The reusable Euler–Maruyama driver for [`BatchKernel`]s: a
+/// [`LaneIntegrator`] in the [`F64`] format.
+pub type BatchIntegrator = LaneIntegrator<F64>;
 
 impl BatchIntegrator {
-    /// Creates an integrator with empty (lazily sized) buffers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// One interleaved Euler–Maruyama step `y += f·dt + σ·√dt·ξ` for all
     /// replicas.
     ///
@@ -418,123 +372,7 @@ impl BatchIntegrator {
     ///
     /// Panics if `rngs.len() != kernel.num_replicas()`.
     pub fn step<R: Rng>(&mut self, kernel: &BatchKernel, y: &mut [f64], dt: f64, rngs: &mut [R]) {
-        assert_eq!(
-            rngs.len(),
-            kernel.num_replicas(),
-            "need exactly one RNG per replica"
-        );
-        let len = kernel.state_len();
-        let rr = kernel.num_replicas();
-        self.drift.resize(len, 0.0);
-        self.noise.resize(len, 0.0);
-        kernel.drift_into(y, &mut self.drift, &mut self.scratch);
-        // Per-replica streams in sequential order (see fill_normal_batch):
-        // one deviate per oscillator per step, σ = 0 lanes included.
-        fill_normal_batch(&mut self.noise, rngs);
-        let sqrt_dt = dt.sqrt();
-        for i in 0..kernel.num_nodes() {
-            let row = i * rr;
-            for r in 0..rr {
-                y[row + r] += dt * self.drift[row + r]
-                    + sqrt_dt * kernel.noise[row + r] * self.noise[row + r];
-            }
-        }
-    }
-
-    /// Integrates all replicas from `t0` to `t1` with steps of at most
-    /// `dt` (final step shrinks to land on `t1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt <= 0` or `t1 < t0`.
-    pub fn integrate<R: Rng>(
-        &mut self,
-        kernel: &BatchKernel,
-        y: &mut [f64],
-        t0: f64,
-        t1: f64,
-        dt: f64,
-        rngs: &mut [R],
-    ) {
-        self.integrate_observed(kernel, y, t0, t1, dt, rngs, |_, _| {});
-    }
-
-    /// Like [`BatchIntegrator::integrate`] with an observer invoked with
-    /// the interleaved state at `t0` and after every step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt <= 0` or `t1 < t0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn integrate_observed<R: Rng>(
-        &mut self,
-        kernel: &BatchKernel,
-        y: &mut [f64],
-        t0: f64,
-        t1: f64,
-        dt: f64,
-        rngs: &mut [R],
-        mut observe: impl FnMut(f64, &[f64]),
-    ) {
-        assert!(dt > 0.0, "step size must be positive");
-        assert!(t1 >= t0, "t1 must be >= t0");
-        observe(t0, y);
-        let mut t = t0;
-        while t < t1 {
-            let h = dt.min(t1 - t);
-            self.step(kernel, y, h, rngs);
-            t += h;
-            observe(t, y);
-        }
-    }
-
-    /// Integrates `[t0, t1]` while ramping the SHIL scale of the lanes
-    /// marked in `ramped`; unmarked lanes hold scale 1 throughout. Steps
-    /// are grouped into segments (ten steps each, capped at 1000
-    /// segments) and segment `s` runs with `scale = ramp((s + ½)/segments)`.
-    /// The step sequence is exactly the plain
-    /// [`BatchIntegrator::integrate`] sequence — segments switch the
-    /// scale *between* steps and never split one — so a ramped lane
-    /// matches its one-lane ramped run and an unmarked lane its plain
-    /// run, bit for bit. The observer fires at `t0` and after every step
-    /// with absolute time. All scales are restored to 1 on return.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt <= 0`, `t1 < t0`, `ramped.len()` differs from the
-    /// replica count, or the ramp returns a negative or non-finite
-    /// scale.
-    #[allow(clippy::too_many_arguments)]
-    pub fn integrate_ramped<R: Rng>(
-        &mut self,
-        kernel: &mut BatchKernel,
-        y: &mut [f64],
-        t0: f64,
-        t1: f64,
-        dt: f64,
-        rngs: &mut [R],
-        ramp: impl Fn(f64) -> f64,
-        ramped: &[bool],
-        mut observe: impl FnMut(f64, &[f64]),
-    ) {
-        assert_eq!(
-            ramped.len(),
-            kernel.num_replicas(),
-            "need one ramp flag per replica"
-        );
-        let mut schedule = RampSchedule::new(t0, t1, dt);
-        observe(t0, y);
-        let mut t = t0;
-        let mut step = 0usize;
-        while t < t1 {
-            schedule.enter(step, kernel, &ramp, ramped);
-            let h = dt.min(t1 - t);
-            self.step(kernel, y, h, rngs);
-            t += h;
-            step += 1;
-            observe(t, y);
-        }
-        kernel.set_shil_scale(1.0);
+        self.step_by(kernel, y, dt, rngs);
     }
 }
 

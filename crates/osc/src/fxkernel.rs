@@ -1,12 +1,13 @@
 //! Fixed-point phase kernel: the Q-format integer backend behind the
 //! same `drift_into` contract as [`crate::batch::BatchKernel`].
 //!
-//! [`FxBatchKernel`] is [`LaneKernel`] in the [`Fixed`] format: the lane
-//! controls and their defective-ring rules are shared with the f64
-//! kernel in [`crate::lanes`]. This module holds what is fixed point's
-//! own: the quantization of every value at `dt`, the gating compiled
-//! into effective weight lanes, the LUT sine, the drift body and
-//! [`FxBatchIntegrator`].
+//! [`FxBatchKernel`] is [`LaneKernel`] in the [`Fixed`] format, and
+//! [`FxBatchIntegrator`] is [`LaneIntegrator`] in it: the lane controls,
+//! their defective-ring rules and the Euler–Maruyama driver are shared
+//! with the f64 kernel in [`crate::lanes`]. This module holds what is
+//! fixed point's own: the quantization of every value at `dt`, the
+//! gating compiled into effective weight lanes, the LUT sine, the drift
+//! body, the uniform step grid and the wrapping update.
 //!
 //! # Why a second numeric stack
 //!
@@ -50,13 +51,17 @@
 //!
 //! # Compile-time quantization
 //!
-//! The integrator walks a uniform step grid (every step is exactly
-//! `dt`; windows that are not an exact multiple of `dt` round their
-//! step count up, mirroring the float loop's step *count* without its
-//! shrunken landing step — the hardware has one clock, not a fractional
-//! last cycle). That makes `dt` a compile-time constant of the kernel,
-//! so every rate is folded into a per-**step** increment when the
-//! kernel is built:
+//! The integrator walks a uniform step grid: every step is exactly
+//! `dt`, and a window that is not a multiple of `dt` takes
+//! `ceil((t1 − t0)/dt)` steps — the hardware has one clock, not a
+//! fractional last cycle. That is not the float loop's step count: the
+//! float loop steps while `t < t1`, so where rounding leaves `t` just
+//! short of a window's end it takes one more, sliver step (2e-14 to
+//! 4e-12 ns), in 4 of the paper schedule's 6 windows at `dt = 0.01`.
+//! Each sliver costs a full RHS evaluation plus `n·M` deviates and puts
+//! the two backends' deviate streams out of step. The uniform grid makes
+//! `dt` a compile-time constant of the kernel, so every rate is folded
+//! into a per-**step** increment when the kernel is built:
 //!
 //! ```text
 //! wq   = round(dt·K_uv / 2π · 2^32)        (per edge per lane, i32)
@@ -86,7 +91,7 @@
 //!
 //! [`FxBatchIntegrator`] draws one `f64` standard-normal deviate per
 //! oscillator per step through the exact
-//! [`fill_normal_batch`] stream the
+//! [`fill_normal_batch`](msropm_ode::sde::fill_normal_batch) stream the
 //! float backend consumes (same RNG, same order — a lane's seed means
 //! the same thing under either backend), then quantizes: the deviate is
 //! rounded to Q16 and multiplied by a per-lane integer gain
@@ -96,11 +101,9 @@
 //! and across shard widths by the same per-lane-stream argument as the
 //! float path.
 
-use crate::batch::RampSchedule;
 use crate::fastmath::{round_half_away_any, sin_fast};
-use crate::lanes::{LaneFormat, LaneKernel};
+use crate::lanes::{LaneFormat, LaneIntegrator, LaneKernel};
 use crate::network::{lane_base, PhaseNetwork};
-use msropm_ode::sde::fill_normal_batch;
 use rand::Rng;
 use std::f64::consts::{FRAC_PI_2, TAU};
 use std::sync::OnceLock;
@@ -213,17 +216,6 @@ pub fn sin_turns(q: i32) -> i32 {
     sin_turns_core(quarter_table(), q)
 }
 
-/// Applies [`sin_turns`] in place over a slice — the contiguous-buffer
-/// shape the kernel's LUT pass runs (one table borrow hoisted out of
-/// the loop; the body is straight-line integer code).
-#[inline]
-pub fn sin_turns_slice(qs: &mut [i32]) {
-    let table = quarter_table();
-    for q in qs.iter_mut() {
-        *q = sin_turns_core(table, *q);
-    }
-}
-
 /// The fixed-point [`LaneFormat`]: every rate is quantized to per-step
 /// turn counts at `dt`, phases to binary turns and the SHIL scale to
 /// Q16, and the gating compiles into the effective weight lanes (`0`
@@ -262,6 +254,10 @@ impl LaneFormat for Fixed {
         phase_to_turns(theta)
     }
 
+    fn radians(q: i32) -> f64 {
+        turns_to_phase(q)
+    }
+
     fn scale(&self, scale: f64) -> i32 {
         (scale * 65_536.0).round() as i32
     }
@@ -274,6 +270,32 @@ impl LaneFormat for Fixed {
         let lanes = k.base_weight.iter().zip(&k.edge_on);
         lanes.map(|(&w, &on)| if on { w } else { 0 }).collect()
     }
+
+    fn drift(k: &FxBatchKernel, y: &[i32], dq: &mut [i32], scratch: &mut Vec<i32>) {
+        k.drift_into(y, dq, scratch);
+    }
+
+    /// `ceil((t1 − t0)/dt)` full steps of `dt` (the hardware clock).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` differs from the compiled step size (the rate
+    /// tables would be stale) or `t1 < t0`.
+    fn steps(&self, t0: f64, t1: f64, dt: f64) -> impl Iterator<Item = f64> + use<> {
+        assert_eq!(
+            dt.to_bits(),
+            self.dt.to_bits(),
+            "dt differs from the kernel's compiled step size"
+        );
+        assert!(t1 >= t0, "t1 must be >= t0");
+        std::iter::repeat_n(dt, ((t1 - t0) / dt).ceil() as usize)
+    }
+
+    /// `q += d + round(gain·ξ)`, wrapping; the step size is compiled in.
+    #[inline(always)]
+    fn advance(q: &mut i32, d: i32, gain: i64, xi: f64, _h: f64, _sqrt_h: f64) {
+        *q = q.wrapping_add(d).wrapping_add(noise_increment(gain, xi));
+    }
 }
 
 /// The fixed-point multi-replica coupling kernel: a [`LaneKernel`] in
@@ -281,12 +303,9 @@ impl LaneFormat for Fixed {
 /// [`crate::batch::BatchKernel`] — same SoA layout (`y[i*M + r]`), same
 /// control API, `dt` folded into every table.
 ///
-/// [`FxBatchKernel::drift_into`] honors the same three-pass
-/// gather → sin → scatter contract, with one deliberate difference in
-/// units: because the step size is compiled in, it writes **per-step
-/// phase increments in turns** (apply with a wrapping add), not a
-/// rate — the hardware-faithful formulation where an RHS evaluation
-/// *is* one clock of the phase accumulator.
+/// Because the step size is compiled in, [`FxBatchKernel::drift_into`]
+/// writes **per-step phase increments in turns**, not a rate: an RHS
+/// evaluation *is* one clock of the phase accumulator.
 pub type FxBatchKernel = LaneKernel<Fixed>;
 
 impl FxBatchKernel {
@@ -405,37 +424,15 @@ impl FxBatchKernel {
             }
         }
     }
-
-    /// Number of integrator steps the uniform grid takes to cover
-    /// `[t0, t1]` at this kernel's `dt`: the float loop's step *count*
-    /// (`ceil((t1−t0)/dt)`), every step a full `dt`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t1 < t0`.
-    pub fn steps_for(&self, t0: f64, t1: f64) -> usize {
-        assert!(t1 >= t0, "t1 must be >= t0");
-        ((t1 - t0) / self.dt()).ceil() as usize
-    }
 }
 
-/// Reusable fixed-point Euler–Maruyama driver for [`FxBatchKernel`]s:
-/// one RNG per replica, per-step increments applied with wrapping adds,
-/// noise via quantized ziggurat draws (see the module docs).
-/// Allocation-free after the first step.
-#[derive(Debug, Clone, Default)]
-pub struct FxBatchIntegrator {
-    delta: Vec<i32>,
-    scratch: Vec<i32>,
-    noise: Vec<f64>,
-}
+/// The reusable fixed-point Euler–Maruyama driver for
+/// [`FxBatchKernel`]s: a [`LaneIntegrator`] in the [`Fixed`] format —
+/// per-step increments applied with wrapping adds, noise via quantized
+/// ziggurat draws (see the module docs).
+pub type FxBatchIntegrator = LaneIntegrator<Fixed>;
 
 impl FxBatchIntegrator {
-    /// Creates an integrator with empty (lazily sized) buffers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// One fixed-point Euler–Maruyama step for all replicas:
     /// `q += drift_q + round(gain·ξ)`, everything wrapping.
     ///
@@ -443,90 +440,7 @@ impl FxBatchIntegrator {
     ///
     /// Panics if `rngs.len() != kernel.num_replicas()`.
     pub fn step<R: Rng>(&mut self, kernel: &FxBatchKernel, y: &mut [i32], rngs: &mut [R]) {
-        assert_eq!(
-            rngs.len(),
-            kernel.num_replicas(),
-            "need exactly one RNG per replica"
-        );
-        let len = kernel.state_len();
-        self.delta.resize(len, 0);
-        self.noise.resize(len, 0.0);
-        kernel.drift_into(y, &mut self.delta, &mut self.scratch);
-        // The same per-replica deviate streams as the float backend:
-        // one draw per oscillator per step, σ = 0 lanes included.
-        fill_normal_batch(&mut self.noise, rngs);
-        let terms = self.delta.iter().zip(&self.noise).zip(&kernel.noise);
-        for (q, ((&d, &xi), &gain)) in y.iter_mut().zip(terms) {
-            *q = q.wrapping_add(d).wrapping_add(noise_increment(gain, xi));
-        }
-    }
-
-    /// Integrates all replicas over `[t0, t1]` on the uniform step grid
-    /// (see [`FxBatchKernel::steps_for`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t1 < t0`, or `dt` differs from the kernel's compiled
-    /// step size (the rate tables would be stale).
-    pub fn integrate<R: Rng>(
-        &mut self,
-        kernel: &FxBatchKernel,
-        y: &mut [i32],
-        t0: f64,
-        t1: f64,
-        dt: f64,
-        rngs: &mut [R],
-    ) {
-        assert_eq!(
-            dt.to_bits(),
-            kernel.dt().to_bits(),
-            "dt differs from the kernel's compiled step size"
-        );
-        for _ in 0..kernel.steps_for(t0, t1) {
-            self.step(kernel, y, rngs);
-        }
-    }
-
-    /// Integrates `[t0, t1]` while ramping the SHIL scale of the lanes
-    /// marked in `ramped`, on the same step-indexed ramp schedule as
-    /// [`BatchIntegrator::integrate_ramped`](crate::batch::BatchIntegrator::integrate_ramped) —
-    /// the step sequence is exactly the plain [`FxBatchIntegrator::integrate`]
-    /// sequence, so ramped and plain lanes mix freely. All scales are
-    /// restored to 1 on return.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t1 < t0`, `dt` differs from the kernel's compiled
-    /// step, `ramped.len()` differs from the replica count, or the ramp
-    /// returns a negative or non-finite scale.
-    #[allow(clippy::too_many_arguments)]
-    pub fn integrate_ramped<R: Rng>(
-        &mut self,
-        kernel: &mut FxBatchKernel,
-        y: &mut [i32],
-        t0: f64,
-        t1: f64,
-        dt: f64,
-        rngs: &mut [R],
-        ramp: impl Fn(f64) -> f64,
-        ramped: &[bool],
-    ) {
-        assert_eq!(
-            dt.to_bits(),
-            kernel.dt().to_bits(),
-            "dt differs from the kernel's compiled step size"
-        );
-        assert_eq!(
-            ramped.len(),
-            kernel.num_replicas(),
-            "need one ramp flag per replica"
-        );
-        let mut schedule = RampSchedule::new(t0, t1, dt);
-        for step in 0..kernel.steps_for(t0, t1) {
-            schedule.enter(step, kernel, &ramp, ramped);
-            self.step(kernel, y, rngs);
-        }
-        kernel.set_shil_scale(1.0);
+        self.step_by(kernel, y, kernel.dt(), rngs);
     }
 }
 
@@ -535,6 +449,7 @@ mod tests {
     use super::*;
     use crate::shil::Shil;
     use msropm_graph::generators;
+    use msropm_ode::sde::fill_normal_batch;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

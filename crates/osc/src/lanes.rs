@@ -1,5 +1,5 @@
-//! The lane-control layer both phase kernels share: one
-//! [`LaneKernel`] generic over its number format.
+//! The lane layer both phase kernels share: one [`LaneKernel`] and one
+//! [`LaneIntegrator`], generic over their number format.
 //!
 //! The paper's machine has one set of control lines per oscillator
 //! array: the per-coupling `P_EN` gates, the per-ring `L_EN` enables,
@@ -21,30 +21,35 @@
 //! - any gating change that flips an `(edge, lane)` bit drops the
 //!   compiled gating, which the next drift rebuilds.
 //!
-//! What differs between the formats is behind [`LaneFormat`]: how one
-//! value is stored, and what the gating compiles into.
+//! It also owns the one Euler–Maruyama driver, [`LaneIntegrator`], and
+//! its step-indexed SHIL ramp schedule. What differs between the formats
+//! is behind [`LaneFormat`]: how one value is stored, what the gating
+//! compiles into, the drift body, the step grid and the update.
 //!
-//! - [`F64`](crate::batch::F64) stores every value as given and
-//!   compiles the gating into the live-pair/row
-//!   [`Sweep`](crate::batch::Sweep) ([`crate::batch`]).
+//! - [`F64`](crate::batch::F64) stores every value as given, compiles
+//!   the gating into the live-pair/row [`Sweep`](crate::batch::Sweep)
+//!   and steps by `dt`, the last step shrunk to land on the window's end.
 //! - [`Fixed`](crate::fxkernel::Fixed) quantizes every rate to per-step
-//!   turn counts at its `dt` and compiles the gating into the effective
-//!   weight lanes ([`crate::fxkernel`]).
+//!   turn counts at its `dt`, compiles the gating into the effective
+//!   weight lanes and takes `ceil((t1 − t0)/dt)` full steps.
 //!
-//! The drift bodies, integrators and sine code stay with their formats;
 //! [`BatchKernel`](crate::batch::BatchKernel) and
-//! [`FxBatchKernel`](crate::fxkernel::FxBatchKernel) are `LaneKernel`
-//! at the two formats.
+//! [`FxBatchKernel`](crate::fxkernel::FxBatchKernel) are `LaneKernel`,
+//! and [`BatchIntegrator`](crate::batch::BatchIntegrator) and
+//! [`FxBatchIntegrator`](crate::fxkernel::FxBatchIntegrator)
+//! `LaneIntegrator`, at the two formats.
 
 use crate::network::PhaseNetwork;
 use crate::shil::Shil;
+use msropm_ode::sde::fill_normal_batch;
+use rand::Rng;
 use std::cell::OnceCell;
 use std::fmt::Debug;
 
-/// How a [`LaneKernel`] stores its control values and what its gating
-/// compiles into (see the module docs). Implemented by the two kernel
-/// formats, [`F64`](crate::batch::F64) and
-/// [`Fixed`](crate::fxkernel::Fixed).
+/// How a [`LaneKernel`] stores its control values, what its gating
+/// compiles into, and how a [`LaneIntegrator`] steps it (see the module
+/// docs). Implemented by the two kernel formats,
+/// [`F64`](crate::batch::F64) and [`Fixed`](crate::fxkernel::Fixed).
 pub trait LaneFormat: Debug + Clone + Sized {
     /// A stored weight, offset, SHIL order, phase, strength or scale:
     /// `f64` as given, or an `i32` quantized count.
@@ -61,12 +66,29 @@ pub trait LaneFormat: Debug + Clone + Sized {
     fn order(&self, m: u32) -> Self::Word;
     /// A phase in radians.
     fn phase(&self, theta: f64) -> Self::Word;
+    /// A stored phase in radians: the inverse of [`LaneFormat::phase`].
+    fn radians(word: Self::Word) -> f64;
     /// A SHIL ramp scale (finite and non-negative).
     fn scale(&self, scale: f64) -> Self::Word;
     /// A noise amplitude σ.
     fn gain(&self, sigma: f64) -> Self::Gain;
     /// Compiles `kernel`'s current gating.
     fn compile(kernel: &LaneKernel<Self>) -> Self::Gating;
+    /// Writes `kernel`'s interleaved drift at `y` into `out`: a rate in
+    /// f64, a per-step increment in fixed point (`scratch` is the
+    /// drift body's reusable buffer).
+    fn drift(
+        kernel: &LaneKernel<Self>,
+        y: &[Self::Word],
+        out: &mut [Self::Word],
+        scratch: &mut Vec<Self::Word>,
+    );
+    /// The step sizes, in order, that cover `[t0, t1]` at step `dt`.
+    fn steps(&self, t0: f64, t1: f64, dt: f64) -> impl Iterator<Item = f64> + use<Self>;
+    /// One oscillator's Euler–Maruyama update over a step of `h`
+    /// (`sqrt_h = √h`): drift `d`, noise gain `g` and standard normal
+    /// deviate `xi`.
+    fn advance(y: &mut Self::Word, d: Self::Word, g: Self::Gain, xi: f64, h: f64, sqrt_h: f64);
 }
 
 /// A compiled multi-replica coupling kernel in number format `F`: the
@@ -238,6 +260,11 @@ impl<F: LaneFormat> LaneKernel<F> {
         }
     }
 
+    /// The number format every control value is stored in.
+    pub fn format(&self) -> &F {
+        &self.format
+    }
+
     /// The compiled gating the drift runs (compiled here after a gating
     /// change).
     pub(crate) fn gating(&self) -> &F::Gating {
@@ -362,13 +389,6 @@ impl<F: LaneFormat> LaneKernel<F> {
         }
     }
 
-    /// Noise amplitude σ of replica 0 (all replicas agree unless
-    /// per-lane amplitudes were set — query
-    /// [`LaneKernel::lane_noise_amplitude`] for a specific lane).
-    pub fn noise_amplitude(&self) -> f64 {
-        self.noise_amp[0]
-    }
-
     /// Noise amplitude σ of one replica.
     ///
     /// # Panics
@@ -376,5 +396,247 @@ impl<F: LaneFormat> LaneKernel<F> {
     /// Panics if `replica` is out of range.
     pub fn lane_noise_amplitude(&self, replica: usize) -> f64 {
         self.noise_amp[replica]
+    }
+}
+
+/// The segment schedule of a ramped window, indexed by **step count**:
+/// a ramped window takes exactly the plain step sequence and only the
+/// SHIL scale changes between steps, so ramped and non-ramped lanes mix
+/// freely in one batch.
+#[derive(Debug, Clone, Copy)]
+struct RampSchedule {
+    segments: usize,
+    steps_per_seg: usize,
+    /// The segment whose scale the ramped lanes carry (`usize::MAX`
+    /// before the first step).
+    current: usize,
+}
+
+impl RampSchedule {
+    /// Plans ~10-step segments (1..=1000 of them) over
+    /// `ceil((t1 − t0)/dt)` steps, for a window and `dt` the format's
+    /// step grid has already checked.
+    fn new(t0: f64, t1: f64, dt: f64) -> Self {
+        let steps = (((t1 - t0) / dt).ceil() as usize).max(1);
+        let segments = steps.div_ceil(10).clamp(1, 1000);
+        RampSchedule {
+            segments,
+            steps_per_seg: steps.div_ceil(segments),
+            current: usize::MAX,
+        }
+    }
+
+    /// Runs before step `step` (0-based; steps past the planned count
+    /// stay in the last segment). When the step opens segment `s`, sets
+    /// the SHIL scale of the lanes `ramped` marks to
+    /// `ramp((s + ½)/segments)`, the mid-segment ramp abscissa.
+    fn enter<F: LaneFormat>(
+        &mut self,
+        step: usize,
+        kernel: &mut LaneKernel<F>,
+        ramp: &impl Fn(f64) -> f64,
+        ramped: &[bool],
+    ) {
+        let s = (step / self.steps_per_seg).min(self.segments - 1);
+        if s != self.current {
+            let scale = ramp((s as f64 + 0.5) / self.segments as f64);
+            for (r, _) in ramped.iter().enumerate().filter(|(_, &on)| on) {
+                kernel.set_lane_shil_scale(r, scale);
+            }
+            self.current = s;
+        }
+    }
+}
+
+/// Reusable Euler–Maruyama driver for a [`LaneKernel`] in format `F`
+/// (step grid [`LaneFormat::steps`], update [`LaneFormat::advance`]),
+/// with one RNG per replica. Owns all scratch; allocation-free after the
+/// first step. One normal deviate is drawn per oscillator per step even
+/// where σ = 0, so each replica's RNG stream is independent of its
+/// gating state.
+#[derive(Debug, Clone)]
+pub struct LaneIntegrator<F: LaneFormat> {
+    drift: Vec<F::Word>,
+    noise: Vec<f64>,
+    scratch: Vec<F::Word>,
+}
+
+impl<F: LaneFormat> Default for LaneIntegrator<F> {
+    fn default() -> Self {
+        LaneIntegrator {
+            drift: Vec::new(),
+            noise: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl<F: LaneFormat> LaneIntegrator<F> {
+    /// Creates an integrator with empty (lazily sized) buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// One interleaved Euler–Maruyama step of size `h` for all replicas.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rngs.len() != kernel.num_replicas()`.
+    pub(crate) fn step_by<R: Rng>(
+        &mut self,
+        kernel: &LaneKernel<F>,
+        y: &mut [F::Word],
+        h: f64,
+        rngs: &mut [R],
+    ) {
+        assert_eq!(
+            rngs.len(),
+            kernel.num_replicas(),
+            "need exactly one RNG per replica"
+        );
+        let len = kernel.state_len();
+        self.drift.resize(len, F::Word::default());
+        self.noise.resize(len, 0.0);
+        F::drift(kernel, y, &mut self.drift, &mut self.scratch);
+        // Per-replica streams in sequential order (see fill_normal_batch):
+        // one deviate per oscillator per step, σ = 0 lanes included.
+        fill_normal_batch(&mut self.noise, rngs);
+        let sqrt_h = h.sqrt();
+        let terms = self.drift.iter().zip(&self.noise).zip(&kernel.noise);
+        for (q, ((&d, &xi), &g)) in y.iter_mut().zip(terms) {
+            F::advance(q, d, g, xi, h, sqrt_h);
+        }
+    }
+
+    /// Integrates all replicas over `[t0, t1]` on the format's step grid
+    /// ([`LaneFormat::steps`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t1 < t0` or the format rejects `dt` (f64: `dt <= 0`;
+    /// fixed point: `dt` differs from the kernel's compiled step).
+    pub fn integrate<R: Rng>(
+        &mut self,
+        kernel: &LaneKernel<F>,
+        y: &mut [F::Word],
+        t0: f64,
+        t1: f64,
+        dt: f64,
+        rngs: &mut [R],
+    ) {
+        self.integrate_observed(kernel, y, t0, t1, dt, rngs, |_, _| {});
+    }
+
+    /// Like [`LaneIntegrator::integrate`] with an observer invoked with
+    /// the interleaved state at `t0` and after every step.
+    #[allow(clippy::too_many_arguments)]
+    pub fn integrate_observed<R: Rng>(
+        &mut self,
+        kernel: &LaneKernel<F>,
+        y: &mut [F::Word],
+        t0: f64,
+        t1: f64,
+        dt: f64,
+        rngs: &mut [R],
+        mut observe: impl FnMut(f64, &[F::Word]),
+    ) {
+        let steps = kernel.format.steps(t0, t1, dt);
+        observe(t0, y);
+        let mut t = t0;
+        for h in steps {
+            self.step_by(kernel, y, h, rngs);
+            t += h;
+            observe(t, y);
+        }
+    }
+
+    /// Integrates `[t0, t1]` while ramping the SHIL scale of the lanes
+    /// marked in `ramped`; unmarked lanes hold scale 1 throughout. Steps
+    /// are grouped into segments (ten steps each, capped at 1000
+    /// segments) and segment `s` runs with `scale = ramp((s + ½)/segments)`.
+    /// The step sequence is exactly the plain
+    /// [`LaneIntegrator::integrate`] sequence — segments switch the
+    /// scale *between* steps and never split one — so a ramped lane
+    /// matches its one-lane ramped run and an unmarked lane its plain
+    /// run, bit for bit. The observer fires at `t0` and after every step
+    /// with absolute time. All scales are restored to 1 on return.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`LaneIntegrator::integrate`] does, if `ramped.len()`
+    /// differs from the replica count, or if the ramp returns a negative
+    /// or non-finite scale.
+    #[allow(clippy::too_many_arguments)]
+    pub fn integrate_ramped<R: Rng>(
+        &mut self,
+        kernel: &mut LaneKernel<F>,
+        y: &mut [F::Word],
+        t0: f64,
+        t1: f64,
+        dt: f64,
+        rngs: &mut [R],
+        ramp: impl Fn(f64) -> f64,
+        ramped: &[bool],
+        mut observe: impl FnMut(f64, &[F::Word]),
+    ) {
+        assert_eq!(
+            ramped.len(),
+            kernel.num_replicas(),
+            "need one ramp flag per replica"
+        );
+        let steps = kernel.format.steps(t0, t1, dt);
+        let mut schedule = RampSchedule::new(t0, t1, dt);
+        observe(t0, y);
+        let mut t = t0;
+        for (step, h) in steps.enumerate() {
+            schedule.enter(step, kernel, &ramp, ramped);
+            self.step_by(kernel, y, h, rngs);
+            t += h;
+            observe(t, y);
+        }
+        kernel.set_shil_scale(1.0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::batch::F64;
+    use crate::fxkernel::FxBatchKernel;
+    use crate::lanes::LaneFormat;
+    use crate::network::PhaseNetwork;
+    use msropm_graph::generators;
+
+    #[test]
+    fn both_step_grids_are_pinned_over_the_paper_windows() {
+        // Step counts over the paper schedule's six windows (ns), as the
+        // float loop `while t < t1 { h = dt.min(t1 − t); t += h }` takes
+        // them: its extra steps are slivers, and the fixed grid takes
+        // `ceil((t1 − t0)/dt)` full steps.
+        let windows = [0.0, 5.0, 25.0, 30.0, 35.0, 55.0, 60.0];
+        let float = [
+            [501, 2000, 500, 501, 2001, 501],
+            [251, 1001, 251, 250, 1000, 250],
+        ];
+        let fixed = [
+            [500, 2000, 500, 500, 2000, 500],
+            [250, 1000, 250, 250, 1000, 250],
+        ];
+        let net = PhaseNetwork::builder(&generators::path_graph(2)).build();
+        for (k, dt) in [0.01, 0.02].into_iter().enumerate() {
+            let format = *FxBatchKernel::new(&net, 1, dt).format();
+            for (w, t) in windows.windows(2).enumerate() {
+                let (t0, t1) = (t[0], t[1]);
+                let hs: Vec<f64> = F64.steps(t0, t1, dt).collect();
+                assert_eq!(hs.len(), float[k][w], "f64 over [{t0}, {t1}] at {dt}");
+                let (full, last) = (((t1 - t0) / dt).ceil() as usize, hs[hs.len() - 1]);
+                assert!(
+                    hs.len() == full || (1e-14..1e-11).contains(&last),
+                    "{last:e}"
+                );
+                let hs: Vec<f64> = format.steps(t0, t1, dt).collect();
+                assert_eq!(hs.len(), fixed[k][w], "fixed over [{t0}, {t1}] at {dt}");
+                assert!(hs.iter().all(|&h| h == dt));
+            }
+        }
     }
 }

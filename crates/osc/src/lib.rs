@@ -52,14 +52,14 @@
 //!   stepped; wider kernels are the unit every batch solve shards across
 //!   the shard pool. Gating is rewritten in place at window boundaries,
 //!   and the SHIL ramp is a runtime scale per lane.
-//!   [`batch::BatchIntegrator`] owns all scratch, so stepping is
-//!   allocation-free.
 //! - [`lanes::LaneKernel`] is the control layer both kernels share: the
 //!   per-lane `P_EN`, `SHIL_SEL`, bias and σ tables and their
 //!   defective-ring rules, written once and generic over a
-//!   [`lanes::LaneFormat`] that decides how a value is stored and what
-//!   the gating compiles into. `BatchKernel` and `FxBatchKernel` are
-//!   `LaneKernel` at its two formats.
+//!   [`lanes::LaneFormat`] that decides how a value is stored, what the
+//!   gating compiles into, the step grid and the update.
+//!   [`lanes::LaneIntegrator`] is the one allocation-free
+//!   Euler–Maruyama driver. The `Batch*` and `FxBatch*` kernels and
+//!   integrators are these two types at the two formats.
 //! - [`fxkernel::FxBatchKernel`] is the fixed-point twin of the batch
 //!   kernel: phases as wrapping `i32` binary turns, every rate quantized
 //!   to per-step turn counts at build time, sine from a quarter-wave

@@ -758,17 +758,15 @@ fn get_replicas(fields: &[(String, Json)]) -> Result<usize, ApiError> {
     Ok(replicas as usize)
 }
 
-/// Node cap for JSON-submitted graphs: a few bytes of JSON must not
-/// drive a multi-GB adjacency allocation. (The binary wire gets the
-/// equivalent bound for free from its frame-length cap.)
-const MAX_JSON_GRAPH_NODES: u64 = 8_000_000;
-
 fn parse_graph(value: &Json) -> Result<Graph, ApiError> {
     let fields = as_obj(value)?;
     let nodes = get_u64(fields, "nodes")?.ok_or_else(|| bad("graph needs a \"nodes\" count"))?;
-    if nodes > MAX_JSON_GRAPH_NODES {
+    // The node cap both codecs share: a few bytes of JSON must not drive
+    // a multi-GB adjacency allocation.
+    if nodes > proto::MAX_GRAPH_NODES as u64 {
         return Err(bad(format!(
-            "graph exceeds the gateway cap of {MAX_JSON_GRAPH_NODES} nodes"
+            "graph exceeds the gateway cap of {} nodes",
+            proto::MAX_GRAPH_NODES
         )));
     }
     let Some(Json::Arr(edges)) = get(fields, "edges") else {

@@ -83,6 +83,12 @@ pub const MAX_TENANT_LEN: usize = 256;
 /// pre-allocation in the decoder.
 pub const MAX_JOB_LANES: usize = 65_536;
 
+/// Most nodes a submitted graph may declare, on either codec. A graph
+/// reserves three `u32` vectors per node before any edge is read, so a
+/// few bytes of node count must not drive a multi-GB allocation; the
+/// frame-length cap bounds only the edges that follow.
+pub const MAX_GRAPH_NODES: usize = 8_000_000;
+
 // Frame type bytes.
 const T_SUBMIT: u8 = 0x01;
 const T_STATUS: u8 = 0x02;
@@ -635,6 +641,9 @@ fn put_graph(w: &mut ByteWriter, g: &Graph) {
 
 fn get_graph(r: &mut ByteReader) -> Result<Graph, ProtoError> {
     let n = r.u32()? as usize;
+    if n > MAX_GRAPH_NODES {
+        return Err(ProtoError::BadValue("graph node count over cap"));
+    }
     let m = r.u32()? as usize;
     // Guard the allocation: each edge is 8 bytes, so a garbage count
     // larger than the remaining payload is rejected before reserving.
@@ -1999,6 +2008,34 @@ mod tests {
             Err(ProtoError::BadValue(what)) => assert!(what.contains("lane count")),
             // Counts small enough to pass the cap still hit Truncated.
             other => panic!("expected lane-cap rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_node_counts_are_rejected_before_allocating() {
+        // A graph header one node over the cap, with a valid edge list:
+        // must be rejected by the cap before `Graph::from_edges`
+        // reserves its per-node vectors.
+        let valid = encode_request(&Request::Submit {
+            tenant: "t".into(),
+            graph: generators::path_graph(2),
+            job: BatchJob::uniform(MsropmConfig::paper_default(), 1, 1),
+            deadline_ms: 0,
+        });
+        // Tag byte, u16 tenant length and the one tenant byte, then the
+        // node count.
+        let nodes_at = 4;
+        assert_eq!(
+            u32::from_le_bytes(valid[nodes_at..nodes_at + 4].try_into().unwrap()),
+            2,
+            "node-count offset moved; update this test"
+        );
+        let mut hostile = valid;
+        let over = u32::try_from(MAX_GRAPH_NODES + 1).unwrap();
+        hostile[nodes_at..nodes_at + 4].copy_from_slice(&over.to_le_bytes());
+        match decode_request(&hostile) {
+            Err(ProtoError::BadValue(what)) => assert!(what.contains("node count")),
+            other => panic!("expected node-cap rejection, got {other:?}"),
         }
     }
 

@@ -16,7 +16,13 @@
 #
 # For every end-to-end metric in BENCHMARK.json the script prints each
 # side's median and quartiles over the pairs, and in how many pairs the
-# working tree was better (ties count for neither side). Raw reports
+# working tree was better (ties count for neither side). It then gives a
+# verdict against that metric's BENCHMARK.json bound: the working tree's
+# median relative to the base's, the base's interquartile width as a
+# fraction of its median, and `worse than bound` when the median is
+# worse by more than the bound, `unresolved` when the base's own spread
+# is wider than the bound (unless every working-tree run beats every
+# base run), else `within bound`. Raw reports
 # go to target/ab/runs/<workload>/, so comparing a second workload keeps
 # the first one's reports. The exit code is nonzero if any run fails
 # verification (`"correct": false` or a nonzero perfbench exit).
@@ -117,17 +123,40 @@ def summary(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return f"{med:>10.4g} [{q1:>10.4g}, {q3:>10.4g}]"
 
+def verdict(bs, hs, bound, lower):
+    """Median change, base spread and verdict of one metric."""
+    if len(bs) < 2:
+        return "-", "-", "needs 2+ pairs"
+    q1, mb, q3 = statistics.quantiles(bs, n=4, method="inclusive")
+    mh = statistics.median(hs)
+    if mb == 0:
+        return "-", "-", "base median is 0"
+    change, spread = mh / mb - 1, (q3 - q1) / abs(mb)
+    worse = change if lower else -change
+    separated = max(hs) < min(bs) if lower else min(hs) > max(bs)
+    if worse > bound:
+        word = "worse than bound"
+    elif spread > bound and not separated:
+        word = "unresolved"
+    else:
+        word = "within bound"
+    return f"{change:+.1%}", f"{spread:.1%}", word
+
 print(f"{workload}: {pairs} pairs; median [q1, q3]; wins = pairs where the working tree is better")
-print(f"{'metric':<18} {'base':>34} {'working tree':>34} {'wins':>7}")
+print("  change = working-tree median / base median - 1; spread = base (q3 - q1) / median")
+print(f"{'metric':<18} {'base':>34} {'working tree':>34} {'wins':>7} "
+      f"{'change':>8} {'spread':>7} {'bound':>6}  verdict")
 for m in metrics:
     name, lower = m["name"], m["better"] == "lower"
     got = [(b[name]["value"], h[name]["value"]) for b, h in zip(base, head)
            if name in b and name in h]
     if not got:
         continue
+    bs, hs = [b for b, _ in got], [h for _, h in got]
     wins = sum((h < b) if lower else (h > b) for b, h in got)
-    print(f"{name:<18} {summary([b for b, _ in got]):>34} "
-          f"{summary([h for _, h in got]):>34} {wins:>3}/{len(got):<3}")
+    change, spread, word = verdict(bs, hs, m["bound"], lower)
+    print(f"{name:<18} {summary(bs):>34} {summary(hs):>34} {wins:>3}/{len(got):<3} "
+          f"{change:>8} {spread:>7} {m['bound']:>6.0%}  {word}")
 EOF
 
 if ((failed)); then
