@@ -6,8 +6,8 @@
 //! their defective-ring rules and the Euler–Maruyama driver are shared
 //! with the f64 kernel in [`crate::lanes`]. This module holds what is
 //! fixed point's own: the quantization of every value at `dt`, the
-//! gating compiled into effective weight lanes, the LUT sine, the drift
-//! body, the uniform step grid and the wrapping update.
+//! gating compiled into each lane's coupling form, the LUT sine, the
+//! drift body, the uniform step grid and the wrapping update.
 //!
 //! # Why a second numeric stack
 //!
@@ -32,10 +32,42 @@
 //! widths `problems_cold_http` serving runs (1 and 2 lanes per shard)
 //! and at the generic width for the rest. Rows are taken as slices and
 //! zipped, and the table index is masked to its proven range, so no
-//! bounds check remains per lane at any width. On a 48-node complete
-//! graph this cut the cost per (edge, lane) by about 45% at one and two
-//! lanes and by a third at four (2-vCPU x86-64 VM), with every phase
-//! word unchanged.
+//! bounds check remains per lane at any width. On the per-edge form of
+//! a 48-node complete graph this cut the cost per (edge, lane) by about
+//! 45% at one and two lanes and by a third at four (2-vCPU x86-64 VM),
+//! with every phase word unchanged.
+//!
+//! # Coupling forms: per-edge and mean-field
+//!
+//! The gating compiles into an [`FxGating`], which picks one of two
+//! coupling forms per lane:
+//!
+//! - **Per-edge** (every lane, unless the rule below holds): one LUT
+//!   sine per conducting edge, `n(n−1)/2` of them per step on a
+//!   complete graph.
+//! - **Mean-field**: on a complete graph whose lane couples every pair
+//!   at one weight `w`, the coupling sum factorises exactly,
+//!   `Σ_j w·sin(q_j − q_i) = w·(cos q_i·S − sin q_i·C)` with
+//!   `S = Σ_j sin q_j` and `C = Σ_j cos q_j`. One O(n) pass of `2n`
+//!   LUT sines replaces the O(n²) sweep. This is the form number
+//!   partitioning runs: it is max-cut on K_n at a uniform weight.
+//!
+//! A lane takes the mean-field form when the graph is complete
+//! (`m == n(n−1)/2`), every ring works, every edge of the lane has the
+//! same compiled weight, and `n(n−1)/2 > 2n` (n ≥ 6, comparing sine
+//! counts). The rule reads only the topology, the ring enables and
+//! that lane's own weights and gating, so every lane still equals its
+//! one-lane run bit for bit, in any batch and at any shard width.
+//!
+//! The two forms round differently, so the mean-field form moved the
+//! bits of fixed-point lanes on complete graphs with n ≥ 6, and only
+//! those. The per-edge form floors each of the `n − 1` terms of a node
+//! (`>> 30`); the mean-field form sums the Q2.60 products exactly in
+//! `i128` and floors once (`>> 60`). They agree to within
+//! `(n − 1)·(1 + |w|·(5ε + 2ε²)) + 1` counts, where `ε` is the LUT
+//! sine's error bound [`QSIN_MAX_ERR`] (property-tested). The form is
+//! named for a uniform weight; a rank-1 weighting `w_i·w_j` would fit
+//! it as per-node weights on `S`, `C` and the result.
 //!
 //! # Phase format: binary turns (Q0.32)
 //!
@@ -69,9 +101,9 @@
 //! ksq  = round(dt·Ks_i / 2π · 2^32)        (per node per lane, i32)
 //! ```
 //!
-//! One RHS evaluation is then pure integer gather → LUT → scatter:
-//! `dq_u -= (wq · sinq(q_u − q_v)) >> 30`, accumulated with wrapping
-//! adds. No division, no float, no rounding mode to disagree across
+//! One per-edge RHS evaluation is then pure integer gather → LUT →
+//! scatter: `dq_u -= (wq · sinq(q_u − q_v)) >> 30`, accumulated with
+//! wrapping adds. No division, no float, no rounding mode to disagree across
 //! platforms: the kernel arithmetic is bit-exact everywhere.
 //!
 //! # Sine: quarter-wave LUT, linear interpolation
@@ -113,6 +145,9 @@ const TURN: f64 = 4_294_967_296.0;
 
 /// Quarter-wave resolution: `2^QSIN_BITS` segments over `[0, π/2]`.
 const QSIN_BITS: u32 = 10;
+
+/// A quarter turn in phase counts: `sin(q + QUARTER_TURN) = cos q`.
+const QUARTER_TURN: i32 = 1 << 30;
 
 /// Amplitude 1.0 in the Q1.30 output format of [`sin_turns`].
 pub const QSIN_ONE: i32 = 1 << 30;
@@ -166,7 +201,10 @@ pub fn noise_increment(gain: i64, xi: f64) -> i32 {
     // libm call that `round` lowers to on the SSE2 baseline (see the
     // `fastmath` docs): one call per draw in the noise apply loop.
     let xi_q16 = round_half_away_any(xi * 65_536.0) as i64;
-    ((gain * xi_q16) >> 32) as i32
+    // Past about half a turn per step (σ·√dt·|ξ| ≳ π) the product
+    // leaves i64. Bits 32..64 of the wrapped product are those of the
+    // exact one, so the wrap gives exactly the phase increment mod 2π.
+    (gain.wrapping_mul(xi_q16) >> 32) as i32
 }
 
 /// The quarter-wave table: `table[j] = round(2^30 · sin(π/2 · j/1024))`
@@ -218,8 +256,7 @@ pub fn sin_turns(q: i32) -> i32 {
 
 /// The fixed-point [`LaneFormat`]: every rate is quantized to per-step
 /// turn counts at `dt`, phases to binary turns and the SHIL scale to
-/// Q16, and the gating compiles into the effective weight lanes (`0`
-/// where an edge is gated).
+/// Q16, and the gating compiles into an [`FxGating`].
 #[derive(Debug, Clone, Copy)]
 pub struct Fixed {
     dt: f64,
@@ -240,7 +277,7 @@ impl Fixed {
 impl LaneFormat for Fixed {
     type Word = i32;
     type Gain = i64;
-    type Gating = Vec<i32>;
+    type Gating = FxGating;
 
     fn rate(&self, per_time: f64) -> i32 {
         quantize_step(self.dt * per_time)
@@ -266,9 +303,25 @@ impl LaneFormat for Fixed {
         noise_gain(sigma, self.dt)
     }
 
-    fn compile(k: &FxBatchKernel) -> Vec<i32> {
+    fn compile(k: &FxBatchKernel) -> FxGating {
         let lanes = k.base_weight.iter().zip(&k.edge_on);
-        lanes.map(|(&w, &on)| if on { w } else { 0 }).collect()
+        let mut weights: Vec<i32> = lanes.map(|(&w, &on)| if on { w } else { 0 }).collect();
+        let mean_field: Vec<Option<i32>> = (0..k.replicas)
+            .map(|r| mean_field_weight(k, &weights, r))
+            .collect();
+        for row in weights.chunks_exact_mut(k.replicas) {
+            for (w, mf) in row.iter_mut().zip(&mean_field) {
+                if mf.is_some() {
+                    *w = 0;
+                }
+            }
+        }
+        let per_edge = mean_field.iter().any(Option::is_none);
+        FxGating {
+            weights,
+            mean_field,
+            per_edge,
+        }
     }
 
     fn drift(k: &FxBatchKernel, y: &[i32], dq: &mut [i32], scratch: &mut Vec<i32>) {
@@ -296,6 +349,48 @@ impl LaneFormat for Fixed {
     fn advance(q: &mut i32, d: i32, gain: i64, xi: f64, _h: f64, _sqrt_h: f64) {
         *q = q.wrapping_add(d).wrapping_add(noise_increment(gain, xi));
     }
+}
+
+/// The compiled gating of an [`FxBatchKernel`]: the coupling form each
+/// lane runs (see the module docs) and the per-edge weight lanes.
+#[derive(Debug, Clone)]
+pub struct FxGating {
+    /// Effective weight lanes `[e*M + r]`: the lane weight where the
+    /// edge conducts in a per-edge lane, `0` where it is gated or the
+    /// lane runs the mean-field form.
+    weights: Vec<i32>,
+    /// Per lane: the uniform weight a mean-field lane couples every
+    /// pair at, `None` for a per-edge lane.
+    mean_field: Vec<Option<i32>>,
+    /// `true` when any lane runs the per-edge sweep.
+    per_edge: bool,
+}
+
+/// The uniform weight lane `r` couples every pair of a complete graph
+/// at, when it takes the mean-field form; `None` when it keeps the
+/// per-edge sweep. `weights` are the effective weight lanes (`0` where
+/// gated).
+///
+/// The rule reads only the topology, the ring enables (shared by every
+/// lane) and lane `r`'s own weights, so a lane takes the same form in
+/// any batch and its bits match its one-lane run. It needs:
+///
+/// - a complete graph: `m == n(n−1)/2` (the graph constructors reject
+///   duplicate edges and self-loops, so the count implies K_n);
+/// - every ring working;
+/// - one compiled weight on every edge of lane `r`;
+/// - `n(n−1)/2 > 2n`, i.e. `n ≥ 6`: the per-edge sweep's sine count
+///   above the mean-field form's.
+fn mean_field_weight(k: &FxBatchKernel, weights: &[i32], r: usize) -> Option<i32> {
+    let n = k.num_nodes;
+    let m = k.edge_u.len();
+    let complete = n >= 6 && m == n * (n - 1) / 2;
+    if !complete || !k.node_enabled.iter().all(|&on| on) {
+        return None;
+    }
+    let w = weights[r];
+    let mut lane = weights.iter().skip(r).step_by(k.replicas);
+    lane.all(|&x| x == w).then_some(w)
 }
 
 /// The fixed-point multi-replica coupling kernel: a [`LaneKernel`] in
@@ -345,15 +440,15 @@ impl FxBatchKernel {
     /// counts) into `dq`. Apply with `y[k] = y[k].wrapping_add(dq[k])`.
     ///
     /// Unlike the float kernel's three-pass gather → `sin_slice` →
-    /// scatter shape, both passes here are **fused**: each
-    /// (edge, replica) does gather, LUT sine and scatter in one step,
-    /// and each (node, replica) of the SHIL pass likewise. The LUT sine
-    /// is two scalar table loads either way, so staging arguments
+    /// scatter shape, the per-edge and SHIL passes here are **fused**:
+    /// each (edge, replica) does gather, LUT sine and scatter in one
+    /// step, and each (node, replica) of the SHIL pass likewise. The LUT
+    /// sine is two scalar table loads either way, so staging arguments
     /// through a buffer would only add memory traffic (a two-pass form
-    /// measured 1.3–1.8× slower). `scratch` is never touched; it keeps
-    /// the call shape of [`crate::batch::BatchKernel::drift_into`].
-    /// Every accumulation is a wrapping integer add, so visiting order
-    /// cannot change a bit of the result.
+    /// measured 1.3–1.8× slower). The mean-field lanes (see the module
+    /// docs) keep each node's sine and cosine in `scratch` between their
+    /// two passes. Every accumulation is a wrapping integer add, so
+    /// visiting order cannot change a bit of the result.
     ///
     /// # Panics
     ///
@@ -362,39 +457,47 @@ impl FxBatchKernel {
     pub fn drift_into(&self, y: &[i32], dq: &mut [i32], scratch: &mut Vec<i32>) {
         assert_eq!(y.len(), self.state_len(), "phase vector size mismatch");
         assert_eq!(dq.len(), self.state_len(), "increment vector size mismatch");
-        let _ = scratch;
         dq.copy_from_slice(&self.bias);
         // Literal lane widths for the shards of 2–4-lane serving jobs
         // (1 or 2 lanes each): with `rr` a constant the per-lane loops
         // unroll flat.
         match self.replicas {
-            1 => self.drift_lanes(1, y, dq),
-            2 => self.drift_lanes(2, y, dq),
-            rr => self.drift_lanes(rr, y, dq),
+            1 => self.drift_lanes(1, y, dq, scratch),
+            2 => self.drift_lanes(2, y, dq, scratch),
+            rr => self.drift_lanes(rr, y, dq, scratch),
         }
     }
 
     /// The body of [`FxBatchKernel::drift_into`] at lane width `rr`
     /// (`== self.replicas`), inlined into each width's call site.
     #[inline(always)]
-    fn drift_lanes(&self, rr: usize, y: &[i32], dq: &mut [i32]) {
+    fn drift_lanes(&self, rr: usize, y: &[i32], dq: &mut [i32], trig: &mut Vec<i32>) {
         let table = quarter_table();
         if self.couplings_on {
-            // Per edge: wrapped phase difference → LUT sine → scatter
-            // `±(wq·s)>>30` to both endpoints' rows.
-            let ends = self.edge_u.iter().zip(&self.edge_v);
-            for ((&u, &v), wrow) in ends.zip(self.gating().chunks_exact(rr)) {
-                let (u, v) = (u as usize * rr, v as usize * rr);
-                let (yu, yv) = (&y[u..u + rr], &y[v..v + rr]);
-                let [du, dv] = dq
-                    .get_disjoint_mut([u..u + rr, v..v + rr])
-                    .expect("a simple graph has no self-loops");
-                let lanes = wrow.iter().zip(yu).zip(yv).zip(du).zip(dv);
-                for ((((&w, &a), &b), du), dv) in lanes {
-                    let s = sin_turns_core(table, a.wrapping_sub(b));
-                    let c = ((w as i64 * s as i64) >> 30) as i32;
-                    *du = du.wrapping_sub(c);
-                    *dv = dv.wrapping_add(c);
+            let gating = self.gating();
+            if gating.per_edge {
+                // Per edge: wrapped phase difference → LUT sine → scatter
+                // `±(wq·s)>>30` to both endpoints' rows. Mean-field lanes
+                // hold weight 0 here and add exactly nothing.
+                let ends = self.edge_u.iter().zip(&self.edge_v);
+                for ((&u, &v), wrow) in ends.zip(gating.weights.chunks_exact(rr)) {
+                    let (u, v) = (u as usize * rr, v as usize * rr);
+                    let (yu, yv) = (&y[u..u + rr], &y[v..v + rr]);
+                    let [du, dv] = dq
+                        .get_disjoint_mut([u..u + rr, v..v + rr])
+                        .expect("a simple graph has no self-loops");
+                    let lanes = wrow.iter().zip(yu).zip(yv).zip(du).zip(dv);
+                    for ((((&w, &a), &b), du), dv) in lanes {
+                        let s = sin_turns_core(table, a.wrapping_sub(b));
+                        let c = ((w as i64 * s as i64) >> 30) as i32;
+                        *du = du.wrapping_sub(c);
+                        *dv = dv.wrapping_add(c);
+                    }
+                }
+            }
+            for (r, &w) in gating.mean_field.iter().enumerate() {
+                if let Some(w) = w {
+                    mean_field_lane(table, w, rr, r, y, dq, trig);
                 }
             }
         }
@@ -423,6 +526,45 @@ impl FxBatchKernel {
                 }
             }
         }
+    }
+}
+
+/// Adds lane `r`'s mean-field coupling at uniform weight `w` to `dq`:
+/// `Σ_j w·sin(q_j − q_i) = w·(cos q_i·S − sin q_i·C)` with
+/// `S = Σ_j sin q_j` and `C = Σ_j cos q_j`, in one O(n) pass plus one
+/// to apply. `trig` keeps each node's LUT sine and cosine between the
+/// two passes.
+///
+/// `|S|, |C| ≤ n·2^30`, so the Q2.60 products are formed in `i128`,
+/// and the one final `as i32` wraps as the per-edge form's wrapping
+/// adds do. The `j = i` term cancels exactly: `cos q_i·sin q_i −
+/// sin q_i·cos q_i` is 0 in integers.
+#[inline(always)]
+fn mean_field_lane(
+    table: &[i32; 1025],
+    w: i32,
+    rr: usize,
+    r: usize,
+    y: &[i32],
+    dq: &mut [i32],
+    trig: &mut Vec<i32>,
+) {
+    let n = y.len() / rr;
+    trig.resize(2 * n, 0);
+    let (sin, cos) = trig.split_at_mut(n);
+    let (mut sum_sin, mut sum_cos) = (0i64, 0i64);
+    let lane = y.iter().skip(r).step_by(rr);
+    for ((&q, s), c) in lane.zip(sin.iter_mut()).zip(cos.iter_mut()) {
+        *s = sin_turns_core(table, q);
+        *c = sin_turns_core(table, q.wrapping_add(QUARTER_TURN));
+        sum_sin += *s as i64;
+        sum_cos += *c as i64;
+    }
+    let (sum_sin, sum_cos) = (sum_sin as i128, sum_cos as i128);
+    let lane = dq.iter_mut().skip(r).step_by(rr);
+    for ((d, &s), &c) in lane.zip(sin.iter()).zip(cos.iter()) {
+        let coupling = c as i128 * sum_sin - s as i128 * sum_cos;
+        *d = d.wrapping_add(((w as i128 * coupling) >> 60) as i32);
     }
 }
 
@@ -726,18 +868,70 @@ mod tests {
         ((s ^ neg) - neg) as i32
     }
 
+    /// The mean-field rule of the module docs, restated over the raw
+    /// lane tables: lane `r`'s uniform weight on a complete graph of
+    /// n ≥ 6 working rings, else `None`.
+    fn mean_field_reference(k: &FxBatchKernel, r: usize) -> Option<i32> {
+        let (n, m, rr) = (k.num_nodes, k.edge_u.len(), k.replicas);
+        if n < 6 || m != n * (n - 1) / 2 || k.node_enabled.contains(&false) {
+            return None;
+        }
+        let weight = |e: usize| {
+            let lane = e * rr + r;
+            if k.edge_on[lane] {
+                k.base_weight[lane]
+            } else {
+                0
+            }
+        };
+        let w = weight(0);
+        (0..m).all(|e| weight(e) == w).then_some(w)
+    }
+
     /// The generic indexed drift loops, one body for every lane width:
     /// the bit-identity reference for [`FxBatchKernel::drift_into`].
     fn drift_reference(k: &FxBatchKernel, y: &[i32]) -> Vec<i32> {
+        drift_reference_with(k, y, |r| mean_field_reference(k, r))
+    }
+
+    /// [`drift_reference`] with lane `r` in the mean-field form at weight
+    /// `w` where `mean_field(r)` is `Some(w)`, and in the per-edge form
+    /// elsewhere. The mean-field branch sums `cos q_i·sin q_j −
+    /// sin q_i·cos q_j` over every pair, so it also checks that the
+    /// kernel's factorised O(n) sum is exact.
+    fn drift_reference_with(
+        k: &FxBatchKernel,
+        y: &[i32],
+        mean_field: impl Fn(usize) -> Option<i32>,
+    ) -> Vec<i32> {
         let table = quarter_table();
         let rr = k.replicas;
         let mut dq = k.bias.clone();
         if k.couplings_on {
-            for e in 0..k.edge_u.len() {
-                let (u, v) = (k.edge_u[e] as usize * rr, k.edge_v[e] as usize * rr);
-                for r in 0..rr {
+            for r in 0..rr {
+                if let Some(w) = mean_field(r) {
+                    let sin = |i: usize| sin_turns_reference(table, y[i * rr + r]) as i128;
+                    let cos = |i: usize| {
+                        sin_turns_reference(table, y[i * rr + r].wrapping_add(1 << 30)) as i128
+                    };
+                    for i in 0..k.num_nodes {
+                        let coupling: i128 = (0..k.num_nodes)
+                            .map(|j| cos(i) * sin(j) - sin(i) * cos(j))
+                            .sum();
+                        let inc = ((w as i128 * coupling) >> 60) as i32;
+                        dq[i * rr + r] = dq[i * rr + r].wrapping_add(inc);
+                    }
+                    continue;
+                }
+                for e in 0..k.edge_u.len() {
+                    let (u, v) = (k.edge_u[e] as usize * rr, k.edge_v[e] as usize * rr);
+                    let w = if k.edge_on[e * rr + r] {
+                        k.base_weight[e * rr + r]
+                    } else {
+                        0
+                    };
                     let s = sin_turns_reference(table, y[u + r].wrapping_sub(y[v + r]));
-                    let c = ((k.gating()[e * rr + r] as i64 * s as i64) >> 30) as i32;
+                    let c = ((w as i64 * s as i64) >> 30) as i32;
                     dq[u + r] = dq[u + r].wrapping_sub(c);
                     dq[v + r] = dq[v + r].wrapping_add(c);
                 }
@@ -776,24 +970,36 @@ mod tests {
     /// weights (some near the saturation bound), biases, noise and SHIL
     /// sources, a defective ring now and then, random per-lane gating
     /// with one lane sometimes cut off entirely, and per-lane SHIL
-    /// scales.
+    /// scales. Topology 3 is a complete graph whose lanes are mostly
+    /// plain: one weight on every edge, sometimes near saturation, and
+    /// no random gating, so they take the mean-field form.
     fn random_kernel(lanes: usize, topology: usize, rng: &mut StdRng) -> FxBatchKernel {
         let g = match topology {
             0 => generators::complete_graph(rng.gen_range(2..20)),
             1 => generators::kings_graph(rng.gen_range(1..6), rng.gen_range(2..6)),
-            _ => generators::erdos_renyi(rng.gen_range(2..30), 0.2, rng),
+            2 => generators::erdos_renyi(rng.gen_range(2..30), 0.2, rng),
+            _ => generators::complete_graph(rng.gen_range(2..40)),
         };
         let n = g.num_nodes();
         let dead = (n > 2 && rng.gen_bool(0.3)).then(|| rng.gen_range(0..n));
+        let plain: Vec<bool> = (0..lanes)
+            .map(|_| topology == 3 && rng.gen_bool(0.7))
+            .collect();
         let nets: Vec<PhaseNetwork> = (0..lanes)
-            .map(|_| {
+            .map(|r| {
                 let mut net = PhaseNetwork::builder(&g)
                     .coupling_strength(rng.gen_range(0.0..2.0))
                     .noise(rng.gen_range(0.0..0.5))
                     .frequency_spread(rng.gen_range(0.0..0.3))
                     .build_with_spread(rng);
+                if plain[r] && rng.gen_bool(0.3) {
+                    let w = rng.gen_range(-400.0..400.0);
+                    for e in 0..g.num_edges() {
+                        net.set_edge_weight(e, w);
+                    }
+                }
                 for e in 0..g.num_edges() {
-                    if rng.gen_bool(0.1) {
+                    if !plain[r] && rng.gen_bool(0.1) {
                         // Negative, and up to past the ±π-per-step
                         // saturation of `quantize_step`.
                         net.set_edge_weight(e, rng.gen_range(-400.0..400.0));
@@ -819,8 +1025,8 @@ mod tests {
         kernel.set_couplings_enabled(rng.gen_bool(0.9));
         let cut_lane = rng.gen_bool(0.4).then(|| rng.gen_range(0..lanes));
         for e in 0..g.num_edges() {
-            for r in 0..lanes {
-                if Some(r) == cut_lane || rng.gen_bool(0.3) {
+            for (r, &plain) in plain.iter().enumerate() {
+                if Some(r) == cut_lane || (!plain && rng.gen_bool(0.3)) {
                     kernel.set_edge_enabled(e, r, false);
                 }
             }
@@ -845,12 +1051,13 @@ mod tests {
 
     proptest::proptest! {
         /// Every lane-width arm of `drift_into` (1, 2 and the generic
-        /// width) matches the reference loops bit for bit, and 20
-        /// integrator steps match 20 reference steps.
+        /// width), in both coupling forms, matches the reference loops
+        /// bit for bit, and 20 integrator steps match 20 reference
+        /// steps.
         #[test]
         fn drift_and_step_match_reference(
             lanes in 1usize..10,
-            topology in 0usize..3,
+            topology in 0usize..4,
             seed in 0u64..1_000_000,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -888,6 +1095,201 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn noise_increment_wraps_exactly_past_half_a_turn() {
+        // `noise` 10 at dt 0.02 and beyond: the i64 product overflows,
+        // and the increment must still be the exact product's bits
+        // 32..64, i.e. the phase increment mod 2π.
+        for sigma in [10.0, 50.0, 1e3, 1e6] {
+            let gain = noise_gain(sigma, 0.02);
+            for xi in [-8.5, -3.0, -0.75, 0.6, 2.5, 7.9, 1e9, -1e12] {
+                let xi_q16 = (xi * 65_536.0f64).round() as i64;
+                let want = ((gain as i128 * xi_q16 as i128) >> 32) as i32;
+                assert_eq!(noise_increment(gain, xi), want, "σ {sigma}, ξ {xi}");
+            }
+        }
+        let gain = noise_gain(10.0, 0.02);
+        assert!(
+            gain.checked_mul(4 * 65_536).is_none(),
+            "ξ = 4 overflows i64"
+        );
+    }
+
+    #[test]
+    fn large_noise_steps_without_overflow() {
+        // A 4-node kernel at `noise` 10, dt 0.02: each step's noise
+        // passes half a turn. It steps, and its lanes match their solo
+        // runs.
+        let g = generators::complete_graph(4);
+        let net = PhaseNetwork::builder(&g).noise(10.0).build();
+        let mut y = vec![0i32; 8];
+        let mut rngs = vec![StdRng::seed_from_u64(4), StdRng::seed_from_u64(5)];
+        let kernel = FxBatchKernel::new(&net, 2, 0.02);
+        FxBatchIntegrator::new().integrate(&kernel, &mut y, 0.0, 1.0, 0.02, &mut rngs);
+        let solo = FxBatchKernel::new(&net, 1, 0.02);
+        for (r, seed) in [4u64, 5].into_iter().enumerate() {
+            let mut ys = vec![0i32; 4];
+            let mut rng = vec![StdRng::seed_from_u64(seed)];
+            FxBatchIntegrator::new().integrate(&solo, &mut ys, 0.0, 1.0, 0.02, &mut rng);
+            let lane: Vec<i32> = y.iter().skip(r).step_by(2).copied().collect();
+            assert_eq!(lane, ys, "lane {r}");
+        }
+    }
+
+    #[test]
+    fn mean_field_form_is_chosen_by_the_stated_rule() {
+        // K_5 keeps the per-edge sweep; K_6 takes the mean-field form
+        // until a lane gates an edge, reweights one, or a ring fails.
+        let lanes_of = |k: &FxBatchKernel| -> Vec<bool> {
+            k.gating().mean_field.iter().map(Option::is_some).collect()
+        };
+        let k5 = FxBatchKernel::new(
+            &PhaseNetwork::builder(&generators::complete_graph(5)).build(),
+            2,
+            0.01,
+        );
+        assert_eq!(lanes_of(&k5), [false, false]);
+        let g = generators::complete_graph(6);
+        let mut k6 = FxBatchKernel::new(&PhaseNetwork::builder(&g).build(), 3, 0.01);
+        assert_eq!(lanes_of(&k6), [true, true, true]);
+        assert!(!k6.gating().per_edge);
+        k6.set_edge_enabled(4, 1, false);
+        assert_eq!(lanes_of(&k6), [true, false, true]);
+        assert!(k6.gating().per_edge);
+        let mut own = PhaseNetwork::builder(&g).build();
+        own.set_edge_weight(2, 0.5);
+        let k = FxBatchKernel::from_lanes(&[PhaseNetwork::builder(&g).build(), own], 0.01);
+        assert_eq!(lanes_of(&k), [true, false]);
+        let mut dead = PhaseNetwork::builder(&g).build();
+        dead.set_node_enabled(3, false);
+        assert_eq!(lanes_of(&FxBatchKernel::new(&dead, 1, 0.01)), [false]);
+    }
+
+    /// The one-lane kernel of lane `r` of `nets`: that lane's network,
+    /// with `k`'s gating of that lane copied over.
+    fn solo_kernel(nets: &[PhaseNetwork], k: &FxBatchKernel, r: usize) -> FxBatchKernel {
+        let mut solo = FxBatchKernel::from_lanes(std::slice::from_ref(&nets[r]), k.dt());
+        for e in 0..k.edge_u.len() {
+            solo.set_edge_enabled(e, 0, k.edge_enabled(e, r));
+        }
+        solo
+    }
+
+    #[test]
+    fn mixed_complete_graph_lanes_match_their_solo_kernels() {
+        // K_5, K_6 and K_7, on both sides of the mean-field break-even.
+        // Lanes: two mean-field lanes, one with an edge gated, two with
+        // their own coupling strengths, and one with every coupling of
+        // ring 2 gated. Ring enables are shared by a kernel's lanes, so
+        // the defective ring runs the same mix as a second batch.
+        for n in [5usize, 6, 7] {
+            let g = generators::complete_graph(n);
+            for defective in [None, Some(n - 1)] {
+                let mut rng = StdRng::seed_from_u64(n as u64);
+                let nets: Vec<PhaseNetwork> = [1.0, 1.0, 1.0, 0.4, 1.7, 1.0]
+                    .into_iter()
+                    .map(|k| {
+                        let mut net = PhaseNetwork::builder(&g)
+                            .coupling_strength(k)
+                            .noise(0.3)
+                            .frequency_spread(0.2)
+                            .build_with_spread(&mut rng);
+                        net.set_shil_all(Shil::order2(0.3, 0.8));
+                        net.set_shil_enabled(true);
+                        if let Some(i) = defective {
+                            net.set_node_enabled(i, false);
+                        }
+                        net
+                    })
+                    .collect();
+                let mut kernel = FxBatchKernel::from_lanes(&nets, 0.01);
+                kernel.set_edge_enabled(3, 2, false);
+                for e in 0..g.num_edges() {
+                    if kernel.edge_u[e] == 2 || kernel.edge_v[e] == 2 {
+                        kernel.set_edge_enabled(e, 5, false);
+                    }
+                }
+                let want_mf = [true, true, false, true, true, false]
+                    .map(|mf| mf && n >= 6 && defective.is_none());
+                let got_mf: Vec<bool> = kernel
+                    .gating()
+                    .mean_field
+                    .iter()
+                    .map(Option::is_some)
+                    .collect();
+                assert_eq!(got_mf, want_mf, "n {n}, defective {defective:?}");
+
+                let rr = nets.len();
+                let y = random_words(kernel.state_len(), &mut rng);
+                let mut dq = vec![0i32; y.len()];
+                kernel.drift_into(&y, &mut dq, &mut Vec::new());
+                let mut ys = y.clone();
+                let seeds = |r: usize| StdRng::seed_from_u64(100 + r as u64);
+                let mut rngs: Vec<StdRng> = (0..rr).map(seeds).collect();
+                let mut integrator = FxBatchIntegrator::new();
+                for _ in 0..50 {
+                    integrator.step(&kernel, &mut ys, &mut rngs);
+                }
+                for r in 0..rr {
+                    let solo = solo_kernel(&nets, &kernel, r);
+                    let lane =
+                        |v: &[i32]| v.iter().skip(r).step_by(rr).copied().collect::<Vec<_>>();
+                    let mut dq1 = vec![0i32; n];
+                    solo.drift_into(&lane(&y), &mut dq1, &mut Vec::new());
+                    assert_eq!(lane(&dq), dq1, "drift: n {n}, lane {r}, {defective:?}");
+                    let mut y1 = lane(&y);
+                    let mut rng1 = vec![seeds(r)];
+                    for _ in 0..50 {
+                        integrator.step(&solo, &mut y1, &mut rng1);
+                    }
+                    assert_eq!(lane(&ys), y1, "step: n {n}, lane {r}, {defective:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mean_field_form_is_within_its_bound_of_the_per_edge_form() {
+        // Each per-edge term carries up to 1 LSB of truncation and
+        // |w|·ε of LUT error (ε = QSIN_MAX_ERR). Each mean-field term
+        // cos q_i·sin q_j − sin q_i·cos q_j multiplies two LUT values,
+        // each off by at most ε of unit amplitude: at most 4ε + 2ε²
+        // per term, and 1 LSB for the one final floor. Over the n − 1
+        // terms of node i, with counts as the unit:
+        //   |mean field − per edge| ≤ (n − 1)·(1 + |w|·(5ε + 2ε²)) + 1.
+        let eps = QSIN_MAX_ERR;
+        let mut rng = StdRng::seed_from_u64(0x3f1e1d);
+        let mut worst = 0.0f64;
+        for trial in 0..60 {
+            let n = rng.gen_range(6..120);
+            let g = generators::complete_graph(n);
+            let coupling = if trial % 4 == 0 {
+                rng.gen_range(-400.0..400.0)
+            } else {
+                rng.gen_range(0.0..2.0)
+            };
+            let net = PhaseNetwork::builder(&g).coupling_strength(1.0).build();
+            let mut net = net;
+            for e in 0..g.num_edges() {
+                net.set_edge_weight(e, coupling);
+            }
+            let kernel = FxBatchKernel::new(&net, 2, [0.01, 0.02][trial % 2]);
+            let w = kernel.gating().mean_field[0].expect("a plain K_n lane is mean-field");
+            let y = random_words(kernel.state_len(), &mut rng);
+            let mut mean_field = vec![0i32; y.len()];
+            kernel.drift_into(&y, &mut mean_field, &mut Vec::new());
+            let per_edge = drift_reference_with(&kernel, &y, |_| None);
+            let terms = (n - 1) as f64;
+            let bound = terms * (1.0 + (w as f64).abs() * (5.0 * eps + 2.0 * eps * eps)) + 1.0;
+            for (k, (&a, &b)) in mean_field.iter().zip(&per_edge).enumerate() {
+                let diff = (a.wrapping_sub(b) as f64).abs();
+                assert!(diff <= bound, "n {n}, w {w}, element {k}: {diff} > {bound}");
+                worst = worst.max(diff / bound);
+            }
+        }
+        assert!(worst > 0.0, "the two forms never differed");
     }
 
     /// Bitwise check of the shifter quantizer against the libm form.

@@ -110,7 +110,12 @@ fn fx_golden_hash_is_shard_width_invariant() {
 /// (max-cut on a complete graph): `complete_graph(40)` in 2-colour mode,
 /// `fx_config()`, seeds `200..203`. Recompute (and justify) only on a
 /// deliberate fx format change.
-const GOLDEN_COMPLETE_40: u64 = 0x431f_b3f4_66b6_2abe;
+///
+/// Re-recorded when every-edge lanes of complete graphs (n ≥ 6) took
+/// the mean-field coupling form, `w·(cos q_i·Σ sin q_j − sin q_i·Σ cos q_j)`
+/// in one floor instead of n − 1 floored per-edge terms (see
+/// `osc::fxkernel`): each lane of this solve runs that form.
+const GOLDEN_COMPLETE_40: u64 = 0x92d5_4e48_bf08_f6f4;
 
 #[test]
 fn fx_complete_graph_digest_matches_at_every_shard_width() {
