@@ -3,6 +3,7 @@
 # the working tree.
 #
 #   ./scripts/ab.sh <base-rev> [--workload W] [--pairs N] [--seconds S]
+#                   [--claim METRIC]
 #
 # Defaults: --workload paper_2116 --pairs 10 --seconds 45.
 #
@@ -22,7 +23,12 @@
 # fraction of its median, and `worse than bound` when the median is
 # worse by more than the bound, `unresolved` when the base's own spread
 # is wider than the bound (unless every working-tree run beats every
-# base run), else `within bound`. Raw reports
+# base run), else `within bound`. With --claim METRIC it ends with
+# `claim met` or `claim not met` for that metric: met when the working
+# tree wins at least 9/10 of the pairs and its median is better than
+# the base's by more than the base's interquartile width. The summary
+# is scripts/ab_report.py (`--self-test` checks it on synthetic
+# reports). Raw reports
 # go to target/ab/runs/<workload>/, so comparing a second workload keeps
 # the first one's reports. The exit code is nonzero if any run fails
 # verification (`"correct": false` or a nonzero perfbench exit).
@@ -30,7 +36,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: $0 <base-rev> [--workload W] [--pairs N] [--seconds S]" >&2
+    echo "usage: $0 <base-rev> [--workload W] [--pairs N] [--seconds S] [--claim METRIC]" >&2
     exit 2
 }
 
@@ -40,12 +46,14 @@ shift
 workload=paper_2116
 pairs=10
 seconds=45
+claim=
 while [[ $# -gt 0 ]]; do
     [[ $# -ge 2 ]] || usage
     case $1 in
         --workload) workload=$2 ;;
         --pairs) pairs=$2 ;;
         --seconds) seconds=$2 ;;
+        --claim) claim=$2 ;;
         *) usage ;;
     esac
     shift 2
@@ -104,60 +112,7 @@ for ((i = 1; i <= pairs; i++)); do
     fi
 done
 
-python3 - "$runs" "$pairs" "$workload" <<'EOF'
-import json, statistics, sys
-
-runs, pairs, workload = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
-def load(side, i):
-    try:
-        return json.load(open(f"{runs}/{side}-{i}.json"))["metrics"]
-    except (OSError, ValueError, KeyError):
-        return {}
-base = [load("base", i) for i in range(1, pairs + 1)]
-head = [load("head", i) for i in range(1, pairs + 1)]
-
-def summary(xs):
-    if len(xs) < 2:
-        return f"{xs[0]:>10.4g} {'':>23}" if xs else f"{'-':>10} {'':>23}"
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return f"{med:>10.4g} [{q1:>10.4g}, {q3:>10.4g}]"
-
-def verdict(bs, hs, bound, lower):
-    """Median change, base spread and verdict of one metric."""
-    if len(bs) < 2:
-        return "-", "-", "needs 2+ pairs"
-    q1, mb, q3 = statistics.quantiles(bs, n=4, method="inclusive")
-    mh = statistics.median(hs)
-    if mb == 0:
-        return "-", "-", "base median is 0"
-    change, spread = mh / mb - 1, (q3 - q1) / abs(mb)
-    worse = change if lower else -change
-    separated = max(hs) < min(bs) if lower else min(hs) > max(bs)
-    if worse > bound:
-        word = "worse than bound"
-    elif spread > bound and not separated:
-        word = "unresolved"
-    else:
-        word = "within bound"
-    return f"{change:+.1%}", f"{spread:.1%}", word
-
-print(f"{workload}: {pairs} pairs; median [q1, q3]; wins = pairs where the working tree is better")
-print("  change = working-tree median / base median - 1; spread = base (q3 - q1) / median")
-print(f"{'metric':<18} {'base':>34} {'working tree':>34} {'wins':>7} "
-      f"{'change':>8} {'spread':>7} {'bound':>6}  verdict")
-for m in metrics:
-    name, lower = m["name"], m["better"] == "lower"
-    got = [(b[name]["value"], h[name]["value"]) for b, h in zip(base, head)
-           if name in b and name in h]
-    if not got:
-        continue
-    bs, hs = [b for b, _ in got], [h for _, h in got]
-    wins = sum((h < b) if lower else (h > b) for b, h in got)
-    change, spread, word = verdict(bs, hs, m["bound"], lower)
-    print(f"{name:<18} {summary(bs):>34} {summary(hs):>34} {wins:>3}/{len(got):<3} "
-          f"{change:>8} {spread:>7} {m['bound']:>6.0%}  {word}")
-EOF
+python3 scripts/ab_report.py "$runs" "$pairs" "$workload" ${claim:+--claim "$claim"}
 
 if ((failed)); then
     echo "ab.sh: at least one run failed verification" >&2

@@ -55,6 +55,8 @@ stage_lint() {
     for script in scripts/*.sh; do
         bash -n "$script"
     done
+    # The A/B summary's claim rule on synthetic reports.
+    python3 scripts/ab_report.py --self-test
 }
 
 # The workspace crates' only unsafe is the guarded wide-sine dispatch in
@@ -87,8 +89,13 @@ stage_test() {
     # release too: integer overflow goes unchecked there.
     PROPTEST_CASES=2000 cargo test -q --release -p msropm-problems --lib cnf_repair
     # The lane-width-specialized fixed-point drift and step against their
-    # generic reference loops, bit for bit, likewise in release.
+    # generic reference loops, bit for bit, likewise in release; the
+    # mean-field lanes of complete graphs against their solo kernels and
+    # within their bound of the per-edge form; and the noise increment's
+    # wrap past half a turn per step.
     PROPTEST_CASES=2000 cargo test -q --release -p msropm-osc --lib drift_and_step_match_reference
+    cargo test -q --release -p msropm-osc --lib -- mean_field_form mixed_complete_graph_lanes \
+        noise_increment_wraps large_noise_steps
     # Every lane of the f64 batch kernel, both sweep bodies, against a
     # one-lane kernel built from that lane's network, bit for bit — the
     # width check on the float kernel every run steps, likewise in release.
