@@ -95,7 +95,7 @@ stage_test() {
     # wrap past half a turn per step.
     PROPTEST_CASES=2000 cargo test -q --release -p msropm-osc --lib drift_and_step_match_reference
     cargo test -q --release -p msropm-osc --lib -- mean_field_form mixed_complete_graph_lanes \
-        noise_increment_wraps large_noise_steps
+        noise_increment_wraps
     # Every lane of the f64 batch kernel, both sweep bodies, against a
     # one-lane kernel built from that lane's network, bit for bit — the
     # width check on the float kernel every run steps, likewise in release.
