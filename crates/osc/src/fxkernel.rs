@@ -1113,33 +1113,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn mean_field_form_is_chosen_by_the_stated_rule() {
-        // K_5 keeps the per-edge sweep; K_6 takes the mean-field form
-        // until a lane gates an edge, reweights one, or a ring fails.
-        let lanes_of = |k: &FxBatchKernel| -> Vec<bool> {
-            k.gating().mean_field.iter().map(Option::is_some).collect()
-        };
-        let k5 = FxBatchKernel::new(
-            &PhaseNetwork::builder(&generators::complete_graph(5)).build(),
-            2,
-            0.01,
-        );
-        assert_eq!(lanes_of(&k5), [false, false]);
-        let g = generators::complete_graph(6);
-        let mut k6 = FxBatchKernel::new(&PhaseNetwork::builder(&g).build(), 3, 0.01);
-        assert_eq!(lanes_of(&k6), [true, true, true]);
-        k6.set_edge_enabled(4, 1, false);
-        assert_eq!(lanes_of(&k6), [true, false, true]);
-        let mut own = PhaseNetwork::builder(&g).build();
-        own.set_edge_weight(2, 0.5);
-        let k = FxBatchKernel::from_lanes(&[PhaseNetwork::builder(&g).build(), own], 0.01);
-        assert_eq!(lanes_of(&k), [true, false]);
-        let mut dead = PhaseNetwork::builder(&g).build();
-        dead.set_node_enabled(3, false);
-        assert_eq!(lanes_of(&FxBatchKernel::new(&dead, 1, 0.01)), [false]);
-    }
-
     /// The one-lane kernel of lane `r` of `nets`: that lane's network,
     /// with `k`'s gating of that lane copied over.
     fn solo_kernel(nets: &[PhaseNetwork], k: &FxBatchKernel, r: usize) -> FxBatchKernel {
@@ -1154,14 +1127,15 @@ mod tests {
     fn mixed_complete_graph_lanes_match_their_solo_kernels() {
         // K_5, K_6 and K_7, on both sides of the mean-field break-even.
         // Lanes: two mean-field lanes, one with an edge gated, two with
-        // their own coupling strengths, and one with every coupling of
-        // ring 2 gated. Ring enables are shared by a kernel's lanes, so
-        // the defective ring runs the same mix as a second batch.
+        // their own coupling strengths, one with every coupling of ring
+        // 2 gated, and one with one edge reweighted. Ring enables are
+        // shared by a kernel's lanes, so the defective ring runs the
+        // same mix as a second batch, where no lane is mean-field.
         for n in [5usize, 6, 7] {
             let g = generators::complete_graph(n);
             for defective in [None, Some(n - 1)] {
                 let mut rng = StdRng::seed_from_u64(n as u64);
-                let nets: Vec<PhaseNetwork> = [1.0, 1.0, 1.0, 0.4, 1.7, 1.0]
+                let mut nets: Vec<PhaseNetwork> = [1.0, 1.0, 1.0, 0.4, 1.7, 1.0, 1.0]
                     .into_iter()
                     .map(|k| {
                         let mut net = PhaseNetwork::builder(&g)
@@ -1177,6 +1151,7 @@ mod tests {
                         net
                     })
                     .collect();
+                nets[6].set_edge_weight(2, 0.5);
                 let mut kernel = FxBatchKernel::from_lanes(&nets, 0.01);
                 kernel.set_edge_enabled(3, 2, false);
                 for e in 0..g.num_edges() {
@@ -1184,7 +1159,7 @@ mod tests {
                         kernel.set_edge_enabled(e, 5, false);
                     }
                 }
-                let want_mf = [true, true, false, true, true, false]
+                let want_mf = [true, true, false, true, true, false, false]
                     .map(|mf| mf && n >= 6 && defective.is_none());
                 let got_mf: Vec<bool> = kernel
                     .gating()
