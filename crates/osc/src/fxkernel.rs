@@ -1218,8 +1218,7 @@ mod tests {
             } else {
                 rng.gen_range(0.0..2.0)
             };
-            let net = PhaseNetwork::builder(&g).coupling_strength(1.0).build();
-            let mut net = net;
+            let mut net = PhaseNetwork::builder(&g).build();
             for e in 0..g.num_edges() {
                 net.set_edge_weight(e, coupling);
             }
